@@ -95,8 +95,9 @@ def dual_surrogate(a, p: float) -> float:
 def power_mean_estimate(values: np.ndarray, p: float) -> tuple:
     """(mean values^p)^{1/p} with a delta-method standard error.
 
-    values must be nonnegative.  Moves to log space for p > 32 so large
-    powers cannot overflow.
+    values must be nonnegative.  They are divided by their maximum before
+    the power is taken, so no p in [1, 64] overflows or underflows the
+    mean, whatever the scale of the values.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -104,13 +105,12 @@ def power_mean_estimate(values: np.ndarray, p: float) -> tuple:
         return 0.0, 0.0
     if np.all(values == values[0]):
         return float(values[0]), 0.0
-    if p <= 32:
-        y = values ** p
-        mean_y = float(y.mean())
-        sd_y = float(y.std(ddof=1))
-        est = mean_y ** (1.0 / p)
-        return est, est / (p * mean_y) * sd_y / math.sqrt(n)
-    return _lp_logspace(values, p)
+    top = float(values.max())
+    y = (values / top) ** p
+    mean_y = float(y.mean())
+    sd_y = float(y.std(ddof=1))
+    est = top * mean_y ** (1.0 / p)
+    return est, est / (p * mean_y) * sd_y / math.sqrt(n)
 
 
 def empirical_lp(a, p: float, samples: int, seed: int) -> tuple:
@@ -118,8 +118,7 @@ def empirical_lp(a, p: float, samples: int, seed: int) -> tuple:
 
     Plain Monte Carlo over independent sign vectors from the counter
     stream; the estimate is (mean |S|^p)^{1/p} and the standard error
-    comes from the delta method.  Accumulation switches to log space for
-    p > 32 so large moments cannot overflow.
+    comes from the delta method.
     """
     if p < 1 or p > 64:
         raise ValueError("p must lie in [1, 64]")
@@ -133,33 +132,6 @@ def empirical_lp(a, p: float, samples: int, seed: int) -> tuple:
         eps = streams.signs_from_uniform(u)
         abs_s[start:start + eps.shape[0]] = np.abs(eps @ a)
     return power_mean_estimate(abs_s, p)
-
-
-def _lp_logspace(abs_s: np.ndarray, p: float) -> tuple:
-    n = abs_s.size
-    logs = np.log(abs_s[abs_s > 0])  # zero samples only shift the mean's divisor
-    log_n = math.log(n)
-    log_m1 = _logsumexp(p * logs) - log_n          # log mean |S|^p
-    log_m2 = _logsumexp(2 * p * logs) - log_n      # log mean |S|^{2p}
-    est = math.exp(log_m1 / p)
-    # var(|S|^p) = m2 - m1^2, in log space
-    diff = 2 * log_m1 - log_m2
-    if diff >= 0.0:
-        return est, 0.0
-    log_var = log_m2 + math.log1p(-math.exp(diff))
-    # stderr = (1/p) m1^{1/p - 1} sqrt(var / (n - 1))
-    log_stderr = (
-        (1.0 / p - 1.0) * log_m1
-        - math.log(p)
-        + 0.5 * log_var
-        - 0.5 * math.log(n - 1.0)
-    )
-    return est, math.exp(log_stderr)
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + math.log(float(np.exp(x - m).sum()))
 
 
 def exact_lp_enumeration(a, p: float) -> float:

@@ -9,6 +9,12 @@ stream, so estimates across modes are paired sample by sample.
 The per-sample norm exploits block structure: the spectral norm of a
 matrix splits over the connected components of its bipartite support, so
 block-diagonal families cost only as much as their largest block.
+
+Uniform blocks are drawn lazily, one at a time.  Each block is cut into
+equal row chunks, as many as a multiple of the thread count, and worker
+threads take the chunks; the realization budget is shared by all workers,
+so peak memory does not grow with `threads`.  Output is byte-identical
+for any thread count.
 """
 
 from __future__ import annotations
@@ -178,7 +184,8 @@ def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
     for group in plan:
         r, c = group["shape"]
         g = group["count"]
-        vals = values[:, group["pos"]] * group["w"]
+        vals = values[:, group["pos"]]
+        vals *= group["w"]
         if r == 1 and c == 1:
             block = np.zeros((m, g))
             block[:, group["slot"]] = vals
@@ -196,35 +203,54 @@ def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
     return out
 
 
+def _chunk_plan(rows: int, dense: int, threads: int) -> tuple:
+    """Split a block of `rows` samples into equal row chunks for a pool.
+
+    Returns (edges, workers): chunk c holds rows edges[c]:edges[c + 1].
+    The chunk count is a multiple of `threads`, unless that would leave a
+    chunk empty, and each chunk realizes at most _REALIZE_BUDGET // threads
+    elements (one row at least), so the budget covers all workers together.
+    `workers` never exceeds the chunk count.
+    """
+    cap = max(1, _REALIZE_BUDGET // max(dense, 1) // threads)
+    n_chunks = min(rows, threads * -(-rows // (threads * cap)))
+    edges = [rows * c // n_chunks for c in range(n_chunks + 1)]
+    return edges, min(threads, n_chunks)
+
+
 def _sample_norms(A: WeightMatrix, mode: str, samples: int, seed: int,
                   threads: int = 1) -> np.ndarray:
+    """Norms of `samples` realizations, one stream block in memory at a time.
+
+    Each block is split by _chunk_plan; a chunk's transform and norms run
+    on a worker thread (the batched SVD releases the GIL).  Every sample's
+    norm depends only on its own uniforms, so the result is bit-identical
+    for any thread count.
+    """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     positions = _positions(A, mode)
     k = len(positions)
     if k == 0:
         return np.zeros(samples)
     plan = _norm_plan(_bipartite_components(A, positions, mode))
     dense = sum(g["count"] * g["shape"][0] * g["shape"][1] for g in plan)
-    sub = max(1, _REALIZE_BUDGET // max(dense, 1))
+    transform = (streams.gaussians_from_uniform if mode == "gaussian"
+                 else streams.signs_from_uniform)
+
+    def run(chunk):
+        return _batch_norms(transform(chunk), plan)
+
     norms = np.empty(samples)
-
-    def handle_block(item):
-        start, u = item
-        vals = (
-            streams.gaussians_from_uniform(u)
-            if mode == "gaussian"
-            else streams.signs_from_uniform(u)
-        )
-        for lo in range(0, vals.shape[0], sub):
-            chunk = vals[lo:lo + sub]
-            norms[start + lo:start + lo + chunk.shape[0]] = _batch_norms(chunk, plan)
-
-    blocks = list(streams.uniform_blocks(seed, k, samples))
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(handle_block, blocks))
-    else:
-        for item in blocks:
-            handle_block(item)
+    for start, u in streams.uniform_blocks(seed, k, samples):
+        edges, workers = _chunk_plan(u.shape[0], dense, threads)
+        chunks = [u[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        if workers == 1:
+            parts = list(map(run, chunks))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(run, chunks))
+        norms[start:start + u.shape[0]] = np.concatenate(parts)
     return norms
 
 

@@ -62,7 +62,8 @@ def signs_from_uniform(u: np.ndarray) -> np.ndarray:
 
 def gaussians_from_uniform(u: np.ndarray) -> np.ndarray:
     """Standard normals via the inverse CDF, clipped away from 0 and 1."""
-    return ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    v = np.clip(u, 1e-300, 1.0 - 1e-16)
+    return ndtri(v, out=v)
 
 
 def unit_vector(seed: int, n: int, stream: int = 0) -> np.ndarray:

@@ -120,6 +120,25 @@ class TestMcCommand:
         assert code == 0
         assert set(payload["estimate"]["p_moments"]) == {"2.0", "4.0"}
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, k3_file, threads):
+        assert main(["mc", "--input", k3_file, "--samples", "100",
+                     "--threads", threads]) == 2
+
+    @pytest.mark.parametrize("scale", [1e10, 1e-12])
+    def test_moments_finite_at_extreme_scale(self, tmp_path, scale):
+        path = tmp_path / "m.json"
+        dump_json(WeightMatrix(scale * np.ones((3, 3))), path)
+        code, payload = run_json(
+            ["mc", "--input", str(path), "--samples", "500", "--p", "2,32,33"], tmp_path
+        )
+        assert code == 0
+        est = payload["estimate"]
+        values = [est["mean"], est["stderr"]]
+        values += [v for m in est["p_moments"].values() for v in m.values()]
+        assert all(math.isfinite(v) for v in values)
+        assert scale <= est["p_moments"]["32.0"]["estimate"] <= 3 * scale
+
 
 class TestFamilyCommand:
     def test_union_complete(self, tmp_path):

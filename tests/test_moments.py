@@ -192,3 +192,12 @@ class TestPowerMeanEstimate:
         est, se = power_mean_estimate(v, 64)
         assert math.isfinite(est) and math.isfinite(se)
         assert 1e200 <= est <= 3e200
+
+    @pytest.mark.parametrize("c", [1e-12, 1e10])
+    @pytest.mark.parametrize("p", [2, 32, 33, 64])
+    def test_scale_equivariant(self, c, p):
+        v = np.abs(np.random.default_rng(19).standard_normal(500)) + 0.1
+        est, se = power_mean_estimate(v, p)
+        c_est, c_se = power_mean_estimate(c * v, p)
+        assert c_est == pytest.approx(c * est, rel=1e-12)
+        assert c_se == pytest.approx(c * se, rel=1e-12)

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from radnorm import sampler, streams
 from radnorm.core import WeightMatrix
 from radnorm.corpus import corpus_symmetric
 from radnorm.sampler import (
+    MODES,
+    _chunk_plan,
+    _sample_norms,
     exact_small_norm_expectation,
     mc_norm,
     mc_norm_moments,
@@ -119,6 +123,102 @@ class TestMcNorm:
         est = mc_norm(A, "rademacher_iid", 600, 5)
         want = exact_small_norm_expectation(A, "rademacher_iid")
         assert abs(est.mean - want) <= 4 * est.stderr
+
+
+def _spy_batch_norms(monkeypatch, record):
+    """Make sampler._batch_norms call record(values, plan) after each chunk."""
+    real = sampler._batch_norms
+
+    def spy(values, plan):
+        out = real(values, plan)
+        record(values, plan)
+        return out
+
+    monkeypatch.setattr(sampler, "_batch_norms", spy)
+
+
+class TestChunkedSampling:
+    """Pool tasks are equal row chunks of one stream block at a time."""
+
+    A6 = WeightMatrix(np.random.default_rng(41).standard_normal((6, 6)))
+
+    def test_threads_validated(self):
+        for threads in (0, -1):
+            with pytest.raises(ValueError):
+                mc_norm(ALL_ONES_2, "rademacher_iid", 64, 1, threads=threads)
+            with pytest.raises(ValueError):
+                mc_norm_moments(ALL_ONES_2, [2], 200, 1, threads=threads)
+
+    def test_chunk_plan_splits_evenly_per_thread(self):
+        # dense_gauss_n128: blocks of 258 and 42 rows, 16,384 elements a row
+        assert _chunk_plan(258, 128 * 128, 2) == ([0, 129, 258], 2)
+        assert _chunk_plan(42, 128 * 128, 2) == ([0, 21, 42], 2)
+        # sparse_gauss_n256: one 254x253 component, 130 rows per thread
+        edges, workers = _chunk_plan(300, 254 * 253, 2)
+        assert edges == [0, 75, 150, 225, 300] and workers == 2
+        assert _chunk_plan(300, 254 * 253, 1) == ([0, 150, 300], 1)
+
+    def test_chunk_plan_never_more_workers_than_chunks(self):
+        # a pure call: no pool is started for this thread count
+        for rows in (1, 7, 300):
+            edges, workers = _chunk_plan(rows, 254 * 253, 10_000)
+            sizes = np.diff(edges)
+            assert edges[0] == 0 and edges[-1] == rows
+            assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+            assert workers == len(sizes) == rows
+
+    def test_single_block_split_into_chunks(self, monkeypatch):
+        # 500 samples of 36 positions fit one block; a budget of 40 rows
+        # splits it into 13 or more chunks
+        want = {m: _sample_norms(self.A6, m, 500, 3) for m in MODES}
+        monkeypatch.setattr(sampler, "_REALIZE_BUDGET", 36 * 40)
+        for mode in MODES:
+            for threads in (1, 2, 3):
+                got = _sample_norms(self.A6, mode, 500, 3, threads)
+                assert np.array_equal(got, want[mode]), (mode, threads)
+
+    def test_fewer_blocks_than_threads(self, monkeypatch):
+        rows = []
+        _spy_batch_norms(monkeypatch, lambda values, plan: rows.append(len(values)))
+        for mode in MODES:
+            rows.clear()
+            want = _sample_norms(self.A6, mode, 100, 4)
+            assert rows == [100]  # one block, one chunk
+            for threads in (2, 3):
+                rows.clear()
+                got = _sample_norms(self.A6, mode, 100, 4, threads)
+                assert np.array_equal(got, want), (mode, threads)
+                assert len(rows) == threads
+
+    def test_chunks_within_shared_budget(self, monkeypatch):
+        budget = 36 * 60
+        monkeypatch.setattr(sampler, "_REALIZE_BUDGET", budget)
+        elements = []
+        _spy_batch_norms(monkeypatch, lambda values, plan: elements.append(
+            len(values) * sum(g["count"] * g["shape"][0] * g["shape"][1] for g in plan)))
+        for threads in (1, 2, 3):
+            elements.clear()
+            _sample_norms(self.A6, "gaussian", 700, 5, threads)
+            assert len(elements) > threads
+            assert max(elements) <= budget // threads
+
+    def test_blocks_drawn_lazily(self, monkeypatch):
+        drawn = []
+        blocks = streams.uniform_blocks
+
+        def counting_blocks(*args):
+            for item in blocks(*args):
+                drawn.append(item[0])
+                yield item
+
+        seen = []
+        monkeypatch.setattr(streams, "_BLOCK_BUDGET", 36 * 50)  # 50-sample blocks
+        monkeypatch.setattr(streams, "uniform_blocks", counting_blocks)
+        _spy_batch_norms(monkeypatch, lambda values, plan: seen.append(len(drawn)))
+        _sample_norms(self.A6, "rademacher_iid", 400, 6, threads=2)
+        assert len(drawn) == 8
+        # two chunks per block, each done before the next block is drawn
+        assert seen == [b for b in range(1, 9) for _ in range(2)]
 
 
 class TestSymmetrizationInequality:
