@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import EdgeSet, WeightMatrix, derive_graph, log_clamped
 from .moments import hitczenko_surrogate, water_fill
-from .spectral import max_row_col_l2
+from .spectral import max_row_col_l2, top_pair, top_values
 from . import streams
 
 
@@ -123,7 +123,7 @@ def _pairs_value(pairs) -> float:
     if not pairs:
         return 0.0
     m, _, _ = _pairs_compact(pairs)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(top_values(m))
 
 
 def _pairs_norm(pairs, n: int) -> tuple:
@@ -132,12 +132,12 @@ def _pairs_norm(pairs, n: int) -> tuple:
     if not pairs:
         return 0.0, np.zeros(n), np.zeros(n)
     m, rows, cols = _pairs_compact(pairs)
-    u, sv, vt = np.linalg.svd(m)
+    sigma, u, v = top_pair(m)
     s = np.zeros(n)
     t = np.zeros(n)
-    s[rows] = u[:, 0]
-    t[cols] = vt[0]
-    return float(sv[0]), s, t
+    s[rows] = u
+    t[cols] = v
+    return sigma, s, t
 
 
 class _BudgetExhausted(Exception):
@@ -171,8 +171,6 @@ class _SubsetSearch:
             s = set(by_row[i]) | set(by_col[j])
             s.discard(e)
             self.nbr.append(sorted(s))
-        self.row_counts = by_row
-        self.col_counts = by_col
 
     def offer(self, subset: list):
         rc: dict = {}
@@ -286,26 +284,6 @@ def r_exact_01(E: EdgeSet, p: float, budget_cap: int = 200_000) -> RBracket:
 # heuristic bracket for general weights
 
 
-def _top_pair(a: np.ndarray) -> tuple:
-    """Approximate top singular pair; exact SVD for small sides."""
-    if max(a.shape) <= 512:
-        u, sv, vt = np.linalg.svd(a)
-        return u[:, 0].copy(), vt[0].copy()
-    v = np.ones(a.shape[1]) + 1e-3 * np.arange(a.shape[1]) / max(a.shape[1] - 1, 1)
-    v /= np.linalg.norm(v)
-    for _ in range(40):
-        w = a.T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-    u = a @ v
-    nu = np.linalg.norm(u)
-    if nu > 0:
-        u = u / nu
-    return u, v
-
-
 def _surrogate_at(a: np.ndarray, s: np.ndarray, t: np.ndarray, p: float) -> float:
     c = a * np.outer(s, t)
     return hitczenko_surrogate(c.ravel(), p).total
@@ -314,7 +292,7 @@ def _surrogate_at(a: np.ndarray, s: np.ndarray, t: np.ndarray, p: float) -> floa
 def _ascent_seeds(a: np.ndarray, restarts: int, seed: int) -> list:
     nr, nc = a.shape
     seeds = []
-    u, v = _top_pair(a)
+    _, u, v = top_pair(a)
     seeds.append((u, v))
     flat_i = np.abs(a).argmax() // nc
     flat_j = np.abs(a).argmax() % nc
@@ -382,14 +360,14 @@ def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
         obj_prev = -1.0
         for _ in range(max_iters):
             c = a * np.outer(s, t)
-            star = np.sort(np.abs(c.ravel()))[::-1]
-            order = np.argsort(-np.abs(c.ravel()), kind="stable")
-            _, b_sorted = water_fill(star, p)
+            abs_c = np.abs(c.ravel())
+            order = np.argsort(-abs_c, kind="stable")
+            _, b_sorted = water_fill(abs_c[order], p)
             b = np.empty(c.size)
             b[order] = b_sorted
             b = np.sign(c.ravel()) * b
             weighted = a * b.reshape(a.shape)
-            s, t = _top_pair(weighted)
+            _, s, t = top_pair(weighted)
             obj = float(s @ weighted @ t)
             val = _surrogate_at(a, s, t, p)
             if val > best_val:
@@ -418,19 +396,9 @@ def _quick_r_lower(a: np.ndarray, p: float) -> tuple:
     """Cheap surrogate value at an approximate top pair (for search only)."""
     if not a.any():
         return 0.0, None
-    v = np.ones(a.shape[1]) + 1e-3 * np.arange(a.shape[1]) / max(a.shape[1] - 1, 1)
-    v /= np.linalg.norm(v)
-    for _ in range(6):
-        w = a.T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, None
-        v = w / nw
-    u = a @ v
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
+    sigma, u, v = top_pair(a, steps=6)
+    if sigma == 0.0:
         return 0.0, None
-    u = u / nu
     return _surrogate_at(a, u, v, p), (u, v)
 
 
@@ -535,6 +503,12 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, config: EngineConfig) -
     return removed
 
 
+def _complement(n: int, removed) -> list:
+    """The indices of range(n) not in `removed`, in order."""
+    dropped = set(removed)
+    return [i for i in range(n) if i not in dropped]
+
+
 def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple:
     """max over the doubling k-grid of min_{|I| <= k} R(submatrix, Log k).
 
@@ -565,7 +539,7 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
             value = math.inf
             removed = []
             for combo in itertools.combinations(range(n), msize):
-                keep = [i for i in range(n) if i not in set(combo)]
+                keep = _complement(n, combo)
                 v = _full_estimate(A, keep, p, config)
                 if v < value - 1e-12:
                     value = v
@@ -576,13 +550,13 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
             best_proxy = math.inf
             removed = []
             for combo in itertools.combinations(range(n), msize):
-                keep = [i for i in range(n) if i not in set(combo)]
+                keep = _complement(n, combo)
                 sub = A.entries[np.ix_(keep, keep)]
                 v = _search_score(sub, None, p, None, zero_one, config)
                 if v < best_proxy - 1e-12:
                     best_proxy = v
                     removed = list(combo)
-            keep = [i for i in range(n) if i not in set(removed)]
+            keep = _complement(n, removed)
             value = _full_estimate(A, keep, p, config)
             mode = "enumerated"
         else:
@@ -592,7 +566,7 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
                 chain = _greedy_chain(A, p, steps, config)
                 chains[p] = chain
             removed = chain[:steps]
-            keep = [i for i in range(n) if i not in set(removed)]
+            keep = _complement(n, removed)
             value = _full_estimate(A, keep, p, config)
             mode = "greedy" if steps >= msize else "greedy_truncated"
         if p in published:

@@ -23,6 +23,9 @@ MAX_SIZE = 8192
 
 INFINITY = math.inf
 
+#: Rows per block yielded by sign_patterns.
+SIGN_BLOCK_ROWS = 8192
+
 
 class CapExceededError(RuntimeError):
     """A size or enumeration budget was exceeded."""
@@ -31,6 +34,25 @@ class CapExceededError(RuntimeError):
 def log_clamped(x: float) -> float:
     """ln(x or e, whichever is larger).  Written Log in reports."""
     return math.log(max(x, math.e))
+
+
+def sign_patterns(k: int):
+    """Yield the 2^(k-1) patterns in {-1, +1}^k whose first sign is +1.
+
+    Blocks of at most SIGN_BLOCK_ROWS rows, in counting order: bit b of
+    the pattern index sets sign b + 1 to -1.  Enough for any quantity
+    invariant under a global sign flip.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    count = 1 << (k - 1)
+    shifts = np.arange(k - 1, dtype=np.uint64)
+    for lo in range(0, count, SIGN_BLOCK_ROWS):
+        idx = np.arange(lo, min(lo + SIGN_BLOCK_ROWS, count), dtype=np.uint64)
+        bits = (idx[:, None] >> shifts[None, :]) & 1
+        yield np.concatenate(
+            (np.ones((idx.size, 1)), np.where(bits == 0, 1.0, -1.0)), axis=1
+        )
 
 
 def _as_float_matrix(entries) -> np.ndarray:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
+from .core import sign_patterns
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def exact_lp_enumeration(a, p: float) -> float:
     """Exact || sum a_k eps_k ||_p by summing over all 2^n sign patterns.
 
     Test oracle; refuses more than 2^22 patterns.  The global sign flip
-    halves the enumeration.
+    halves the enumeration, and |S|^p is summed one pattern block at a time.
     """
     a = np.asarray(a, dtype=float).ravel()
     n = a.size
@@ -146,11 +147,5 @@ def exact_lp_enumeration(a, p: float) -> float:
         return 0.0
     if n > 22:
         raise ValueError("exact enumeration is capped at 22 coefficients")
-    count = 1 << (n - 1)
-    idx = np.arange(count, dtype=np.uint64)
-    bits = (idx[:, None] >> np.arange(n - 1, dtype=np.uint64)[None, :]) & 1
-    signs = np.concatenate(
-        (np.ones((count, 1)), np.where(bits == 0, 1.0, -1.0)), axis=1
-    )
-    vals = np.abs(signs @ a)
-    return float(np.mean(vals ** p) ** (1.0 / p))
+    total = sum(float((np.abs(signs @ a) ** p).sum()) for signs in sign_patterns(n))
+    return (total / (1 << (n - 1))) ** (1.0 / p)

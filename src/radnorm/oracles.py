@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapExceededError, EdgeSet, GraphView, WeightMatrix, power_graph
+from .core import (CapExceededError, EdgeSet, GraphView, WeightMatrix, power_graph,
+                   sign_patterns)
 
 SIGN_SIDE_CAP = 20
 X_SIZE_CAP = 8
@@ -26,17 +27,6 @@ class SignBilinearResult:
     value: float
     eta_rows: np.ndarray
     eta_cols: np.ndarray
-
-
-def _sign_patterns(k: int, chunk: int = 1 << 14):
-    """Yield +-1 pattern blocks of width k with the first sign pinned to +1."""
-    count = 1 << max(k - 1, 0)
-    for lo in range(0, count, chunk):
-        idx = np.arange(lo, min(lo + chunk, count), dtype=np.uint64)
-        bits = (idx[:, None] >> np.arange(k - 1, dtype=np.uint64)[None, :]) & 1
-        yield np.concatenate(
-            (np.ones((idx.size, 1)), np.where(bits == 0, 1.0, -1.0)), axis=1
-        )
 
 
 def sign_bilinear_max(B: WeightMatrix) -> SignBilinearResult:
@@ -57,7 +47,7 @@ def sign_bilinear_max(B: WeightMatrix) -> SignBilinearResult:
         return SignBilinearResult(0.0, np.ones(B.n_rows), np.ones(B.n_cols))
     best = -math.inf
     best_eta = np.ones(k)
-    for signs in _sign_patterns(k):
+    for signs in sign_patterns(k):
         partial = signs @ b  # (patterns, cols)
         vals = np.abs(partial).sum(axis=1)
         i = int(vals.argmax())
@@ -92,7 +82,7 @@ def x_quantity(A_realized: WeightMatrix) -> float:
     for mask in range(1, 1 << n):
         rows = [i for i in range(n) if mask >> i & 1]
         sub = b[rows]
-        for signs in _sign_patterns(len(rows)):
+        for signs in sign_patterns(len(rows)):
             partial = np.abs(signs @ sub)  # (patterns, n)
             partial.sort(axis=1)
             prefixes = np.cumsum(partial[:, ::-1], axis=1)

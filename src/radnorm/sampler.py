@@ -20,14 +20,16 @@ for any thread count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
-from .core import WeightMatrix
+from .core import WeightMatrix, sign_patterns
 from .moments import power_mean_estimate
+from .spectral import top_values
 
 MODES = ("rademacher_iid", "rademacher_symmetric", "gaussian")
 
@@ -193,25 +195,29 @@ def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
             continue
         block = np.zeros((m, g, r * c))
         block[:, group["slot"], group["flat"]] = vals
-        if r == 1 or c == 1:
-            sv = np.sqrt((block * block).sum(axis=2))
-        else:
-            sv = np.linalg.svd(
-                block.reshape(m * g, r, c), compute_uv=False
-            )[:, 0].reshape(m, g)
-        np.maximum(out, sv.max(axis=1), out=out)
+        np.maximum(out, top_values(block.reshape(m, g, r, c)).max(axis=1), out=out)
     return out
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
 
 
 def _chunk_plan(rows: int, dense: int, threads: int) -> tuple:
     """Split a block of `rows` samples into equal row chunks for a pool.
 
     Returns (edges, workers): chunk c holds rows edges[c]:edges[c + 1].
-    The chunk count is a multiple of `threads`, unless that would leave a
-    chunk empty, and each chunk realizes at most _REALIZE_BUDGET // threads
-    elements (one row at least), so the budget covers all workers together.
-    `workers` never exceeds the chunk count.
+    `threads` is first clamped to the usable CPUs.  The chunk count is a
+    multiple of `threads`, unless that would leave a chunk empty, and each
+    chunk realizes at most _REALIZE_BUDGET // threads elements (one row at
+    least), so the budget covers all workers together.  `workers` never
+    exceeds the chunk count.
     """
+    threads = min(threads, _usable_cpus())
     cap = max(1, _REALIZE_BUDGET // max(dense, 1) // threads)
     n_chunks = min(rows, threads * -(-rows // (threads * cap)))
     edges = [rows * c // n_chunks for c in range(n_chunks + 1)]
@@ -302,14 +308,5 @@ def exact_small_norm_expectation(A: WeightMatrix, mode: str) -> float:
     if k > EXACT_SIGNS_CAP:
         raise ValueError(f"{k} independent signs exceed the cap {EXACT_SIGNS_CAP}")
     plan = _norm_plan(_bipartite_components(A, positions, mode))
-    count = 1 << (k - 1)
-    total = 0.0
-    chunk = 8192
-    for lo in range(0, count, chunk):
-        idx = np.arange(lo, min(lo + chunk, count), dtype=np.uint64)
-        bits = (idx[:, None] >> np.arange(k - 1, dtype=np.uint64)[None, :]) & 1
-        signs = np.concatenate(
-            (np.ones((idx.size, 1)), np.where(bits == 0, 1.0, -1.0)), axis=1
-        )
-        total += float(_batch_norms(signs, plan).sum())
-    return total / count
+    total = sum(float(_batch_norms(signs, plan).sum()) for signs in sign_patterns(k))
+    return total / (1 << (k - 1))

@@ -12,6 +12,7 @@ meaningful, never the absolute level.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -91,10 +92,9 @@ def _summarize(points: list, ratio_key: str = "ratio") -> dict:
     }
 
 
-def _family_point(inst, samples: int, seed: int, threads: int) -> dict:
-    A = inst.weight_matrix()
-    est = mc_norm(A, "rademacher_iid", samples, seed, threads)
-    ratio = est.mean / inst.predicted if inst.predicted > 0 else None
+def _record(inst, est, A: WeightMatrix, **fields) -> dict:
+    """A family grid point: the keys every family record shares, then the
+    scenario's own `fields` in the order given."""
     return {
         "family": inst.family,
         "params": inst.params,
@@ -105,21 +105,31 @@ def _family_point(inst, samples: int, seed: int, threads: int) -> dict:
         "samples": est.samples,
         "seed": est.seed,
         "bounds": _cheap_bounds(A),
-        "ratio": ratio,
+        **fields,
     }
 
 
-def _grid_scenario(instances, samples, seed, threads) -> tuple:
+def _report(name: str, samples: int, seed: int, points: list) -> ScenarioReport:
+    return ScenarioReport(name, samples, seed, [pt["params"] for pt in points],
+                          points, _summarize(points))
+
+
+def _family_point(inst, samples: int, seed: int, threads: int) -> dict:
+    A = inst.weight_matrix()
+    est = mc_norm(A, "rademacher_iid", samples, seed, threads)
+    ratio = est.mean / inst.predicted if inst.predicted > 0 else None
+    return _record(inst, est, A, ratio=ratio)
+
+
+def _grid_scenario(name: str, instances, samples, seed, threads) -> ScenarioReport:
     points = [_family_point(inst, samples, seed, threads) for inst in instances]
-    grid = [pt["params"] for pt in points]
-    return grid, points, _summarize(points)
+    return _report(name, samples, seed, points)
 
 
 def scenario_union_complete_regimes(samples=2000, seed=1, threads=1, n_cap=2048,
                                     d_values=tuple(range(1, 9))) -> ScenarioReport:
     instances = [union_complete(max(1, n_cap // (d + 1)), d) for d in d_values]
-    grid, points, summary = _grid_scenario(instances, samples, seed, threads)
-    return ScenarioReport("union_complete_regimes", samples, seed, grid, points, summary)
+    return _grid_scenario("union_complete_regimes", instances, samples, seed, threads)
 
 
 def scenario_large_girth(samples=400, seed=1, threads=1) -> ScenarioReport:
@@ -127,8 +137,7 @@ def scenario_large_girth(samples=400, seed=1, threads=1) -> ScenarioReport:
         large_girth_instance(n, 3, g, seed + i)
         for i, (n, g) in enumerate([(64, 5), (128, 5), (256, 6)])
     ]
-    grid, points, summary = _grid_scenario(instances, samples, seed, threads)
-    return ScenarioReport("large_girth", samples, seed, grid, points, summary)
+    return _grid_scenario("large_girth", instances, samples, seed, threads)
 
 
 def scenario_tangle_free(samples=400, seed=1, threads=1) -> ScenarioReport:
@@ -136,43 +145,28 @@ def scenario_tangle_free(samples=400, seed=1, threads=1) -> ScenarioReport:
         one_cycle_neighborhood_instance(n, 3, r, seed + i)
         for i, (n, r) in enumerate([(64, 2), (128, 2), (256, 3)])
     ]
-    grid, points, summary = _grid_scenario(instances, samples, seed, threads)
-    return ScenarioReport("tangle_free", samples, seed, grid, points, summary)
+    return _grid_scenario("tangle_free", instances, samples, seed, threads)
 
 
 def scenario_random_regular(samples=400, seed=1, threads=1) -> ScenarioReport:
     instances = [
         random_regular(n, 3, seed + i) for i, n in enumerate([64, 128, 256])
     ]
-    grid, points, summary = _grid_scenario(instances, samples, seed, threads)
-    return ScenarioReport("random_regular", samples, seed, grid, points, summary)
+    return _grid_scenario("random_regular", instances, samples, seed, threads)
+
+
+def _expander_instance(n: int, seed: int):
+    """random_regular(n, 3, seed) relabelled with its spectral gap lambda
+    as the predicted scale."""
+    inst = random_regular(n, 3, seed)
+    d, lam = expander_check(inst.matrix)
+    return dataclasses.replace(inst, family="expander", params={"n": n, "d": d},
+                               predicted=lam, formula="lambda")
 
 
 def scenario_expander(samples=400, seed=1, threads=1) -> ScenarioReport:
-    points = []
-    for i, n in enumerate([64, 128, 256]):
-        inst = random_regular(n, 3, seed + i)
-        d, lam = expander_check(inst.matrix)
-        A = inst.weight_matrix()
-        est = mc_norm(A, "rademacher_iid", samples, seed, threads)
-        points.append(
-            {
-                "family": "expander",
-                "params": {"n": n, "d": d},
-                "predicted": lam,
-                "formula": "lambda",
-                "mc_mean": est.mean,
-                "mc_stderr": est.stderr,
-                "samples": est.samples,
-                "seed": est.seed,
-                "bounds": _cheap_bounds(A),
-                "ratio": est.mean / lam if lam > 0 else None,
-            }
-        )
-    return ScenarioReport(
-        "expander", samples, seed, [pt["params"] for pt in points], points,
-        _summarize(points),
-    )
+    instances = [_expander_instance(n, seed + i) for i, n in enumerate([64, 128, 256])]
+    return _grid_scenario("expander", instances, samples, seed, threads)
 
 
 def scenario_block_counterexample(samples=2000, seed=1, threads=1, n=2048) -> ScenarioReport:
@@ -217,28 +211,15 @@ def scenario_block_counterexample(samples=2000, seed=1, threads=1, n=2048) -> Sc
                 break
             k = min(k * 2, n)
         rhs_two_sided = row + row + ksweep
-        points.append(
-            {
-                "family": inst.family,
-                "params": inst.params,
-                "predicted": inst.predicted,
-                "formula": inst.formula,
-                "mc_mean": est.mean,
-                "mc_stderr": est.stderr,
-                "samples": est.samples,
-                "seed": est.seed,
-                "bounds": _cheap_bounds(A),
-                "rhs_one_sided": rhs_one_sided,
-                "rhs_two_sided": rhs_two_sided,
-                "subgraph_term": subgraph.lower,
-                "ratio": rhs_one_sided / est.mean if est.mean > 0 else None,
-                "ratio_two_sided": rhs_two_sided / est.mean if est.mean > 0 else None,
-            }
-        )
-    return ScenarioReport(
-        "block_counterexample", samples, seed,
-        [pt["params"] for pt in points], points, _summarize(points),
-    )
+        points.append(_record(
+            inst, est, A,
+            rhs_one_sided=rhs_one_sided,
+            rhs_two_sided=rhs_two_sided,
+            subgraph_term=subgraph.lower,
+            ratio=rhs_one_sided / est.mean if est.mean > 0 else None,
+            ratio_two_sided=rhs_two_sided / est.mean if est.mean > 0 else None,
+        ))
+    return _report("block_counterexample", samples, seed, points)
 
 
 def scenario_circulant_chain(samples=600, seed=1, threads=1, n=64,
@@ -258,34 +239,22 @@ def scenario_circulant_chain(samples=600, seed=1, threads=1, n=64,
     points = []
     for k, b in enumerate(b_vectors):
         inst = circulant(b)
+        inst = dataclasses.replace(inst, params={"n": inst.params["n"], "index": k})
         A = inst.weight_matrix()
         est = mc_norm(A, "rademacher_iid", samples, seed, threads)
         r = r_estimate(A, log_n, config)
         chain_low = inst.predicted + r.lower
         chain_high = lll * (inst.predicted + r.lower)
-        points.append(
-            {
-                "family": "circulant",
-                "params": {"n": inst.params["n"], "index": k},
-                "predicted": inst.predicted,
-                "formula": "||b||_2",
-                "mc_mean": est.mean,
-                "mc_stderr": est.stderr,
-                "samples": est.samples,
-                "seed": est.seed,
-                "bounds": _cheap_bounds(A),
-                "chain_low": chain_low,
-                "chain_high": chain_high,
-                "r_mode": r.mode,
-                "loose_constants": True,
-                "mc_within_chain": bool(chain_low / 10 <= est.mean <= 10 * chain_high),
-                "ratio": est.mean / chain_low if chain_low > 0 else None,
-            }
-        )
-    return ScenarioReport(
-        "circulant_chain", samples, seed, [pt["params"] for pt in points],
-        points, _summarize(points),
-    )
+        points.append(_record(
+            inst, est, A,
+            chain_low=chain_low,
+            chain_high=chain_high,
+            r_mode=r.mode,
+            loose_constants=True,
+            mc_within_chain=bool(chain_low / 10 <= est.mean <= 10 * chain_high),
+            ratio=est.mean / chain_low if chain_low > 0 else None,
+        ))
+    return _report("circulant_chain", samples, seed, points)
 
 
 def scenario_symmetrization(samples=800, seed=1, threads=1) -> ScenarioReport:
@@ -309,10 +278,7 @@ def scenario_symmetrization(samples=800, seed=1, threads=1) -> ScenarioReport:
                 "ratio": sym.mean / iid.mean if iid.mean > 0 else None,
             }
         )
-    return ScenarioReport(
-        "symmetrization", samples, seed, [pt["params"] for pt in points],
-        points, _summarize(points),
-    )
+    return _report("symmetrization", samples, seed, points)
 
 
 def scenario_moment_equivalence(samples=600, seed=1, threads=1) -> ScenarioReport:
@@ -342,10 +308,7 @@ def scenario_moment_equivalence(samples=600, seed=1, threads=1) -> ScenarioRepor
                 "ratio": moment / rhs if rhs > 0 else None,
             }
         )
-    return ScenarioReport(
-        "moment_equivalence", samples, seed, [pt["params"] for pt in points],
-        points, _summarize(points),
-    )
+    return _report("moment_equivalence", samples, seed, points)
 
 
 _DISPATCH = {

@@ -1,9 +1,21 @@
-"""Spectral norm (largest singular value) with a trace-power cross-check.
+"""The spectral kernel: largest singular values and pairs, plus the
+trace-power cross-check.
 
-Small matrices go through a full singular value decomposition; large ones
-through deterministic power iteration on A^T A.  The trace-power estimator
-(tr A^{2k})^{1/2k} is an independent route used to sanity-check the main
-one on symmetric inputs.
+Every top singular value or pair the library needs comes from here.
+`top_values` takes a (..., r, c) stack and returns each matrix's largest
+singular value: a vector 2-norm when a side is 1 (max-scaled where the
+squares would overflow or underflow), the values-only SVD otherwise.
+`top_pair` returns (sigma, u, v): the full SVD up to side
+FULL_DECOMPOSITION_MAX, a fixed number of power steps on A^T A from a
+fixed ramped start beyond that or when the caller asks for a cheap pair.
+`spectral_norm` adds a convergence-tested power iteration on the same
+steps.  Choosing a different method per shape is a change to this module
+only.
+
+The brute-force oracles in `oracles` keep a plain SVD of their own on
+purpose: they are the independent route the kernel is tested against.
+The trace-power estimator (tr A^{2k})^{1/2k} is another independent route,
+used to sanity-check the kernel on symmetric inputs.
 """
 
 from __future__ import annotations
@@ -22,6 +34,12 @@ FULL_DECOMPOSITION_MAX = 512
 ITERATION_CAP_BASE = 1000
 
 DEFAULT_TOL = 1e-10
+
+#: Power steps top_pair takes beyond FULL_DECOMPOSITION_MAX.
+_PAIR_STEPS = 40
+
+#: Vector norms outside [1 / this, this] are recomputed with max scaling.
+_SQUARE_SAFE = 2.0 ** 500
 
 
 class ConvergenceError(RuntimeError):
@@ -51,18 +69,28 @@ def _start_vector(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _power_iteration(a: np.ndarray, tol: float) -> SpectralResult:
-    n = a.shape[1]
-    v = _start_vector(n)
-    cap = 10 * max(a.shape) + ITERATION_CAP_BASE
-    sigma = 0.0
-    for it in range(1, cap + 1):
+def _power_steps(a: np.ndarray, steps: int):
+    """Power steps on A^T A from _start_vector: yields (step, root, v) after
+    each step, root = ||A^T A v_prev||^{1/2} and v the new unit iterate.
+    A step that maps to zero yields root 0 with v unchanged and ends the run.
+    """
+    v = _start_vector(a.shape[1])
+    for it in range(1, steps + 1):
         w = a.T @ (a @ v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
-            return SpectralResult(0.0, it, 0.0, "power_iteration")
-        new_sigma = math.sqrt(norm_w)
+            yield it, 0.0, v
+            return
         v = w / norm_w
+        yield it, math.sqrt(norm_w), v
+
+
+def _power_iteration(a: np.ndarray, tol: float) -> SpectralResult:
+    cap = 10 * max(a.shape) + ITERATION_CAP_BASE
+    sigma = 0.0
+    for it, new_sigma, _ in _power_steps(a, cap):
+        if new_sigma == 0.0:
+            return SpectralResult(0.0, it, 0.0, "power_iteration")
         residual = abs(new_sigma - sigma) / new_sigma
         sigma = new_sigma
         if residual <= tol:
@@ -70,6 +98,43 @@ def _power_iteration(a: np.ndarray, tol: float) -> SpectralResult:
     raise ConvergenceError(
         f"power iteration did not reach tol={tol} within {cap} iterations", sigma
     )
+
+
+def top_values(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., r, c) stack."""
+    r, c = stack.shape[-2:]
+    if r > 1 and c > 1:
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    flat = stack.reshape(-1, r * c)
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.sqrt((flat * flat).sum(axis=1))
+        # far from 1 the squares overflow or lose bits: redo those rows scaled
+        far = ~(out < _SQUARE_SAFE) | (out < 1.0 / _SQUARE_SAFE)
+        if far.any():
+            top = np.abs(flat[far]).max(axis=1, keepdims=True)
+            top[top == 0.0] = 1.0
+            out[far] = top[:, 0] * np.sqrt(((flat[far] / top) ** 2).sum(axis=1))
+    return out.reshape(stack.shape[:-2])
+
+
+def top_pair(a: np.ndarray, steps: int | None = None) -> tuple:
+    """(sigma, u, v): top singular value of `a` with unit witnesses.
+
+    Exact (full SVD) up to side FULL_DECOMPOSITION_MAX.  Beyond that side,
+    or when `steps` is given, it takes `steps` power steps (40 by default)
+    and returns sigma = ||a v|| with u = a v / sigma; sigma is 0 when a
+    step maps to zero, and u is then a v unnormalized.
+    """
+    if steps is None and max(a.shape) <= FULL_DECOMPOSITION_MAX:
+        u, sv, vt = np.linalg.svd(a)
+        return float(sv[0]), u[:, 0].copy(), vt[0].copy()
+    for _, root, v in _power_steps(a, steps or _PAIR_STEPS):
+        pass
+    u = a @ v
+    nu = float(np.linalg.norm(u))
+    if nu > 0.0:
+        u = u / nu
+    return (nu if root > 0.0 else 0.0), u, v
 
 
 def spectral_norm(A: WeightMatrix, tol: float = DEFAULT_TOL, method: str = "auto") -> SpectralResult:
@@ -87,29 +152,11 @@ def spectral_norm(A: WeightMatrix, tol: float = DEFAULT_TOL, method: str = "auto
     if method == "auto":
         method = "full" if max(a.shape) <= FULL_DECOMPOSITION_MAX else "power"
     if method == "full":
-        value = float(np.linalg.svd(a, compute_uv=False)[0])
+        value = float(top_values(a))
         return SpectralResult(value, 0, 0.0, "full_decomposition")
     if method == "power":
         return _power_iteration(a, tol)
     raise ValueError(f"unknown method {method!r}")
-
-
-def top_singular_triplet(A: WeightMatrix) -> tuple:
-    """(sigma, s, t) with sigma = ||A|| and unit witness vectors.
-
-    Helper for modules that need the maximizing pair, not only the value.
-    """
-    a = A.entries
-    if a.size == 0 or not a.any():
-        s = np.zeros(a.shape[0])
-        t = np.zeros(a.shape[1])
-        if s.size:
-            s[0] = 1.0
-        if t.size:
-            t[0] = 1.0
-        return 0.0, s, t
-    u, sv, vt = np.linalg.svd(a)
-    return float(sv[0]), u[:, 0].copy(), vt[0].copy()
 
 
 def trace_power_norm(A: WeightMatrix, k: int) -> float:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from radnorm import core
 from radnorm.core import (
+    SIGN_BLOCK_ROWS,
     CapExceededError,
     EdgeSet,
     GraphView,
@@ -16,6 +18,7 @@ from radnorm.core import (
     log_clamped,
     neighborhood_sets,
     power_graph,
+    sign_patterns,
 )
 
 
@@ -302,3 +305,27 @@ def test_log_clamped():
     assert log_clamped(1.0) == 1.0
     assert log_clamped(0.0) == 1.0
     assert log_clamped(math.e ** 2) == 2.0
+
+
+class TestSignPatterns:
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_half_of_all_patterns_first_sign_plus(self, k):
+        blocks = list(sign_patterns(k))
+        assert all(0 < len(b) <= SIGN_BLOCK_ROWS for b in blocks)
+        signs = np.concatenate(blocks)
+        assert signs.shape == (1 << (k - 1), k)
+        assert np.all(signs[:, 0] == 1.0)
+        assert set(np.unique(signs)) <= {-1.0, 1.0}
+        assert len({row.tobytes() for row in signs}) == 1 << (k - 1)
+
+    def test_counting_order(self):
+        signs = np.concatenate(list(sign_patterns(3)))
+        assert signs.tolist() == [[1, 1, 1], [1, -1, 1], [1, 1, -1], [1, -1, -1]]
+
+    def test_blocks_follow_the_constant(self, monkeypatch):
+        monkeypatch.setattr(core, "SIGN_BLOCK_ROWS", 3)
+        assert [len(b) for b in sign_patterns(4)] == [3, 3, 2]
+
+    def test_k_validated(self):
+        with pytest.raises(ValueError):
+            next(sign_patterns(0))

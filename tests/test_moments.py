@@ -158,6 +158,27 @@ class TestEmpiricalLp:
         assert empirical_lp([2, 1], 3, 500, seed=11) == empirical_lp([2, 1], 3, 500, seed=11)
 
 
+class TestExactLpEnumeration:
+    @staticmethod
+    def all_at_once(a, p):
+        n = len(a)
+        signs = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+        return float(np.mean(np.abs(signs @ a) ** p) ** (1.0 / p))
+
+    def test_matches_all_at_once_formula(self):
+        # n = 16 spans four blocks of sign patterns
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 5, 9, 14, 15, 16):
+            a = rng.standard_normal(n)
+            for p in (1, 2, 3.5, 16):
+                assert exact_lp_enumeration(a, p) == pytest.approx(
+                    self.all_at_once(a, p), rel=1e-14)
+
+    def test_cap(self):
+        with pytest.raises(ValueError):
+            exact_lp_enumeration(np.ones(23), 2)
+
+
 class TestSandwichProperty:
     def test_exact_lp_within_constant_window(self):
         # universal-constant window: exact L_p within [total/10, 10 total]

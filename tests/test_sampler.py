@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -142,6 +143,13 @@ class TestChunkedSampling:
 
     A6 = WeightMatrix(np.random.default_rng(41).standard_normal((6, 6)))
 
+    @pytest.fixture(autouse=True)
+    def unclamped(self, monkeypatch):
+        # the chunk plan clamps threads to the usable CPUs; these tests are
+        # about the plan for a given thread count on any host, so the clamp
+        # is lifted unless a test sets a CPU count of its own
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1 << 30)
+
     def test_threads_validated(self):
         for threads in (0, -1):
             with pytest.raises(ValueError):
@@ -166,6 +174,17 @@ class TestChunkedSampling:
             assert edges[0] == 0 and edges[-1] == rows
             assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
             assert workers == len(sizes) == rows
+
+    def test_chunk_plan_threads_clamped_to_cpus(self, monkeypatch):
+        # a pure call: mc --threads 5000 on a 4-position matrix must not
+        # plan 4,096 workers for a 4,096-row block
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        assert _chunk_plan(4096, 4, 5000) == ([0, 2048, 4096], 2)
+        for rows in (1, 7, 300, 4096):
+            for threads in (1, 2, 3, 5000):
+                edges, workers = _chunk_plan(rows, 254 * 253, threads)
+                assert workers <= 2 and workers <= len(edges) - 1
+                assert edges[0] == 0 and edges[-1] == rows
 
     def test_single_block_split_into_chunks(self, monkeypatch):
         # 500 samples of 36 positions fit one block; a budget of 40 rows
@@ -219,6 +238,10 @@ class TestChunkedSampling:
         assert len(drawn) == 8
         # two chunks per block, each done before the next block is drawn
         assert seen == [b for b in range(1, 9) for _ in range(2)]
+
+
+def test_usable_cpus_within_machine():
+    assert 1 <= sampler._usable_cpus() <= (os.cpu_count() or 1)
 
 
 class TestSymmetrizationInequality:

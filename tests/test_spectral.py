@@ -5,10 +5,12 @@ import pytest
 
 from radnorm.core import WeightMatrix
 from radnorm.spectral import (
+    FULL_DECOMPOSITION_MAX,
     ConvergenceError,
     max_row_col_l2,
     spectral_norm,
-    top_singular_triplet,
+    top_pair,
+    top_values,
     trace_power_norm,
 )
 
@@ -85,14 +87,78 @@ class TestSpectralNorm:
         assert 0 < exc.value.best <= want * 1.01
 
 
-class TestTopSingularTriplet:
+class TestTopValues:
+    @staticmethod
+    def reference(stack):
+        flat = stack.reshape((-1,) + stack.shape[-2:])
+        want = [np.linalg.svd(m, compute_uv=False)[0] for m in flat]
+        return np.array(want).reshape(stack.shape[:-2])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (6, 1), (3, 4), (5, 5), (7, 2)])
+    def test_stacks_match_per_matrix_svd(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for lead in ((9,), (3, 4)):
+            stack = rng.standard_normal(lead + shape)
+            stack[0] = 0.0  # all-zero blocks included
+            got = top_values(stack)
+            assert got.shape == lead
+            np.testing.assert_allclose(got, self.reference(stack), rtol=1e-15, atol=0)
+            assert np.all(got[0] == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_vector_shapes_far_from_one(self, scale):
+        # squares of these entries overflow or underflow; the norm must not
+        stack = scale * np.random.default_rng(4).standard_normal((5, 1, 7))
+        stack[1] = 0.0
+        for s in (stack, stack.transpose(0, 2, 1)):
+            with np.errstate(all="raise"):
+                got = top_values(s)
+            np.testing.assert_allclose(got, self.reference(s), rtol=1e-15, atol=0)
+
+    def test_single_matrix(self):
+        a = np.random.default_rng(3).standard_normal((4, 6))
+        assert float(top_values(a)) == np.linalg.svd(a, compute_uv=False)[0]
+
+
+class TestTopPair:
     def test_witnesses_achieve_value(self):
         rng = np.random.default_rng(21)
         a = rng.standard_normal((12, 9))
-        sigma, s, t = top_singular_triplet(WeightMatrix(a))
+        sigma, s, t = top_pair(a)
         assert float(s @ a @ t) == pytest.approx(sigma, rel=1e-10)
+        assert sigma == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-12)
         assert np.linalg.norm(s) == pytest.approx(1.0)
         assert np.linalg.norm(t) == pytest.approx(1.0)
+
+    def test_power_steps_beyond_full_decomposition(self):
+        # side 600 > FULL_DECOMPOSITION_MAX: fixed power steps, no SVD;
+        # a rank-one spike of 30 over noise of norm ~1.7 gives a clear gap
+        n = 600
+        assert n > FULL_DECOMPOSITION_MAX
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(n)
+        a = 30.0 * np.outer(x, y) / (np.linalg.norm(x) * np.linalg.norm(y))
+        a += rng.standard_normal((n, n)) / math.sqrt(n) * 0.85
+        want = np.linalg.svd(a, compute_uv=False)[0]
+        sigma, u, v = top_pair(a)
+        assert sigma == pytest.approx(want, rel=1e-9)
+        assert float(u @ a @ v) == pytest.approx(sigma, rel=1e-12)
+        assert np.linalg.norm(u) == pytest.approx(1.0)
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+
+    def test_steps_force_power_path(self):
+        a = np.diag([3.0, 1.0, 0.5])
+        sigma, u, v = top_pair(a, steps=6)
+        assert sigma == pytest.approx(3.0, rel=1e-4)
+        assert sigma <= 3.0 + 1e-12
+        assert float(u @ a @ v) == pytest.approx(sigma, rel=1e-12)
+
+    def test_zero_step_reports_zero(self):
+        # the ramped start vector is mapped to zero after one step
+        sigma, u, v = top_pair(np.zeros((700, 3)))
+        assert sigma == 0.0 and not u.any()
+        assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 class TestTracePowerNorm:

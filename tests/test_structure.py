@@ -1,0 +1,63 @@
+"""Structural guard: each duplicated numeric decision lives in one module.
+
+Top singular values and pairs come from the spectral kernel, and the
+brute-force oracles keep their own independent SVD.  Exhaustive sign
+patterns come from `core.sign_patterns`.  A new copy of either elsewhere
+in the package fails here, so a change of method stays a one-file change.
+Comments and string literals are ignored.
+"""
+
+import io
+import pathlib
+import re
+import tokenize
+
+import pytest
+
+import radnorm
+
+PACKAGE = pathlib.Path(radnorm.__file__).parent
+
+RULES = {
+    "singular value decomposition": (re.compile(r"\bsvd\b"), {"spectral.py", "oracles.py"}),
+    "power iteration on A^T A": (re.compile(r"\.T\s*@\s*\("), {"spectral.py"}),
+    "sign-pattern bit trick": (re.compile(r"\[\s*:\s*,\s*None\s*\]\s*>>"), {"core.py"}),
+}
+
+
+def code_only(path: pathlib.Path) -> str:
+    """The file's source with comments and string literals blanked out."""
+    lines = path.read_text().splitlines(keepends=True)
+    out = [list(line) for line in lines]
+    tokens = tokenize.generate_tokens(io.StringIO("".join(lines)).readline)
+    for tok in tokens:
+        if tok.type not in (tokenize.STRING, tokenize.COMMENT):
+            continue
+        (r0, c0), (r1, c1) = tok.start, tok.end
+        for r in range(r0, r1 + 1):
+            row = out[r - 1]
+            lo = c0 if r == r0 else 0
+            hi = c1 if r == r1 else len(row)
+            for c in range(lo, hi):
+                if row[c] != "\n":
+                    row[c] = " "
+    return "".join("".join(row) for row in out)
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_one_home_per_decision(rule):
+    pattern, allowed = RULES[rule]
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in allowed:
+            continue
+        for lineno, line in enumerate(code_only(path).splitlines(), 1):
+            if pattern.search(line):
+                offenders.append(f"{path.name}:{lineno}")
+    assert not offenders, f"{rule} outside {sorted(allowed)}: {offenders}"
+
+
+def test_rules_see_the_kernel():
+    # the patterns still match the one place each decision lives
+    for rule, (pattern, allowed) in RULES.items():
+        assert any(pattern.search(code_only(PACKAGE / name)) for name in allowed), rule
