@@ -3,9 +3,10 @@
 Everything a bound profile needs: the Seginer and Bandeira-van Handel
 closed forms, the trivial degree bound, exact combinatorial evaluation of
 the subgraph form of R_A(p) for 0/1 matrices (branch and bound over
-connected edge subsets), a surrogate-ascent heuristic bracket for general
-weights, and the k-sweep term max_k min_{|I| <= k} R(Log k) of the
-two-sided profile.
+connected edge subsets; a matrix whose nonzero entries share one
+magnitude c is solved on its support and scaled by c), a surrogate-ascent
+heuristic bracket for general weights, and the k-sweep term
+max_k min_{|I| <= k} R(Log k) of the two-sided profile.
 
 Values that are only correct up to universal constants carry
 loose_constants=True; nothing here silently presents a surrogate as
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -379,11 +380,22 @@ def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
                     "heuristic", certified=False, loose_constants=True)
 
 
+def _magnitude(a: np.ndarray) -> float | None:
+    """The one value every nonzero |a_ij| takes (1.0 when there are none),
+    or None when they take several."""
+    mags = np.abs(a[a != 0.0])
+    if mags.size == 0:
+        return 1.0
+    return float(mags[0]) if np.all(mags == mags[0]) else None
+
+
 def r_estimate(A: WeightMatrix, p: float, config: EngineConfig = EngineConfig()) -> RBracket:
-    """Dispatch: exact combinatorial bracket for 0/1 square matrices,
-    surrogate ascent otherwise."""
-    if A.is_square and A.is_zero_one():
-        return r_exact_01(EdgeSet.from_matrix(A), p, config.budget_cap)
+    """Dispatch: when every nonzero |a_ij| equals one c, the exact bracket
+    of the 0/1 support scaled by c; surrogate ascent otherwise."""
+    c = _magnitude(A.entries) if A.is_square else None
+    if c is not None:
+        br = r_exact_01(_zero_one_pairs(A.entries), p, config.budget_cap)
+        return replace(br, lower=c * br.lower, upper=c * br.upper)
     return r_heuristic(A, p, restarts=config.restarts, seed=config.seed,
                        c0=config.c0)
 
@@ -433,28 +445,30 @@ def _full_estimate(A: WeightMatrix, keep: list, p: float, config: EngineConfig) 
     sub = _submatrix(A, keep)
     if not sub.entries.any():
         return 0.0
-    if sub.is_zero_one():
-        return r_exact_01(EdgeSet.from_matrix(sub), p, config.budget_cap).lower
+    c = _magnitude(sub.entries)
+    if c is not None:
+        return c * r_exact_01(_zero_one_pairs(sub.entries), p, config.budget_cap).lower
     return r_heuristic(sub, p, restarts=max(1, config.restarts - 1),
                        seed=config.seed, max_iters=8, c0=config.c0).lower
 
 
 def _search_score(sub: np.ndarray, drop: int | None, p: float, pair,
-                  zero_one: bool, config: EngineConfig) -> float:
+                  on_support: bool, config: EngineConfig) -> float:
     """Cheap but faithful score of the R estimate after dropping `drop`.
 
-    0/1 submatrices use the real subgraph search with a reduced node
-    budget; weighted ones fall back to the surrogate at the frozen
+    With `on_support` (every nonzero |a_ij| equal) the score is the real
+    subgraph search on the 0/1 support, unscaled, with a reduced node
+    budget; otherwise it falls back to the surrogate at the frozen
     witness pair (zeroing the dropped coordinate).
     """
-    if drop is not None and not zero_one:
+    if drop is not None and not on_support:
         return _proxy_after_removal(sub, pair, drop, p)
     if drop is not None:
         keep = [i for i in range(sub.shape[0]) if i != drop]
         sub = sub[np.ix_(keep, keep)]
     if not sub.any():
         return 0.0
-    if zero_one:
+    if on_support:
         budget = max(2000, config.budget_cap // 100)
         return r_exact_01(_zero_one_pairs(sub), p, budget).lower
     val, _ = _quick_r_lower(sub, p)
@@ -466,11 +480,12 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, config: EngineConfig) -
 
     Candidates are shortlisted by row-plus-column mass and scored by a
     cheap version of the R estimate after the removal (the real subgraph
-    search for 0/1 weights, a frozen-witness surrogate otherwise), ties to
-    the lowest index.  Returns the removal order (length <= steps).
+    search on the support when every nonzero |a_ij| is equal, a
+    frozen-witness surrogate otherwise), ties to the lowest index.  Returns
+    the removal order (length <= steps).
     """
     n = A.n_rows
-    zero_one = A.is_zero_one()
+    on_support = _magnitude(A.entries) is not None
     keep = list(range(n))
     removed = []
     a = A.entries
@@ -483,7 +498,7 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, config: EngineConfig) -
             del keep[:]
             break
         pair = None
-        if not zero_one:
+        if not on_support:
             _, pair = _quick_r_lower(sub, p)
         mass = (sub * sub).sum(axis=1) + (sub * sub).sum(axis=0)
         if len(keep) > config.shortlist_size:
@@ -494,7 +509,7 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, config: EngineConfig) -
         best_score = math.inf
         best_local = shortlist_local[0]
         for z in shortlist_local:
-            score = _search_score(sub, z, p, pair, zero_one, config)
+            score = _search_score(sub, z, p, pair, on_support, config)
             if score < best_score - 1e-12:
                 best_score = score
                 best_local = z
@@ -546,13 +561,13 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
                     removed = list(combo)
             mode = "exact"
         elif math.comb(n, msize) <= config.exact_threshold:
-            zero_one = A.is_zero_one()
+            on_support = _magnitude(A.entries) is not None
             best_proxy = math.inf
             removed = []
             for combo in itertools.combinations(range(n), msize):
                 keep = _complement(n, combo)
                 sub = A.entries[np.ix_(keep, keep)]
-                v = _search_score(sub, None, p, None, zero_one, config)
+                v = _search_score(sub, None, p, None, on_support, config)
                 if v < best_proxy - 1e-12:
                     best_proxy = v
                     removed = list(combo)

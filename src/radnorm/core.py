@@ -252,8 +252,9 @@ def derive_graph(A: WeightMatrix) -> GraphView:
     return GraphView(n, adj)
 
 
-def bfs_distances(G: GraphView, source: int, cutoff: int | None = None) -> dict:
-    """BFS distances from source; vertices beyond cutoff are omitted."""
+def bfs_distances(adjacency, source: int, cutoff: int | None = None) -> dict:
+    """BFS distances from source over `adjacency` (the neighbours of each
+    vertex); vertices beyond cutoff are omitted."""
     dist = {source: 0}
     frontier = [source]
     d = 0
@@ -262,7 +263,7 @@ def bfs_distances(G: GraphView, source: int, cutoff: int | None = None) -> dict:
             break
         nxt = []
         for v in frontier:
-            for w in G.adjacency[v]:
+            for w in adjacency[v]:
                 if w not in dist:
                     dist[w] = d + 1
                     nxt.append(w)
@@ -279,7 +280,7 @@ def power_graph(G: GraphView, r: int) -> GraphView:
         return G
     edges = []
     for v in range(G.n):
-        dist = bfs_distances(G, v, cutoff=r)
+        dist = bfs_distances(G.adjacency, v, cutoff=r)
         for w, d in dist.items():
             if 1 <= d and v < w:
                 edges.append((v, w))
@@ -388,16 +389,17 @@ def girth(G: GraphView) -> float:
 
 def ball(G: GraphView, v: int, r: int) -> frozenset:
     """Vertices within distance r of v (including v)."""
-    return frozenset(bfs_distances(G, v, cutoff=r))
+    return frozenset(bfs_distances(G.adjacency, v, cutoff=r))
 
 
-def _cycle_space_dim(G: GraphView, vertices: frozenset) -> int:
+def _cycle_space_dim(adjacency, vertices) -> int:
     """Dimension of the cycle space (|E| - |V| + components) of the induced
-    subgraph on the given vertices."""
+    subgraph on the given vertices, over `adjacency` (the neighbours of
+    each vertex)."""
     vs = set(vertices)
     edges = 0
     for v in vs:
-        for w in G.adjacency[v]:
+        for w in adjacency[v]:
             if w in vs and v < w:
                 edges += 1
     seen = set()
@@ -410,7 +412,7 @@ def _cycle_space_dim(G: GraphView, vertices: frozenset) -> int:
         seen.add(v)
         while stack:
             u = stack.pop()
-            for w in G.adjacency[u]:
+            for w in adjacency[u]:
                 if w in vs and w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -423,6 +425,6 @@ def is_tangle_free(G: GraphView, r: int) -> bool:
     if r < 1:
         raise ValueError("r must be a positive integer")
     for v in range(G.n):
-        if _cycle_space_dim(G, ball(G, v, r)) > 1:
+        if _cycle_space_dim(G.adjacency, ball(G, v, r)) > 1:
             return False
     return True

@@ -21,6 +21,8 @@ from .core import (
     GraphView,
     MAX_SIZE,
     WeightMatrix,
+    _cycle_space_dim,
+    bfs_distances,
     girth,
     is_tangle_free,
     log_clamped,
@@ -155,23 +157,6 @@ def moore_bound(d: int, g: int) -> int:
     return int(total)
 
 
-def _bfs_reach(adj: list, src: int, cutoff: int) -> set:
-    """Vertices within distance cutoff of src on a raw adjacency list."""
-    seen = {src}
-    frontier = [src]
-    for _ in range(cutoff):
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
-
-
 def large_girth_instance(n: int, d: int, g_target: int, seed: int,
                          attempt_factor: int = 60) -> FamilyInstance:
     """Graph with max degree <= d and girth >= g_target, by random edge
@@ -198,7 +183,7 @@ def large_girth_instance(n: int, d: int, g_target: int, seed: int,
             misses += 1
             continue
         # adding (v, w) closes a cycle of length dist(v, w) + 1
-        if w in _bfs_reach(adj, v, g_target - 2):
+        if w in bfs_distances(adj, v, g_target - 2):
             misses += 1
             continue
         adj[v].add(w)
@@ -233,25 +218,6 @@ def one_cycle_neighborhood_instance(n: int, d: int, r: int, seed: int,
     edges = []
     misses = 0
 
-    def ball_cycle_dim(u: int) -> int:
-        verts = _bfs_reach(adj, u, r)
-        e = sum(1 for x in verts for y in adj[x] if y in verts and x < y)
-        seen: set = set()
-        comps = 0
-        for x in verts:
-            if x in seen:
-                continue
-            comps += 1
-            stack = [x]
-            seen.add(x)
-            while stack:
-                y = stack.pop()
-                for z in adj[y]:
-                    if z in verts and z not in seen:
-                        seen.add(z)
-                        stack.append(z)
-        return e - len(verts) + comps
-
     for _ in range(attempt_factor * n * max(d, 1)):
         if misses > 50 * n:
             break
@@ -262,8 +228,8 @@ def one_cycle_neighborhood_instance(n: int, d: int, r: int, seed: int,
         adj[v].add(w)
         adj[w].add(v)
         # a new tangle must involve the new edge, so only balls near it move
-        affected = _bfs_reach(adj, v, r) | _bfs_reach(adj, w, r)
-        if any(ball_cycle_dim(u) > 1 for u in affected):
+        affected = bfs_distances(adj, v, r).keys() | bfs_distances(adj, w, r).keys()
+        if any(_cycle_space_dim(adj, bfs_distances(adj, u, r)) > 1 for u in affected):
             adj[v].discard(w)
             adj[w].discard(v)
             misses += 1

@@ -8,7 +8,11 @@ stream, so estimates across modes are paired sample by sample.
 
 The per-sample norm exploits block structure: the spectral norm of a
 matrix splits over the connected components of its bipartite support, so
-block-diagonal families cost only as much as their largest block.
+block-diagonal families cost only as much as their largest block.  The
+blocks are built from cells: each nonzero (i, j) joins row i to column j,
+and the components are labelled in numpy.  In symmetric mode the two
+mirrored cells (i, j) and (j, i) read one shared sign column, whether or
+not they land in the same block.
 
 Uniform blocks are drawn lazily, one at a time.  Each block is cut into
 equal row chunks, as many as a multiple of the thread count, and worker
@@ -71,112 +75,80 @@ class McEstimate:
         )
 
 
-def _positions(A: WeightMatrix, mode: str) -> list:
-    """Free sign positions in row-major order.
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest vertex of each vertex's component in the graph on range(n)
+    with edges (u[e], v[e]).
 
-    iid/gaussian: one position per nonzero entry.  symmetric: one position
-    per lower-triangle cell (i >= j) whose mirrored pair touches support;
-    the diagonal keeps its own independent signs.
+    Hook and compress (after Shiloach and Vishkin): hook every root to the
+    smallest root it shares an edge with, then jump pointers until each
+    vertex points at a root.  Each hook strictly lowers a root, so the
+    rounds end; they stop once every edge's ends share a root.
+    """
+    parent = np.arange(n)
+    while True:
+        pu, pv = parent[u], parent[v]
+        if np.array_equal(pu, pv):
+            return parent
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+
+
+def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
+    """(k, plan): the number of free signs and the scatter plan.
+
+    Each nonzero cell (i, j), in row-major order, joins row i to column j;
+    the components of that bipartite graph are the blocks.  A cell reads
+    sign column `pos`: its own index in iid and Gaussian mode, and in
+    symmetric mode the index of its lower-triangle position
+    (max(i, j), min(i, j)), so mirrored cells share a sign even when they
+    fall in two blocks.  Blocks of one shape form one group (ascending
+    shape, blocks in order of first cell) and share one batched
+    decomposition; `slot` is a cell's block in the group, `flat` its place
+    in the block.
     """
     a = A.entries
+    nr, nc = a.shape
+    ii, jj = np.nonzero(a)
     if mode in ("rademacher_iid", "gaussian"):
-        ii, jj = np.nonzero(a)
-        return list(zip(ii.tolist(), jj.tolist()))
-    if mode == "rademacher_symmetric":
+        pos = np.arange(ii.size)
+        k = ii.size
+    elif mode == "rademacher_symmetric":
         if not A.is_square:
             raise ValueError("symmetric mode requires a square matrix")
-        mask = (a != 0.0) | (a.T != 0.0)
-        ii, jj = np.nonzero(np.tril(mask))
-        return list(zip(ii.tolist(), jj.tolist()))
-    raise ValueError(f"unknown mode {mode!r}")
+        lower = np.maximum(ii, jj) * nr + np.minimum(ii, jj)
+        free = np.unique(lower)
+        pos = np.searchsorted(free, lower)
+        k = free.size
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if k == 0:
+        return 0, []
+    # a block's root is its smallest row, so roots order blocks by first cell
+    _, comp = np.unique(_component_roots(nr + nc, ii, nr + jj)[ii], return_inverse=True)
+    n_comp = int(comp.max()) + 1
 
+    def local(index, size):
+        """Each cell's index within its block, and each block's extent."""
+        used, at = np.unique(comp * size + index, return_inverse=True)
+        first = np.searchsorted(used, np.arange(n_comp) * size)
+        return at - first[comp], np.diff(first, append=used.size)
 
-def _bipartite_components(A: WeightMatrix, positions: list, mode: str) -> list:
-    """Connected components of the bipartite support touched by positions.
-
-    Returns a list of dicts with local row/col index maps and the affected
-    position indices, enough to scatter sampled values into compact blocks.
-    """
-    nr, nc = A.n_rows, A.n_cols
-    parent = list(range(nr + nc))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    sym = mode == "rademacher_symmetric"
-    for i, j in positions:
-        union(i, nr + j)
-        if sym:
-            union(j, nr + i)
-    groups: dict = {}
-    for idx, (i, j) in enumerate(positions):
-        groups.setdefault(find(i), []).append(idx)
-    comps = []
-    for pos_idx in groups.values():
-        rows, cols = set(), set()
-        for idx in pos_idx:
-            i, j = positions[idx]
-            rows.add(i)
-            cols.add(j)
-            if sym:
-                rows.add(j)
-                cols.add(i)
-        rows = sorted(rows)
-        cols = sorted(cols)
-        rmap = {v: li for li, v in enumerate(rows)}
-        cmap = {v: lj for lj, v in enumerate(cols)}
-        scatter = []  # (position index, local i, local j, weight)
-        a = A.entries
-        for idx in pos_idx:
-            i, j = positions[idx]
-            if a[i, j] != 0.0:
-                scatter.append((idx, rmap[i], cmap[j], float(a[i, j])))
-            if sym and (i, j) != (j, i) and a[j, i] != 0.0:
-                scatter.append((idx, rmap[j], cmap[i], float(a[j, i])))
-        comps.append(
-            {
-                "shape": (len(rows), len(cols)),
-                "pos": np.array([s[0] for s in scatter], dtype=np.intp),
-                "li": np.array([s[1] for s in scatter], dtype=np.intp),
-                "lj": np.array([s[2] for s in scatter], dtype=np.intp),
-                "w": np.array([s[3] for s in scatter]),
-            }
-        )
-    return comps
-
-
-def _norm_plan(comps: list) -> list:
-    """Group components by shape so same-shaped blocks share one batched
-    decomposition; returns per-group concatenated scatter arrays."""
-    groups: dict = {}
-    for comp in comps:
-        groups.setdefault(comp["shape"], []).append(comp)
+    li, rows = local(ii, nr)
+    lj, cols = local(jj, nc)
+    shape = (rows * (nc + 1) + cols)[comp]
+    cells = np.lexsort((comp, shape))
+    keys, starts = np.unique(shape[cells], return_index=True)
     plan = []
-    for (r, c), group in sorted(groups.items()):
-        slot = np.concatenate(
-            [np.full(cp["pos"].size, k, dtype=np.intp) for k, cp in enumerate(group)]
-        )
-        plan.append(
-            {
-                "shape": (r, c),
-                "count": len(group),
-                "slot": slot,
-                "pos": np.concatenate([cp["pos"] for cp in group]),
-                "flat": np.concatenate(
-                    [cp["li"] * c + cp["lj"] for cp in group]
-                ).astype(np.intp),
-                "w": np.concatenate([cp["w"] for cp in group]),
-            }
-        )
-    return plan
+    for key, lo, hi in zip(keys.tolist(), starts.tolist(),
+                           starts[1:].tolist() + [cells.size]):
+        r, c = divmod(key, nc + 1)
+        sel = cells[lo:hi]
+        blocks, slot = np.unique(comp[sel], return_inverse=True)
+        plan.append({"shape": (r, c), "count": blocks.size, "slot": slot,
+                     "pos": pos[sel], "flat": li[sel] * c + lj[sel],
+                     "w": a[ii[sel], jj[sel]]})
+    return k, plan
 
 
 def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
@@ -235,11 +207,9 @@ def _sample_norms(A: WeightMatrix, mode: str, samples: int, seed: int,
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    positions = _positions(A, mode)
-    k = len(positions)
+    k, plan = _norm_plan(A, mode)
     if k == 0:
         return np.zeros(samples)
-    plan = _norm_plan(_bipartite_components(A, positions, mode))
     dense = sum(g["count"] * g["shape"][0] * g["shape"][1] for g in plan)
     transform = (streams.gaussians_from_uniform if mode == "gaussian"
                  else streams.signs_from_uniform)
@@ -260,6 +230,18 @@ def _sample_norms(A: WeightMatrix, mode: str, samples: int, seed: int,
     return norms
 
 
+def _stderr(norms: np.ndarray) -> float:
+    """Standard error of the mean of `norms`.
+
+    Computed on the norms scaled by a power of two that brings the maximum
+    into [1/2, 1), then scaled back: exact at ordinary scales, and free of
+    overflow and underflow at extreme ones.
+    """
+    _, e = np.frexp(norms.max())
+    scaled = np.ldexp(norms, -e)
+    return float(np.ldexp(scaled.std(ddof=1) / math.sqrt(norms.size), e))
+
+
 def mc_norm(A: WeightMatrix, mode: str, samples: int, seed: int,
             threads: int = 1) -> McEstimate:
     """Monte Carlo mean and standard error of ||A o X|| in the given mode."""
@@ -268,8 +250,7 @@ def mc_norm(A: WeightMatrix, mode: str, samples: int, seed: int,
     if samples < 16:
         raise ValueError("need at least 16 samples")
     norms = _sample_norms(A, mode, samples, seed, threads)
-    stderr = float(norms.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return McEstimate(float(norms.mean()), stderr, samples, seed, mode)
+    return McEstimate(float(norms.mean()), _stderr(norms), samples, seed, mode)
 
 
 def mc_norm_moments(A: WeightMatrix, p_list, samples: int, seed: int,
@@ -288,9 +269,9 @@ def mc_norm_moments(A: WeightMatrix, p_list, samples: int, seed: int,
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     norms = _sample_norms(A, mode, samples, seed, threads)
-    stderr = float(norms.std(ddof=1) / math.sqrt(samples))
     moments = {p: power_mean_estimate(norms, p) for p in p_list}
-    return McEstimate(float(norms.mean()), stderr, samples, seed, mode, moments)
+    return McEstimate(float(norms.mean()), _stderr(norms), samples, seed, mode,
+                      moments)
 
 
 def exact_small_norm_expectation(A: WeightMatrix, mode: str) -> float:
@@ -301,12 +282,10 @@ def exact_small_norm_expectation(A: WeightMatrix, mode: str) -> float:
     """
     if mode not in ("rademacher_iid", "rademacher_symmetric"):
         raise ValueError("exact enumeration supports the Rademacher modes only")
-    positions = _positions(A, mode)
-    k = len(positions)
+    k, plan = _norm_plan(A, mode)
     if k == 0:
         return 0.0
     if k > EXACT_SIGNS_CAP:
         raise ValueError(f"{k} independent signs exceed the cap {EXACT_SIGNS_CAP}")
-    plan = _norm_plan(_bipartite_components(A, positions, mode))
     total = sum(float(_batch_norms(signs, plan).sum()) for signs in sign_patterns(k))
     return total / (1 << (k - 1))

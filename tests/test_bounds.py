@@ -331,7 +331,39 @@ class TestREstimateDispatch:
         br = r_estimate(A, 3.0)
         assert br.mode == "exact01"
 
+    def test_one_magnitude_routes_exact_scaled(self):
+        A = union_complete(2, 2).weight_matrix()
+        base = r_estimate(A, 3.0)
+        br = r_estimate(WeightMatrix(-3.0 * A.entries), 3.0)
+        assert br.mode == "exact01" and br.certified
+        assert br.lower == 3.0 * base.lower and br.upper == 3.0 * base.upper
+
     def test_weighted_routes_heuristic(self):
         A = WeightMatrix(np.random.default_rng(3).standard_normal((5, 5)))
         br = r_estimate(A, 3.0)
         assert br.mode == "heuristic"
+
+
+def _invariance_cases():
+    k8 = np.ones((8, 8)) - np.eye(8)
+    blocks = block_plus_singletons(64, 3).weight_matrix().entries
+    cases = {"ones3": np.ones((3, 3)), "k8": k8, "block_singletons_n64_d3": blocks}
+    return [pytest.param(a, id=name) for name, a in cases.items()]
+
+
+class TestProfileInvariance:
+    """The profile depends on |a_ij| only, and scales with a."""
+
+    @pytest.mark.parametrize("a", _invariance_cases())
+    def test_sign_flips(self, a):
+        base = bound_profile(WeightMatrix(a)).lower_profile
+        signs = np.random.default_rng(5).choice([-1.0, 1.0], size=a.shape)
+        assert bound_profile(WeightMatrix(-a)).lower_profile == base
+        assert bound_profile(WeightMatrix(signs * a)).lower_profile == base
+
+    @pytest.mark.parametrize("a", _invariance_cases())
+    def test_power_of_two_scaling(self, a):
+        base = bound_profile(WeightMatrix(a)).lower_profile
+        for j in (-30, 30):
+            got = bound_profile(WeightMatrix(np.ldexp(a, j))).lower_profile
+            assert got == np.ldexp(base, j)

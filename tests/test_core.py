@@ -169,7 +169,7 @@ class TestPowerGraph:
             r = int(rng.integers(1, 4))
             Gr = power_graph(G, r)
             for v in range(n):
-                dist = bfs_distances(G, v)
+                dist = bfs_distances(G.adjacency, v)
                 expect = {w for w, d in dist.items() if 1 <= d <= r}
                 assert set(Gr.adjacency[v]) == expect
 

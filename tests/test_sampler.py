@@ -10,6 +10,7 @@ from radnorm.corpus import corpus_symmetric
 from radnorm.sampler import (
     MODES,
     _chunk_plan,
+    _component_roots,
     _sample_norms,
     exact_small_norm_expectation,
     mc_norm,
@@ -38,26 +39,48 @@ class TestExactSmallNormExpectation:
         assert exact_small_norm_expectation(A, "rademacher_symmetric") == pytest.approx(2.0)
 
     def test_matches_direct_enumeration(self):
+        # symmetric mode flips each free lower-triangle sign with its mirror
         rng = np.random.default_rng(17)
-        for _ in range(10):
-            n = int(rng.integers(1, 4))
-            a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.8)
-            A = WeightMatrix(a)
-            ii, jj = np.nonzero(A.entries)
-            k = ii.size
-            if k == 0:
-                assert exact_small_norm_expectation(A, "rademacher_iid") == 0.0
-                continue
-            total = 0.0
-            for mask in range(1 << k):
-                x = A.entries.copy()
-                for b in range(k):
-                    if mask >> b & 1:
-                        x[ii[b], jj[b]] *= -1.0
-                total += float(np.linalg.svd(x, compute_uv=False)[0])
-            want = total / (1 << k)
-            got = exact_small_norm_expectation(A, "rademacher_iid")
-            assert got == pytest.approx(want, rel=1e-10)
+        for mode in ("rademacher_iid", "rademacher_symmetric"):
+            for _ in range(10):
+                n = int(rng.integers(1, 4))
+                a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.8)
+                A = WeightMatrix(a)
+                if mode == "rademacher_iid":
+                    ii, jj = np.nonzero(a)
+                else:
+                    ii, jj = np.nonzero(np.tril((a != 0) | (a.T != 0)))
+                k = ii.size
+                if k == 0:
+                    assert exact_small_norm_expectation(A, mode) == 0.0
+                    continue
+                total = 0.0
+                for mask in range(1 << k):
+                    x = np.ones_like(a)
+                    for b in range(k):
+                        if mask >> b & 1:
+                            x[ii[b], jj[b]] = -1.0
+                            if mode == "rademacher_symmetric":
+                                x[jj[b], ii[b]] = -1.0
+                    total += float(np.linalg.svd(a * x, compute_uv=False)[0])
+                want = total / (1 << k)
+                got = exact_small_norm_expectation(A, mode)
+                assert got == pytest.approx(want, rel=1e-10)
+
+    def test_symmetric_path_p3(self):
+        # a bipartite support: the two mirrored cells of a row share a sign
+        A = WeightMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        got = exact_small_norm_expectation(A, "rademacher_symmetric")
+        assert abs(got - math.sqrt(2)) <= 1e-15
+        est = mc_norm(A, "rademacher_symmetric", 64, 5)
+        assert est.mean == pytest.approx(math.sqrt(2), rel=1e-12)
+
+    def test_symmetric_cycle_c4(self):
+        a = np.zeros((4, 4))
+        for i in range(4):
+            a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = 1.0
+        got = exact_small_norm_expectation(WeightMatrix(a), "rademacher_symmetric")
+        assert abs(got - 1.7071067811865475) <= 1e-15
 
     def test_sign_cap(self):
         with pytest.raises(ValueError):
@@ -82,6 +105,15 @@ class TestMcNorm:
         for mode in ("rademacher_iid", "rademacher_symmetric"):
             est = mc_norm(A, mode, 64, 3)
             assert est.mean == 2.5 and est.stderr == 0.0
+
+    def test_stderr_scales_exactly_at_extreme_weights(self):
+        # the parent code gave inf at 1e200 and 0.0 at 1e-200
+        base = mc_norm(ALL_ONES_2, "rademacher_iid", 64, 1).stderr
+        base_moments = mc_norm_moments(ALL_ONES_2, [2], 128, 1).stderr
+        for j in (-700, -660, 660, 700):
+            A = WeightMatrix(np.ldexp(np.ones((2, 2)), j))
+            assert mc_norm(A, "rademacher_iid", 64, 1).stderr == np.ldexp(base, j)
+            assert mc_norm_moments(A, [2], 128, 1).stderr == np.ldexp(base_moments, j)
 
     def test_symmetric_mode_requires_square(self):
         with pytest.raises(ValueError):
@@ -136,6 +168,52 @@ def _spy_batch_norms(monkeypatch, record):
         return out
 
     monkeypatch.setattr(sampler, "_batch_norms", spy)
+
+
+def _bfs_roots(n, u, v):
+    """Smallest vertex of each vertex's component, by plain graph search."""
+    adj = [[] for _ in range(n)]
+    for x, y in zip(u.tolist(), v.tolist()):
+        adj[x].append(y)
+        adj[y].append(x)
+    root = [-1] * n
+    for s in range(n):
+        if root[s] >= 0:
+            continue
+        root[s] = s
+        stack = [s]
+        while stack:
+            for y in adj[stack.pop()]:
+                if root[y] < 0:
+                    root[y] = s
+                    stack.append(y)
+    return np.array(root)
+
+
+class TestComponentRoots:
+    def test_permuted_path(self):
+        perm = np.random.default_rng(41).permutation(2048)
+        u, v = perm[:-1], perm[1:]
+        assert np.array_equal(_component_roots(2048, u, v), np.zeros(2048))
+        assert np.array_equal(_component_roots(2048, u, v), _bfs_roots(2048, u, v))
+
+    def test_random_forest(self):
+        rng = np.random.default_rng(43)
+        n = 3000
+        label = rng.permutation(n)
+        child = np.arange(1, n)
+        keep = rng.random(n - 1) < 0.9
+        parent = rng.integers(0, child)
+        u, v = label[child[keep]], label[parent[keep]]
+        swap = rng.random(u.size) < 0.5
+        u, v = np.where(swap, v, u), np.where(swap, u, v)
+        order = rng.permutation(u.size)
+        u, v = u[order], v[order]
+        assert np.array_equal(_component_roots(n, u, v), _bfs_roots(n, u, v))
+
+    def test_no_edges(self):
+        empty = np.zeros(0, dtype=np.intp)
+        assert np.array_equal(_component_roots(5, empty, empty), np.arange(5))
 
 
 class TestChunkedSampling:

@@ -2,8 +2,9 @@
 
 Top singular values and pairs come from the spectral kernel, and the
 brute-force oracles keep their own independent SVD.  Exhaustive sign
-patterns come from `core.sign_patterns`.  A new copy of either elsewhere
-in the package fails here, so a change of method stays a one-file change.
+patterns come from `core.sign_patterns`, and breadth-first search from
+`core.bfs_distances`.  A new copy of any of them elsewhere in the package
+fails here, so a change of method stays a one-file change.
 Comments and string literals are ignored.
 """
 
@@ -22,6 +23,7 @@ RULES = {
     "singular value decomposition": (re.compile(r"\bsvd\b"), {"spectral.py", "oracles.py"}),
     "power iteration on A^T A": (re.compile(r"\.T\s*@\s*\("), {"spectral.py"}),
     "sign-pattern bit trick": (re.compile(r"\[\s*:\s*,\s*None\s*\]\s*>>"), {"core.py"}),
+    "BFS frontier loop": (re.compile(r"frontier\s*=\s*nxt"), {"core.py"}),
 }
 
 
