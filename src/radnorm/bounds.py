@@ -29,16 +29,17 @@ from . import streams
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tuning knobs for the search-based estimators."""
+    """Tuning knobs for the search-based estimators, one per `profile` flag."""
 
     exact_threshold: int = 2000     # inner-min enumeration budget (subsets)
     budget_cap: int = 200_000       # branch-and-bound node budget
     restarts: int = 3               # random ascent restarts
     seed: int = 0
-    c0: float = 1.0                 # crude upper-cap constant, reported verbatim
-    greedy_step_cap: int = 256      # greedy removal chain length cap
-    shortlist_size: int = 32        # candidate removals scored per greedy step
-    exact_full_n: int = 16          # full estimator inside enumeration up to this n
+
+
+EXACT_FULL_N = 16       # full estimator on every enumerated subset up to this n
+GREEDY_STEP_CAP = 256   # greedy removal chain length cap
+SHORTLIST_SIZE = 32     # candidate removals scored per greedy step
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +47,11 @@ class RBracket:
     """Bracket [lower, upper] for R_A(p) with the witnesses behind lower.
 
     exact01 mode: lower == upper == the exact subgraph-search value when
-    certified; a budget-truncated search keeps lower at the best value
-    found and upper at a cheap valid cap, certified=False.
+    certified; a search that runs out of node budget keeps lower at the
+    best value found and upper at the cheap cap it searched against,
+    certified=False.
     heuristic mode: lower is a surrogate value (constant-level only) and
-    upper is the crude cap c0 (row + col + sqrt(p) max|a|); both carry
+    upper is the crude cap row + col + sqrt(p) max|a|; both carry
     loose_constants=True.
     """
 
@@ -216,9 +218,11 @@ class _SubsetSearch:
 def r_exact_01(E: EdgeSet, p: float, budget_cap: int = 200_000) -> RBracket:
     """max over F subset of E, |F| <= floor(p), of ||1_F||.
 
-    Exhaustive when the subset count fits the budget, otherwise branch and
-    bound over connected subsets.  A truncated search returns the best
-    value found with certified=False and a valid cheap cap as upper.
+    Branch and bound over connected subsets, seeded with the densest row
+    or column and stopped as soon as the best value reaches the cheap cap
+    (sqrt(m), the capped row and column degrees, and the whole-set norm
+    when it is cheap to get).  A search that exhausts `budget_cap` nodes
+    returns the best value found with certified=False and the cap as upper.
     """
     if math.floor(p) < 1:
         raise ValueError("p must satisfy floor(p) >= 1")
@@ -251,34 +255,22 @@ def r_exact_01(E: EdgeSet, p: float, budget_cap: int = 200_000) -> RBracket:
         star = [e for e, (_, j) in enumerate(pairs) if j == j_star][:m]
     best_val = math.sqrt(len(star))
     best_set = tuple(star)
-
-    if best_val >= global_cap - 1e-12:
-        val, s, t = _pairs_norm([pairs[e] for e in best_set], n)
-        return RBracket(float(p), val, val, s, t, "exact01")
+    complete = best_val >= global_cap - 1e-12
 
     # the whole-set norm tightens the cap when it is cheap to get
-    if len(row_counts) <= 512 and len(col_counts) <= 512:
+    if not complete and len(row_counts) <= 512 and len(col_counts) <= 512:
         global_cap = min(global_cap, _pairs_value(pairs))
-        if best_val >= global_cap - 1e-12:
-            val, s, t = _pairs_norm([pairs[e] for e in best_set], n)
-            return RBracket(float(p), val, val, s, t, "exact01")
+        complete = best_val >= global_cap - 1e-12
 
-    if math.comb(len(pairs), m) <= budget_cap:
-        for combo in itertools.combinations(range(len(pairs)), m):
-            val = _pairs_value([pairs[e] for e in combo])
-            if val > best_val + 1e-12:
-                best_val, best_set = val, combo
-        val, s, t = _pairs_norm([pairs[e] for e in best_set], n)
-        return RBracket(float(p), val, val, s, t, "exact01")
-
-    search = _SubsetSearch(pairs, m, budget_cap)
-    search.best = best_val
-    search.best_set = best_set
-    complete = search.run(global_cap)
-    val, s, t = _pairs_norm([pairs[e] for e in search.best_set], n)
-    if complete:
-        return RBracket(float(p), val, val, s, t, "exact01")
-    return RBracket(float(p), val, global_cap, s, t, "exact01", certified=False)
+    if not complete:
+        search = _SubsetSearch(pairs, m, budget_cap)
+        search.best = best_val
+        search.best_set = best_set
+        complete = search.run(global_cap)
+        best_set = search.best_set
+    val, s, t = _pairs_norm([pairs[e] for e in best_set], n)
+    return RBracket(float(p), val, val if complete else global_cap, s, t, "exact01",
+                    certified=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +322,14 @@ def _ascent_seeds(a: np.ndarray, restarts: int, seed: int) -> list:
 
 
 def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
-                max_iters: int = 20, c0: float = 1.0) -> RBracket:
+                max_iters: int = 20) -> RBracket:
     """Surrogate bracket for R_A(p) on general weights.
 
     lower: best head-plus-tail surrogate over unit pairs explored by
     alternating ascent (optimal dual weights by water-filling, then the
     top singular pair of the reweighted matrix).  upper: the crude cap
-    c0 (row_max + col_max + sqrt(p) max|a|).  Both are constant-level
-    values; loose_constants is always set.
+    row_max + col_max + sqrt(p) max|a|.  Both are constant-level values;
+    loose_constants is always set.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -346,7 +338,7 @@ def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
     a = A.entries
     nr, nc = a.shape
     row, col = max_row_col_l2(A)
-    upper = c0 * (row + col + math.sqrt(p) * A.max_abs())
+    upper = row + col + math.sqrt(p) * A.max_abs()
     if not a.any():
         z_s, z_t = np.zeros(nr), np.zeros(nc)
         return RBracket(float(p), 0.0, 0.0, z_s, z_t, "heuristic",
@@ -396,8 +388,7 @@ def r_estimate(A: WeightMatrix, p: float, config: EngineConfig = EngineConfig())
     if c is not None:
         br = r_exact_01(_zero_one_pairs(A.entries), p, config.budget_cap)
         return replace(br, lower=c * br.lower, upper=c * br.upper)
-    return r_heuristic(A, p, restarts=config.restarts, seed=config.seed,
-                       c0=config.c0)
+    return r_heuristic(A, p, restarts=config.restarts, seed=config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +440,7 @@ def _full_estimate(A: WeightMatrix, keep: list, p: float, config: EngineConfig) 
     if c is not None:
         return c * r_exact_01(_zero_one_pairs(sub.entries), p, config.budget_cap).lower
     return r_heuristic(sub, p, restarts=max(1, config.restarts - 1),
-                       seed=config.seed, max_iters=8, c0=config.c0).lower
+                       seed=config.seed, max_iters=8).lower
 
 
 def _search_score(sub: np.ndarray, drop: int | None, p: float, pair,
@@ -501,8 +492,8 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, config: EngineConfig) -
         if not on_support:
             _, pair = _quick_r_lower(sub, p)
         mass = (sub * sub).sum(axis=1) + (sub * sub).sum(axis=0)
-        if len(keep) > config.shortlist_size:
-            shortlist_local = np.argsort(-mass, kind="stable")[: config.shortlist_size]
+        if len(keep) > SHORTLIST_SIZE:
+            shortlist_local = np.argsort(-mass, kind="stable")[:SHORTLIST_SIZE]
             shortlist_local = sorted(int(z) for z in shortlist_local)
         else:
             shortlist_local = list(range(len(keep)))
@@ -524,6 +515,17 @@ def _complement(n: int, removed) -> list:
     return [i for i in range(n) if i not in dropped]
 
 
+def k_grid(n: int) -> list:
+    """The doubling grid 1, 2, 4, ... below n, then n."""
+    ks = []
+    k = 1
+    while k < n:
+        ks.append(k)
+        k *= 2
+    ks.append(n)
+    return ks
+
+
 def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple:
     """max over the doubling k-grid of min_{|I| <= k} R(submatrix, Log k).
 
@@ -531,51 +533,42 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
     removal set it settled on (1-based), the published min, and how the
     min was obtained (exact, enumerated, greedy, greedy_truncated).  The
     published min for a given moment Log k never increases as k grows.
+    Up to EXACT_FULL_N indices every enumerated subset gets the full
+    estimate; beyond, only the winner of the cheap search score does.
     """
     if not A.is_square:
         raise ValueError("k-sweep needs a square matrix")
     n = A.n_rows
-    ks = []
-    k = 1
-    while k < n:
-        ks.append(k)
-        k *= 2
-    ks.append(n)
+    on_support = _magnitude(A.entries) is not None
     table = []
     chains: dict = {}
     published: dict = {}  # p -> best (smallest) value so far at that moment
-    for k in ks:
+    for k in k_grid(n):
         p = log_clamped(k)
-        msize = min(k, n)
         if k >= n:
             removed = list(range(n))
             value, mode = 0.0, "exact"
-        elif math.comb(n, msize) <= config.exact_threshold and n <= config.exact_full_n:
-            value = math.inf
+        elif math.comb(n, k) <= config.exact_threshold:
+            full = n <= EXACT_FULL_N
+            best = math.inf
             removed = []
-            for combo in itertools.combinations(range(n), msize):
+            for combo in itertools.combinations(range(n), k):
                 keep = _complement(n, combo)
-                v = _full_estimate(A, keep, p, config)
-                if v < value - 1e-12:
-                    value = v
+                if full:
+                    v = _full_estimate(A, keep, p, config)
+                else:
+                    v = _search_score(A.entries[np.ix_(keep, keep)], None, p, None,
+                                      on_support, config)
+                if v < best - 1e-12:
+                    best = v
                     removed = list(combo)
-            mode = "exact"
-        elif math.comb(n, msize) <= config.exact_threshold:
-            on_support = _magnitude(A.entries) is not None
-            best_proxy = math.inf
-            removed = []
-            for combo in itertools.combinations(range(n), msize):
-                keep = _complement(n, combo)
-                sub = A.entries[np.ix_(keep, keep)]
-                v = _search_score(sub, None, p, None, on_support, config)
-                if v < best_proxy - 1e-12:
-                    best_proxy = v
-                    removed = list(combo)
-            keep = _complement(n, removed)
-            value = _full_estimate(A, keep, p, config)
-            mode = "enumerated"
+            if full:
+                value, mode = best, "exact"
+            else:
+                value = _full_estimate(A, _complement(n, removed), p, config)
+                mode = "enumerated"
         else:
-            steps = min(msize, config.greedy_step_cap)
+            steps = min(k, GREEDY_STEP_CAP)
             chain = chains.get(p)
             if chain is None or len(chain) < steps:
                 chain = _greedy_chain(A, p, steps, config)
@@ -583,7 +576,7 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
             removed = chain[:steps]
             keep = _complement(n, removed)
             value = _full_estimate(A, keep, p, config)
-            mode = "greedy" if steps >= msize else "greedy_truncated"
+            mode = "greedy" if steps >= k else "greedy_truncated"
         if p in published:
             value = min(value, published[p])
         published[p] = value

@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValueError, FileNotFoundError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CapExceededError, GenerationError) as exc:

@@ -120,9 +120,9 @@ class TestRExact01:
             idx = rng.choice(len(allp), size=min(count, len(allp)), replace=False)
             E = EdgeSet(n, tuple(allp[i] for i in idx))
             p = int(rng.integers(1, 7))
-            assert r_exact_01(E, p).lower == pytest.approx(
-                subgraph_norm_enum(E, p), abs=1e-9
-            )
+            br = r_exact_01(E, p)
+            assert br.certified
+            assert br.lower == pytest.approx(subgraph_norm_enum(E, p), abs=1e-9)
 
     def test_budget_truncation_flags_lower_only(self):
         # a large sparse random support with a tiny node budget
@@ -142,8 +142,8 @@ class TestRExact01:
         assert r_exact_01(E, 10).lower == pytest.approx(want)
 
     def test_branch_and_bound_equals_enumeration(self):
-        # exercise the connected-subset search itself (not the exhaustive
-        # fallback) against the dumb oracle, |E| <= 12 and p <= 6
+        # exercise the connected-subset search itself against the dumb
+        # oracle, |E| <= 12 and p <= 6
         from radnorm.bounds import _SubsetSearch
 
         rng = np.random.default_rng(59)
@@ -235,7 +235,7 @@ class TestKsweep:
         # forcing the greedy path can never undershoot the exact min
         inst = block_plus_singletons(10, 3)
         A = inst.weight_matrix()
-        exact_cfg = EngineConfig(exact_threshold=10 ** 6, exact_full_n=16)
+        exact_cfg = EngineConfig(exact_threshold=10 ** 6)
         greedy_cfg = EngineConfig(exact_threshold=0)
         v_exact, t_exact = ksweep_term(A, exact_cfg)
         v_greedy, t_greedy = ksweep_term(A, greedy_cfg)

@@ -83,6 +83,12 @@ class TestProfileCommand:
     def test_missing_file_exit_2(self):
         assert main(["profile", "--input", "/nonexistent/x.json"]) == 2
 
+    def test_directory_input_exit_2(self, tmp_path):
+        assert main(["profile", "--input", str(tmp_path)]) == 2
+
+    def test_directory_out_exit_2(self, k3_file, tmp_path):
+        assert main(["profile", "--input", k3_file, "--out", str(tmp_path)]) == 2
+
 
 class TestMcCommand:
     def test_json_output(self, k3_file, tmp_path):

@@ -1,9 +1,13 @@
-"""Metamorphic properties of the Monte Carlo sampler, checked with hypothesis.
+"""Metamorphic properties of the sampler and the exact 0/1 search,
+checked with hypothesis.
 
 Sampled norms must not depend on how a run is split into chunks and
 threads, and scaling the weights by a power of two must scale every norm
 exactly: both hold bit for bit, so the checks use array equality.  The
-block plan must also give the norm of the whole dense realization.
+block plan must also give the norm of the whole dense realization.  The
+exact subgraph value and the exact expectation must respect the
+symmetries of the quantity (transpose, row and column permutations, sign
+flips), up to rounding in the order of summation.
 """
 
 from unittest import mock
@@ -17,8 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radnorm import sampler, streams
-from radnorm.core import WeightMatrix
-from radnorm.sampler import MODES, _sample_norms
+from radnorm.bounds import r_exact_01
+from radnorm.core import EdgeSet, WeightMatrix
+from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation
 from radnorm.spectral import top_values
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
@@ -95,3 +100,68 @@ def test_plan_norms_equal_dense_realization(run):
     got = _sample_norms(WeightMatrix(a), mode, samples, seed, threads)
     want = _dense_norms(a, mode, samples, seed)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@st.composite
+def edge_sets(draw):
+    """(side, pairs, p, row permutation, column permutation): side <= 6."""
+    n = draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(cells, max_size=14, unique=True))
+    p = draw(st.integers(1, 8))
+    rperm = draw(st.permutations(range(n)))
+    cperm = draw(st.permutations(range(n)))
+    return n, pairs, p, rperm, cperm
+
+
+@PROPERTY_SETTINGS
+@given(case=edge_sets())
+def test_exact_01_invariant_under_transpose_and_permutations(case):
+    n, pairs, p, rperm, cperm = case
+    base = r_exact_01(EdgeSet(n, tuple(pairs)), p)
+    assert base.certified
+    moved = [
+        [(j, i) for i, j in pairs],
+        [(rperm[i], cperm[j]) for i, j in pairs],
+    ]
+    for other in moved:
+        br = r_exact_01(EdgeSet(n, tuple(other)), p)
+        assert br.certified
+        np.testing.assert_allclose(br.lower, base.lower, rtol=1e-12, atol=0)
+
+
+@st.composite
+def small_weights(draw, square=False):
+    """Weights of side <= 5 with at most 10 nonzero entries of magnitude
+    in [1/2, 4], plus row and column permutations and a sign pattern."""
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    a = np.zeros((rows, cols))
+    for i, j in draw(st.lists(cells, max_size=10, unique=True)):
+        a[i, j] = draw(st.floats(0.5, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    rperm = np.array(draw(st.permutations(range(rows))))
+    cperm = rperm if square else np.array(draw(st.permutations(range(cols))))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                   min_size=a.size, max_size=a.size))).reshape(a.shape)
+    return a, rperm, cperm, signs
+
+
+@PROPERTY_SETTINGS
+@given(case=small_weights())
+def test_exact_expectation_iid_symmetries(case):
+    a, rperm, cperm, signs = case
+    base = exact_small_norm_expectation(WeightMatrix(a), "rademacher_iid")
+    for other in (a.T, a[rperm][:, cperm], signs * a):
+        got = exact_small_norm_expectation(WeightMatrix(other), "rademacher_iid")
+        np.testing.assert_allclose(got, base, rtol=1e-12, atol=0)
+
+
+@PROPERTY_SETTINGS
+@given(case=small_weights(square=True))
+def test_exact_expectation_symmetric_conjugation(case):
+    a, perm, _, _ = case
+    base = exact_small_norm_expectation(WeightMatrix(a), "rademacher_symmetric")
+    got = exact_small_norm_expectation(WeightMatrix(a[perm][:, perm]),
+                                       "rademacher_symmetric")
+    np.testing.assert_allclose(got, base, rtol=1e-12, atol=0)

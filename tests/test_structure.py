@@ -5,9 +5,12 @@ brute-force oracles keep their own independent SVD.  Exhaustive sign
 patterns come from `core.sign_patterns`, and breadth-first search from
 `core.bfs_distances`.  A new copy of any of them elsewhere in the package
 fails here, so a change of method stays a one-file change.
-Comments and string literals are ignored.
+Comments and string literals are ignored.  Every `EngineConfig` knob is
+also a `profile` flag, so no knob is left that no caller sets.
 """
 
+import argparse
+import dataclasses
 import io
 import pathlib
 import re
@@ -16,6 +19,8 @@ import tokenize
 import pytest
 
 import radnorm
+from radnorm.bounds import EngineConfig
+from radnorm.cli import build_parser
 
 PACKAGE = pathlib.Path(radnorm.__file__).parent
 
@@ -63,3 +68,11 @@ def test_rules_see_the_kernel():
     # the patterns still match the one place each decision lives
     for rule, (pattern, allowed) in RULES.items():
         assert any(pattern.search(code_only(PACKAGE / name)) for name in allowed), rule
+
+
+def test_engine_config_knobs_are_profile_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["profile"]._actions}
+    unset = [f.name for f in dataclasses.fields(EngineConfig) if f.name not in dests]
+    assert not unset, f"EngineConfig fields without a profile flag: {unset}"
