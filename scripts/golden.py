@@ -1,0 +1,277 @@
+"""Golden command set: CLI stdout and exit codes, byte for byte.
+
+    python3 scripts/golden.py record [--jobs N] [--workdir DIR]
+    python3 scripts/golden.py check  [--jobs N] [--workdir DIR]
+
+`record` runs every command and writes its stdout to
+tests/golden/<name>.out and all exit codes to tests/golden/exit_codes.json.
+Re-record only for an intended output change.  `check` runs the same
+commands and reports every one whose stdout or exit code differs; it exits
+1 when any does.  `--jobs N` runs the commands in N worker processes.
+tests/test_golden.py checks the commands marked fast: inputs of side
+<= 16, each well under a second.
+
+The set covers every square input of side <= 64 in the three corpora
+(default flags, --exact-threshold 150 and --restarts 1), the benchmark's
+profile operations, --budget-cap, --exact-threshold and --seed variants,
+scaled and one-magnitude inputs, the path P3 and the cycle C4, `mc` in
+all three modes, every `verify` scenario, and the error exits.
+
+Commands run in-process through `radnorm.cli.main`, with input files
+written to `inputs/` under a scratch working directory (default
+golden-work/ at the checkout root), so the input paths echoed in stdout
+are the same wherever the set runs.  The outputs were recorded with
+OPENBLAS_NUM_THREADS=1, which this script sets before numpy loads.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import argparse
+import contextlib
+import io
+import json
+import pathlib
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from multiprocessing import get_context
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+GOLDEN = ROOT / "tests" / "golden"
+WORKDIR = ROOT / "golden-work"
+
+
+@dataclass(frozen=True)
+class Command:
+    name: str
+    argv: tuple
+    fast: bool
+
+
+def _inputs() -> dict:
+    """name -> (object to dump, side) for every input the set uses."""
+    import numpy as np
+
+    from radnorm.core import EdgeSet, WeightMatrix
+    from radnorm.corpus import corpus_mixed, corpus_symmetric, corpus_zero_one
+
+    out = {}
+    for tag, corpus in (("mixed", corpus_mixed()), ("sym", corpus_symmetric()),
+                        ("01", corpus_zero_one())):
+        for name, A in corpus:
+            out[f"{tag}.{name}"] = (A, A.n_rows)
+    mixed = dict(corpus_mixed())
+    sym = dict(corpus_symmetric())
+    signs = np.where(np.random.Generator(np.random.Philox(key=5)).random((12, 12)) < 0.5,
+                     -1.0, 1.0)
+    uc = mixed["union_complete_m4_d2"].entries
+    extra = {
+        # one magnitude with mixed signs: the exact path scaled by 2.5
+        "onemag.uc_m4_d2_signed": WeightMatrix(2.5 * uc * signs),
+        "onemag.sym_x3": WeightMatrix(3.0 * sym["complete_k8"].entries, symmetric=True),
+        # far from 1 in both directions
+        "scaled.dense_gauss_n16_tiny": WeightMatrix(1e-200 * mixed["dense_gauss_n16"].entries),
+        "scaled.sym_gauss_n12_huge":
+            WeightMatrix(1e200 * sym["sym_gauss_n12"].entries, symmetric=True),
+        "scaled.uc_m4_d2_huge": WeightMatrix(1e250 * uc),
+        "P3": WeightMatrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+                           symmetric=True),
+        "C4": EdgeSet.from_one_based(4, [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3),
+                                         (4, 1), (1, 4)]),
+        "rect_2x3": WeightMatrix(np.ones((2, 3))),
+    }
+    for name, obj in extra.items():
+        out[name] = (obj, obj.n if isinstance(obj, EdgeSet) else obj.n_rows)
+    return out
+
+
+def _path(name: str) -> str:
+    return f"inputs/{name}.json"
+
+
+def write_inputs(workdir: pathlib.Path) -> None:
+    from radnorm.matio import dump_json
+
+    (workdir / "inputs").mkdir(parents=True, exist_ok=True)
+    for name, (obj, _) in _inputs().items():
+        dump_json(obj, workdir / _path(name))
+    (workdir / "inputs" / "broken.json").write_text("{not json\n")
+
+
+def commands() -> list:
+    """Every command of the golden set, in a fixed order."""
+    inputs = _inputs()
+    cmds = []
+
+    def add(name, argv, fast):
+        cmds.append(Command(name, tuple(argv), fast))
+
+    def general(name):
+        A = inputs[name][0]
+        return not A.is_zero_one()
+
+    corpus = [k for k in inputs if k.split(".")[0] in ("mixed", "sym", "01")]
+    for name in corpus:
+        side = inputs[name][1]
+        if side > 64:
+            continue
+        # general weights of side 16 at the default threshold enumerate
+        # 1,956 subsets per profile: correct but too slow for the fast subset
+        slow16 = side == 16 and general(name)
+        base = ["profile", "--input", _path(name)]
+        add(f"profile.{name}", base, side <= 16 and not slow16)
+        add(f"profile.{name}.t150", base + ["--exact-threshold", "150"], side <= 16)
+        add(f"profile.{name}.r1", base + ["--restarts", "1"], side <= 16 and not slow16)
+
+    # the benchmark's profile operations at its reference seed
+    for name in ("circulant_n16", "dense_gauss_n16", "sym_gauss_n16"):
+        add(f"bench.profile_enum.{name}",
+            ["profile", "--input", _path(f"mixed.{name}"), "--exact-threshold", "150",
+             "--seed", "1"], True)
+    for name in ("sparse_gauss_n128", "block_singletons_n128_d5"):
+        add(f"bench.profile_search.{name}",
+            ["profile", "--input", _path(f"mixed.{name}"), "--seed", "1"], False)
+
+    for name, cap in (("01.random_regular_n32_d3", "50"), ("01.bernoulli_n48", "50"),
+                      ("01.block_singletons_n64_d4", "2000"), ("sym.union_k4x4", "10"),
+                      ("mixed.union_complete_m8_d3", "1")):
+        add(f"profile.{name}.cap{cap}",
+            ["profile", "--input", _path(name), "--budget-cap", cap],
+            inputs[name][1] <= 16)
+    for name in ("mixed.dense_gauss_n16", "sym.sym_gauss_n12", "mixed.cauchy_n24"):
+        side = inputs[name][1]
+        add(f"profile.{name}.t0", ["profile", "--input", _path(name),
+                                   "--exact-threshold", "0"], side <= 16)
+        add(f"profile.{name}.t20.seed7",
+            ["profile", "--input", _path(name), "--exact-threshold", "20",
+             "--seed", "7", "--restarts", "5"], side <= 16)
+
+    for name in ("onemag.uc_m4_d2_signed", "onemag.sym_x3", "scaled.dense_gauss_n16_tiny",
+                 "scaled.sym_gauss_n12_huge", "scaled.uc_m4_d2_huge", "P3", "C4"):
+        side = inputs[name][1]
+        add(f"profile.{name}.t150",
+            ["profile", "--input", _path(name), "--exact-threshold", "150"], side <= 16)
+    for name in ("onemag.uc_m4_d2_signed", "P3", "C4"):
+        add(f"profile.{name}.default", ["profile", "--input", _path(name)], True)
+
+    # larger inputs: greedy rows and the enumerated (n > 16) rows
+    for name in ("mixed.sparse_gauss_n256", "mixed.block_singletons_n256_d7",
+                 "mixed.band_n128_w3", "mixed.dense_gauss_n128"):
+        add(f"profile.{name}", ["profile", "--input", _path(name)], False)
+
+    for mode in ("rademacher_iid", "rademacher_symmetric", "gaussian"):
+        for name in ("sym.sym_gauss_n12", "mixed.sparse_gauss_n64", "C4"):
+            side = inputs[name][1]
+            add(f"mc.{mode}.{name}",
+                ["mc", "--input", _path(name), "--mode", mode, "--samples", "400",
+                 "--seed", "3"], side <= 16)
+        add(f"mc.{mode}.p.mixed.dense_gauss_n16",
+            ["mc", "--input", _path("mixed.dense_gauss_n16"), "--mode", mode,
+             "--samples", "300", "--p", "2,8,40", "--threads", "2"], True)
+    add("mc.csv.P3", ["mc", "--input", _path("P3"), "--format", "csv",
+                      "--matrix-id", "p3", "--samples", "200"], True)
+
+    from radnorm.scenarios import SCENARIOS
+    for scenario in SCENARIOS:
+        argv = ["verify", "--scenario", scenario, "--samples", "100", "--seed", "2"]
+        if scenario in ("union_complete_regimes", "block_counterexample"):
+            argv += ["--n-cap", "64"]
+        add(f"verify.{scenario}", argv, False)
+
+    # error exits: parse and usage errors (2) and a resource cap (3)
+    add("error.missing_input", ["profile", "--input", "inputs/missing.json"], True)
+    add("error.broken_json", ["profile", "--input", "inputs/broken.json"], True)
+    add("error.rectangular_profile", ["profile", "--input", _path("rect_2x3")], True)
+    add("error.restarts_zero_general",
+        ["profile", "--input", _path("mixed.dense_gauss_n16"), "--restarts", "0"], True)
+    add("error.bad_mode", ["mc", "--input", _path("P3"), "--mode", "uniform"], True)
+    add("error.too_few_samples", ["mc", "--input", _path("P3"), "--samples", "0"], True)
+    add("error.unknown_scenario", ["verify", "--scenario", "nope"], True)
+    add("error.family_cap", ["family", "--family", "union_complete", "--m", "100000",
+                             "--d", "100"], True)
+    add("error.family_odd_regular", ["family", "--family", "random_regular", "--n", "5",
+                                     "--d", "3"], True)
+    add("error.circulant_without_b", ["family", "--family", "circulant"], True)
+    return cmds
+
+
+def run_one(argv) -> tuple:
+    """(exit code, stdout) of one in-process CLI call; stderr is dropped."""
+    from radnorm.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code if isinstance(exc.code, int) else 1
+    return rc, out.getvalue()
+
+
+def _worker_init(workdir: str) -> None:
+    os.chdir(workdir)
+
+
+def run_all(cmds: list, workdir: pathlib.Path, jobs: int) -> list:
+    """[(exit code, stdout)] of every command, run with `workdir` as cwd."""
+    write_inputs(workdir)
+    if jobs <= 1:
+        prev = os.getcwd()
+        os.chdir(workdir)
+        try:
+            return [run_one(c.argv) for c in cmds]
+        finally:
+            os.chdir(prev)
+    with ProcessPoolExecutor(jobs, mp_context=get_context("spawn"),
+                             initializer=_worker_init, initargs=(str(workdir),)) as pool:
+        return list(pool.map(run_one, [c.argv for c in cmds]))
+
+
+def load_expected() -> dict:
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+def mismatches(cmds: list, results: list) -> list:
+    """Names of the commands whose exit code or stdout differ from the record."""
+    codes = load_expected()
+    bad = []
+    for cmd, (rc, stdout) in zip(cmds, results):
+        path = GOLDEN / f"{cmd.name}.out"
+        if codes.get(cmd.name) != rc or not path.exists() or path.read_text() != stdout:
+            bad.append(cmd.name)
+    return bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("mode", choices=["record", "check"])
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--workdir", default=str(WORKDIR))
+    args = parser.parse_args(argv)
+    cmds = commands()
+    results = run_all(cmds, pathlib.Path(args.workdir).resolve(), args.jobs)
+    if args.mode == "record":
+        GOLDEN.mkdir(parents=True, exist_ok=True)
+        for cmd, (_, stdout) in zip(cmds, results):
+            (GOLDEN / f"{cmd.name}.out").write_text(stdout)
+        codes = {cmd.name: rc for cmd, (rc, _) in zip(cmds, results)}
+        (GOLDEN / "exit_codes.json").write_text(
+            json.dumps(dict(sorted(codes.items())), indent=1) + "\n")
+        print(f"recorded {len(cmds)} commands")
+        return 0
+    bad = mismatches(cmds, results)
+    for name in bad:
+        print(f"MISMATCH {name}")
+    print(f"{len(cmds) - len(bad)}/{len(cmds)} commands match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,19 +22,31 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EdgeSet, WeightMatrix, derive_graph, log_clamped
-from .moments import hitczenko_surrogate, water_fill
+from .moments import hitczenko_surrogate, surrogate_rows, water_fill
 from .spectral import max_row_col_l2, top_pair, top_values
 from . import streams
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tuning knobs for the search-based estimators, one per `profile` flag."""
+    """Tuning knobs for the search-based estimators, one per `profile` flag.
+
+    Out-of-range values raise ValueError here, whatever the input matrix,
+    so every estimator can rely on them.
+    """
 
     exact_threshold: int = 2000     # inner-min enumeration budget (subsets)
     budget_cap: int = 200_000       # branch-and-bound node budget
     restarts: int = 3               # random ascent restarts
     seed: int = 0
+
+    def __post_init__(self):
+        if self.exact_threshold < 0:
+            raise ValueError("exact_threshold must be nonnegative")
+        if self.budget_cap < 1:
+            raise ValueError("budget_cap must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be positive")
 
 
 EXACT_FULL_N = 16       # full estimator on every enumerated subset up to this n
@@ -282,43 +294,105 @@ def _surrogate_at(a: np.ndarray, s: np.ndarray, t: np.ndarray, p: float) -> floa
     return hitczenko_surrogate(c.ravel(), p).total
 
 
-def _ascent_seeds(a: np.ndarray, restarts: int, seed: int) -> list:
-    nr, nc = a.shape
-    seeds = []
-    _, u, v = top_pair(a)
-    seeds.append((u, v))
-    flat_i = np.abs(a).argmax() // nc
-    flat_j = np.abs(a).argmax() % nc
-    ei = np.zeros(nr)
-    ei[flat_i] = 1.0
-    ej = np.zeros(nc)
-    ej[flat_j] = 1.0
-    seeds.append((ei, ej))
-    # basis row / basis column pairs at the heaviest row and column
-    rnorm = np.sqrt((a * a).sum(axis=1))
-    cnorm = np.sqrt((a * a).sum(axis=0))
-    i0 = int(rnorm.argmax())
-    j0 = int(cnorm.argmax())
-    if rnorm[i0] > 0:
-        e = np.zeros(nr)
-        e[i0] = 1.0
-        seeds.append((e, np.abs(a[i0]) / rnorm[i0]))
-    if cnorm[j0] > 0:
-        e = np.zeros(nc)
-        e[j0] = 1.0
-        seeds.append((np.abs(a[:, j0]) / cnorm[j0], e))
-    # flat vectors on the support level sets
-    rsup = (a != 0).any(axis=1)
-    csup = (a != 0).any(axis=0)
-    if rsup.any() and csup.any():
-        s = rsup / math.sqrt(rsup.sum())
-        t = csup / math.sqrt(csup.sum())
-        seeds.append((s.astype(float), t.astype(float)))
+def _stack_seeds(stack: np.ndarray, restarts: int, seed: int):
+    """Yield the ascent's start pairs for a stack of nonzero matrices, one
+    seed at a time as (rows, s, t): the indices of the matrices that take
+    the seed and their (len(rows), r) and (len(rows), c) start vectors.
+    The seeds are the top singular pair, the basis pair at the largest
+    |a_ij|, the heaviest row and the heaviest column with their normalized
+    magnitudes (for the matrices whose row or column L2 norm does not
+    underflow to 0), flat vectors on the row and column supports, then
+    `restarts` random pairs that depend only on the shape."""
+    count, nr, nc = stack.shape
+    at = np.arange(count)
+
+    def basis(size, index):
+        e = np.zeros((len(index), size))
+        e[np.arange(len(index)), index] = 1.0
+        return e
+
+    _, u, v = top_pair(stack)
+    yield at, u, v
+    flat = np.abs(stack).reshape(count, -1).argmax(axis=1)
+    yield at, basis(nr, flat // nc), basis(nc, flat % nc)
+    sq = stack * stack
+    rnorm = np.sqrt(sq.sum(axis=2))
+    cnorm = np.sqrt(sq.sum(axis=1))
+    i0 = rnorm.argmax(axis=1)
+    j0 = cnorm.argmax(axis=1)
+    rows = np.flatnonzero(rnorm[at, i0] > 0)
+    yield (rows, basis(nr, i0[rows]),
+           np.abs(stack[rows, i0[rows], :]) / rnorm[rows, i0[rows]][:, None])
+    rows = np.flatnonzero(cnorm[at, j0] > 0)
+    yield (rows, np.abs(stack[rows, :, j0[rows]]) / cnorm[rows, j0[rows]][:, None],
+           basis(nc, j0[rows]))
+    rsup = (stack != 0).any(axis=2)
+    csup = (stack != 0).any(axis=1)
+    yield (at, rsup / np.sqrt(rsup.sum(axis=1))[:, None],
+           csup / np.sqrt(csup.sum(axis=1))[:, None])
     for r in range(restarts):
-        seeds.append(
-            (streams.unit_vector(seed, nr, 2 * r), streams.unit_vector(seed, nc, 2 * r + 1))
-        )
-    return seeds
+        yield (at, np.broadcast_to(streams.unit_vector(seed, nr, 2 * r), (count, nr)),
+               np.broadcast_to(streams.unit_vector(seed, nc, 2 * r + 1), (count, nc)))
+
+
+def _surrogate_stack(stack: np.ndarray, s: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
+    # s[:, :, None] * t[:, None, :] is np.outer(s, t) per matrix; forming
+    # it first keeps each product bit for bit equal to the 2-D path
+    c = stack * (s[:, :, None] * t[:, None, :])
+    head, tail = surrogate_rows(c.reshape(len(c), -1), p)
+    return head + tail
+
+
+def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
+            max_iters: int = 20) -> tuple:
+    """Alternating surrogate ascent on every matrix of an (S, r, c) stack.
+
+    Every matrix must have a nonzero entry.  From each start pair of
+    `_stack_seeds` it alternates optimal dual weights (water-filling of
+    the reweighted entries) with the top singular pair of the weighted
+    matrix, for at most `max_iters` steps, and stops a matrix's run once
+    its objective s^T (a o b) t stops rising.  Seeds run one after the
+    other; within a seed every step is one batched call over the matrices
+    still improving.  Returns (values, s, t): each matrix's best surrogate
+    over all pairs visited, taken on strict improvement in seed-then-step
+    order, and the unit pair that attains it.
+    """
+    count, nr, nc = stack.shape
+    best = np.zeros(count)
+    best_s = np.zeros((count, nr))
+    best_t = np.zeros((count, nc))
+
+    def offer(idx, a, s, t):
+        val = _surrogate_stack(a, s, t, p)
+        up = val > best[idx]
+        best[idx[up]] = val[up]
+        best_s[idx[up]] = s[up]
+        best_t[idx[up]] = t[up]
+
+    for idx, s, t in _stack_seeds(stack, restarts, seed):
+        if not idx.size:
+            continue
+        a = stack[idx]
+        offer(idx, a, s, t)
+        obj_prev = np.full(len(idx), -1.0)
+        for _ in range(max_iters):
+            c = (a * (s[:, :, None] * t[:, None, :])).reshape(len(idx), -1)
+            abs_c = np.abs(c)
+            order = np.argsort(-abs_c, axis=1, kind="stable")
+            _, b_sorted = water_fill(np.take_along_axis(abs_c, order, axis=1), p)
+            b = np.empty_like(abs_c)
+            np.put_along_axis(b, order, b_sorted, axis=1)
+            weighted = a * (np.sign(c) * b).reshape(a.shape)
+            _, s, t = top_pair(weighted)
+            obj = (s[:, None, :] @ weighted @ t[:, :, None])[:, 0, 0]
+            offer(idx, a, s, t)
+            going = ~(obj <= obj_prev * (1 + 1e-10) + 1e-12)
+            if not going.all():
+                idx, a, s, t, obj = idx[going], a[going], s[going], t[going], obj[going]
+                if not idx.size:
+                    break
+            obj_prev = obj
+    return best, best_s, best_t
 
 
 def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
@@ -326,10 +400,10 @@ def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
     """Surrogate bracket for R_A(p) on general weights.
 
     lower: best head-plus-tail surrogate over unit pairs explored by
-    alternating ascent (optimal dual weights by water-filling, then the
-    top singular pair of the reweighted matrix).  upper: the crude cap
-    row_max + col_max + sqrt(p) max|a|.  Both are constant-level values;
-    loose_constants is always set.
+    alternating ascent (`_ascent` on a stack of one: optimal dual weights
+    by water-filling, then the top singular pair of the reweighted
+    matrix).  upper: the crude cap row_max + col_max + sqrt(p) max|a|.
+    Both are constant-level values; loose_constants is always set.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -343,32 +417,8 @@ def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
         z_s, z_t = np.zeros(nr), np.zeros(nc)
         return RBracket(float(p), 0.0, 0.0, z_s, z_t, "heuristic",
                         certified=False, loose_constants=True)
-
-    best_val = 0.0
-    best_pair = (np.zeros(nr), np.zeros(nc))
-    for s, t in _ascent_seeds(a, restarts, seed):
-        val = _surrogate_at(a, s, t, p)
-        if val > best_val:
-            best_val, best_pair = val, (s.copy(), t.copy())
-        obj_prev = -1.0
-        for _ in range(max_iters):
-            c = a * np.outer(s, t)
-            abs_c = np.abs(c.ravel())
-            order = np.argsort(-abs_c, kind="stable")
-            _, b_sorted = water_fill(abs_c[order], p)
-            b = np.empty(c.size)
-            b[order] = b_sorted
-            b = np.sign(c.ravel()) * b
-            weighted = a * b.reshape(a.shape)
-            _, s, t = top_pair(weighted)
-            obj = float(s @ weighted @ t)
-            val = _surrogate_at(a, s, t, p)
-            if val > best_val:
-                best_val, best_pair = val, (s.copy(), t.copy())
-            if obj <= obj_prev * (1 + 1e-10) + 1e-12:
-                break
-            obj_prev = obj
-    return RBracket(float(p), best_val, upper, best_pair[0], best_pair[1],
+    values, s, t = _ascent(a[None], p, restarts, seed, max_iters)
+    return RBracket(float(p), float(values[0]), upper, s[0], t[0],
                     "heuristic", certified=False, loose_constants=True)
 
 
@@ -420,27 +470,36 @@ def _proxy_after_removal(a: np.ndarray, pair, z: int, p: float) -> float:
     return _surrogate_at(a, u2 / nu, v2 / nv, p)
 
 
-def _submatrix(A: WeightMatrix, keep: list) -> WeightMatrix:
-    sub = A.entries[np.ix_(keep, keep)]
-    return WeightMatrix(sub, symmetric=A.symmetric)
-
-
 def _zero_one_pairs(sub: np.ndarray) -> EdgeSet:
     ii, jj = np.nonzero(sub)
     return EdgeSet(sub.shape[0], tuple(zip(ii.tolist(), jj.tolist())))
 
 
-def _full_estimate(A: WeightMatrix, keep: list, p: float, config: EngineConfig) -> float:
-    if not keep:
-        return 0.0
-    sub = _submatrix(A, keep)
-    if not sub.entries.any():
-        return 0.0
-    c = _magnitude(sub.entries)
-    if c is not None:
-        return c * r_exact_01(_zero_one_pairs(sub.entries), p, config.budget_cap).lower
-    return r_heuristic(sub, p, restarts=max(1, config.restarts - 1),
-                       seed=config.seed, max_iters=8).lower
+def _full_estimates(A: WeightMatrix, keeps: list, p: float, config: EngineConfig) -> list:
+    """The full R estimate at moment p of the submatrix on each kept index
+    set in `keeps`, all of one size: 0 for an all-zero submatrix, c times
+    the exact 0/1 value of its support when every nonzero |a_ij| equals
+    c, and the surrogate ascent (restarts - 1 restarts, 8 steps) otherwise.
+    The submatrices share one shape, so every general-weight one runs in
+    one `_ascent` over their stack."""
+    if not keeps[0]:
+        return [0.0] * len(keeps)
+    idx = np.array(keeps)
+    stack = A.entries[idx[:, :, None], idx[:, None, :]]
+    mags = np.abs(stack).reshape(len(keeps), -1)
+    top = mags.max(axis=1)
+    low = np.where(mags > 0.0, mags, np.inf).min(axis=1)
+    scores = [0.0] * len(keeps)
+    for i in np.flatnonzero((top > 0.0) & (low == top)).tolist():
+        br = r_exact_01(_zero_one_pairs(stack[i]), p, config.budget_cap)
+        scores[i] = float(top[i]) * br.lower
+    general = np.flatnonzero(low < top)
+    if general.size:
+        values, _, _ = _ascent(stack[general], p, max(1, config.restarts - 1),
+                               config.seed, max_iters=8)
+        for i, v in zip(general.tolist(), values.tolist()):
+            scores[i] = v
+    return scores
 
 
 def _search_score(sub: np.ndarray, drop: int | None, p: float, pair,
@@ -534,7 +593,9 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
     min was obtained (exact, enumerated, greedy, greedy_truncated).  The
     published min for a given moment Log k never increases as k grows.
     Up to EXACT_FULL_N indices every enumerated subset gets the full
-    estimate; beyond, only the winner of the cheap search score does.
+    estimate, the general-weight ones of a grid point as one batched
+    surrogate ascent over their same-shape submatrices (`_full_estimates`);
+    beyond, only the winner of the cheap search score does.
     """
     if not A.is_square:
         raise ValueError("k-sweep needs a square matrix")
@@ -549,23 +610,23 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
             removed = list(range(n))
             value, mode = 0.0, "exact"
         elif math.comb(n, k) <= config.exact_threshold:
-            full = n <= EXACT_FULL_N
+            combos = list(itertools.combinations(range(n), k))
+            keeps = [_complement(n, combo) for combo in combos]
+            if n <= EXACT_FULL_N:
+                scores = _full_estimates(A, keeps, p, config)
+            else:
+                scores = [_search_score(A.entries[np.ix_(keep, keep)], None, p, None,
+                                        on_support, config) for keep in keeps]
             best = math.inf
             removed = []
-            for combo in itertools.combinations(range(n), k):
-                keep = _complement(n, combo)
-                if full:
-                    v = _full_estimate(A, keep, p, config)
-                else:
-                    v = _search_score(A.entries[np.ix_(keep, keep)], None, p, None,
-                                      on_support, config)
+            for combo, v in zip(combos, scores):
                 if v < best - 1e-12:
                     best = v
                     removed = list(combo)
-            if full:
+            if n <= EXACT_FULL_N:
                 value, mode = best, "exact"
             else:
-                value = _full_estimate(A, _complement(n, removed), p, config)
+                value = _full_estimates(A, [_complement(n, removed)], p, config)[0]
                 mode = "enumerated"
         else:
             steps = min(k, GREEDY_STEP_CAP)
@@ -575,7 +636,7 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
                 chains[p] = chain
             removed = chain[:steps]
             keep = _complement(n, removed)
-            value = _full_estimate(A, keep, p, config)
+            value = _full_estimates(A, [keep], p, config)[0]
             mode = "greedy" if steps >= k else "greedy_truncated"
         if p in published:
             value = min(value, published[p])

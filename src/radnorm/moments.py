@@ -45,43 +45,59 @@ def hitczenko_surrogate(a, p: float) -> SurrogateResult:
     """Head-plus-tail L_p surrogate with the cut at floor(p)."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    star = rearrange_desc(a)
-    m = min(int(math.floor(p)), star.size)
-    head = float(star[:m].sum())
-    tail = float(math.sqrt(p) * math.sqrt(float((star[m:] ** 2).sum())))
-    return SurrogateResult(head, tail, head + tail, float(p))
+    head, tail = surrogate_rows(np.asarray(a, dtype=float).ravel()[None], p)
+    return SurrogateResult(float(head[0]), float(tail[0]), float(head[0] + tail[0]), float(p))
+
+
+def surrogate_rows(rows: np.ndarray, p: float) -> tuple:
+    """(head, tail) of the head-plus-tail surrogate of each row of a 2-D
+    array, cut at floor(p); head + tail is the surrogate total.  p >= 1."""
+    star = np.sort(np.abs(rows), axis=-1)[:, ::-1]
+    m = min(int(math.floor(p)), star.shape[1])
+    head = star[:, :m].sum(axis=1)
+    tail = math.sqrt(p) * np.sqrt((star[:, m:] ** 2).sum(axis=1))
+    return head, tail
 
 
 def water_fill(star: np.ndarray, p: float) -> tuple:
     """Maximize <star, b> over {||b||_inf <= 1, ||b||_2 <= sqrt(p)}.
 
-    star must be nonnegative nonincreasing.  Returns (value, b).  The
-    optimum clips the m largest coordinates to 1 and spreads the leftover
-    budget p - m proportionally over the rest; m grows until the spread
-    fits inside the box.
+    star must be nonnegative and nonincreasing along its last axis.  For
+    1-D star returns (value, b); for a 2-D stack of rows returns (values,
+    b) with one value and one row of b per row, each equal bit for bit to
+    the 1-D result.  The optimum clips the m largest coordinates to 1 and
+    spreads the leftover budget p - m proportionally over the rest; m is
+    the smallest count whose spread fits inside the box.  The budget runs
+    out at m = ceil(p), so m is found among 0..min(n, ceil(p)) at once.
     """
-    n = star.size
+    star = np.asarray(star, dtype=float)
+    if star.ndim == 1:
+        values, b = water_fill(star[None], p)
+        return float(values[0]), b[0]
+    rows, n = star.shape
     if n == 0:
-        return 0.0, np.zeros(0)
+        return np.zeros(rows), np.zeros((rows, 0))
     if n <= p:
-        return float(star.sum()), np.ones(n)
-    suffix_sq = np.concatenate((np.cumsum((star ** 2)[::-1])[::-1], [0.0]))
-    m = 0
-    while True:
-        t = math.sqrt(float(suffix_sq[m]))  # L2 mass of the unclipped part
-        budget = p - m
-        if t == 0.0 or budget <= 0.0:
-            value = float(star[:m].sum())
-            b = np.zeros(n)
-            b[:m] = 1.0
-            return value, b
-        if math.sqrt(budget) * float(star[m]) <= t:
-            value = float(star[:m].sum()) + math.sqrt(budget) * t
-            b = np.zeros(n)
-            b[:m] = 1.0
-            b[m:] = math.sqrt(budget) / t * star[m:]
-            return value, b
-        m += 1
+        return star.sum(axis=1), np.ones((rows, n))
+    top = min(n, math.ceil(p))
+    suffix_sq = np.cumsum((star ** 2)[:, ::-1], axis=1)[:, ::-1]
+    # t[:, m] is the L2 mass of the unclipped part when m coordinates clip
+    t = np.sqrt(np.concatenate((suffix_sq, np.zeros((rows, 1))), axis=1)[:, :top + 1])
+    budget = p - np.arange(top + 1)
+    root = np.sqrt(np.maximum(budget, 0.0))
+    nxt = np.concatenate((star, np.zeros((rows, 1))), axis=1)[:, :top + 1]
+    clip = (t == 0.0) | (budget <= 0.0)
+    m = (clip | (root * nxt <= t)).argmax(axis=1)
+    at = np.arange(rows)
+    spread = ~clip[at, m]
+    t_m = np.where(spread, t[at, m], 1.0)
+    head = np.empty(rows)
+    for k in np.unique(m).tolist():
+        head[m == k] = star[m == k, :k].sum(axis=1)
+    values = head + np.where(spread, root[m] * t_m, 0.0)
+    scale = np.where(spread, root[m] / t_m, 0.0)
+    b = np.where(np.arange(n) < m[:, None], 1.0, scale[:, None] * star)
+    return values, b
 
 
 def dual_surrogate(a, p: float) -> float:

@@ -5,9 +5,10 @@ Every top singular value or pair the library needs comes from here.
 `top_values` takes a (..., r, c) stack and returns each matrix's largest
 singular value: a vector 2-norm when a side is 1 (max-scaled where the
 squares would overflow or underflow), the values-only SVD otherwise.
-`top_pair` returns (sigma, u, v): the full SVD up to side
-FULL_DECOMPOSITION_MAX, a fixed number of power steps on A^T A from a
-fixed ramped start beyond that or when the caller asks for a cheap pair.
+`top_pair` returns (sigma, u, v) for one matrix or for each matrix of a
+stack: the full SVD up to side FULL_DECOMPOSITION_MAX, a fixed number of
+power steps on A^T A from a fixed ramped start beyond that or when the
+caller asks for a cheap pair.
 `spectral_norm` adds a convergence-tested power iteration on the same
 steps.  Choosing a different method per shape is a change to this module
 only.
@@ -120,15 +121,28 @@ def top_values(stack: np.ndarray) -> np.ndarray:
 def top_pair(a: np.ndarray, steps: int | None = None) -> tuple:
     """(sigma, u, v): top singular value of `a` with unit witnesses.
 
+    `a` is one (r, c) matrix, giving a float sigma and vectors u (r,) and
+    v (c,), or an (S, r, c) stack, giving sigma (S,), u (S, r) and v (S, c)
+    with each matrix's pair bit for bit equal to a call on it alone.
     Exact (full SVD) up to side FULL_DECOMPOSITION_MAX.  Beyond that side,
     or when `steps` is given, it takes `steps` power steps (40 by default)
-    and returns sigma = ||a v|| with u = a v / sigma; sigma is 0 when a
-    step maps to zero, and u is then a v unnormalized.
+    on each matrix and returns sigma = ||a v|| with u = a v / sigma; sigma
+    is 0 when a step maps to zero, and u is then a v unnormalized.
     """
-    if steps is None and max(a.shape) <= FULL_DECOMPOSITION_MAX:
+    if a.ndim == 2:
+        sigma, u, v = top_pair(a[None], steps)
+        return float(sigma[0]), u[0], v[0]
+    if steps is None and max(a.shape[1:]) <= FULL_DECOMPOSITION_MAX:
         u, sv, vt = np.linalg.svd(a)
-        return float(sv[0]), u[:, 0].copy(), vt[0].copy()
-    for _, root, v in _power_steps(a, steps or _PAIR_STEPS):
+        return sv[:, 0].copy(), u[:, :, 0].copy(), vt[:, 0, :].copy()
+    # sides beyond FULL_DECOMPOSITION_MAX: one matrix at a time costs
+    # nothing next to the matrix products
+    sigma, u, v = zip(*(_power_pair(m, steps or _PAIR_STEPS) for m in a))
+    return np.array(sigma), np.stack(u), np.stack(v)
+
+
+def _power_pair(a: np.ndarray, steps: int) -> tuple:
+    for _, root, v in _power_steps(a, steps):
         pass
     u = a @ v
     nu = float(np.linalg.norm(u))

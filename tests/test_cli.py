@@ -89,6 +89,21 @@ class TestProfileCommand:
     def test_directory_out_exit_2(self, k3_file, tmp_path):
         assert main(["profile", "--input", k3_file, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag", [("--restarts", "0"), ("--restarts", "-2"),
+                                      ("--budget-cap", "0"), ("--budget-cap", "-5"),
+                                      ("--exact-threshold", "-1")])
+    @pytest.mark.parametrize("weights", ["zero_one", "general"])
+    def test_invalid_engine_flag_exit_2(self, k3_file, tmp_path, flag, weights):
+        # the 0/1 input never reaches the surrogate ascent, so only a check
+        # on the flags themselves rejects the value there
+        path = k3_file
+        if weights == "general":
+            path = str(tmp_path / "w.json")
+            dump_json(WeightMatrix(np.random.default_rng(0).standard_normal((4, 4))), path)
+        out = tmp_path / "out.json"
+        assert main(["profile", "--input", path, *flag, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestMcCommand:
     def test_json_output(self, k3_file, tmp_path):
