@@ -8,8 +8,10 @@ tests/golden/<name>.out and all exit codes to tests/golden/exit_codes.json.
 Re-record only for an intended output change.  `check` runs the same
 commands and reports every one whose stdout or exit code differs; it exits
 1 when any does.  `--jobs N` runs the commands in N worker processes.
-tests/test_golden.py checks the commands marked fast: inputs of side
-<= 16, each well under a second.
+tests/test_golden.py checks the commands marked fast, each well under a
+second: inputs of side <= 16, plus the n = 128 one-magnitude profile
+`bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
+enumerated and greedy rows on its 0/1 support.
 
 The set covers every square input of side <= 64 in the three corpora
 (default flags, --exact-threshold 150 and --restarts 1), the benchmark's
@@ -137,7 +139,8 @@ def commands() -> list:
              "--seed", "1"], True)
     for name in ("sparse_gauss_n128", "block_singletons_n128_d5"):
         add(f"bench.profile_search.{name}",
-            ["profile", "--input", _path(f"mixed.{name}"), "--seed", "1"], False)
+            ["profile", "--input", _path(f"mixed.{name}"), "--seed", "1"],
+            name.startswith("block_singletons"))
 
     for name, cap in (("01.random_regular_n32_d3", "50"), ("01.bernoulli_n48", "50"),
                       ("01.block_singletons_n64_d4", "2000"), ("sym.union_k4x4", "10"),

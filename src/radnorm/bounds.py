@@ -52,6 +52,9 @@ class EngineConfig:
 EXACT_FULL_N = 16       # full estimator on every enumerated subset up to this n
 GREEDY_STEP_CAP = 256   # greedy removal chain length cap
 SHORTLIST_SIZE = 32     # candidate removals scored per greedy step
+# beyond 2^(+-400), bound_profile rescales: every square and sum of squares
+# then stays normal up to side 8192 (2^800 * 2^26 < 2^1023, 2^-802 > 2^-1022)
+PROFILE_EXPONENT_MAX = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,36 +125,24 @@ def trivial_degree_bound(A: WeightMatrix) -> float:
 # exact 0/1 subgraph search
 
 
-def _pairs_compact(pairs) -> tuple:
-    rows = sorted({i for i, _ in pairs})
-    cols = sorted({j for _, j in pairs})
-    rmap = {v: k for k, v in enumerate(rows)}
-    cmap = {v: k for k, v in enumerate(cols)}
-    m = np.zeros((len(rows), len(cols)))
-    for i, j in pairs:
-        m[rmap[i], cmap[j]] = 1.0
-    return m, rows, cols
+def _pairs_compact(rows: np.ndarray, cols: np.ndarray) -> tuple:
+    # searchsorted, not return_inverse: half the cost on the small best sets
+    ur = np.unique(rows)
+    uc = np.unique(cols)
+    m = np.zeros((len(ur), len(uc)))
+    m[np.searchsorted(ur, rows), np.searchsorted(uc, cols)] = 1.0
+    return m, ur, uc
 
 
-def _pairs_value(pairs) -> float:
-    """Spectral norm of the 0/1 indicator of `pairs`."""
-    if not pairs:
-        return 0.0
-    m, _, _ = _pairs_compact(pairs)
-    return float(top_values(m))
-
-
-def _pairs_norm(pairs, n: int) -> tuple:
-    """Spectral norm of the 0/1 indicator of `pairs`, with witnesses
-    embedded into length-n vectors."""
-    if not pairs:
-        return 0.0, np.zeros(n), np.zeros(n)
-    m, rows, cols = _pairs_compact(pairs)
+def _pairs_norm(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
+    """Spectral norm of the 0/1 indicator of the pairs (rows[e], cols[e]),
+    at least one, with witnesses embedded into length-n vectors."""
+    m, ur, uc = _pairs_compact(rows, cols)
     sigma, u, v = top_pair(m)
     s = np.zeros(n)
     t = np.zeros(n)
-    s[rows] = u
-    t[cols] = v
+    s[ur] = u
+    t[uc] = v
     return sigma, s, t
 
 
@@ -181,11 +172,8 @@ class _SubsetSearch:
         for e, (i, j) in enumerate(pairs):
             by_row.setdefault(i, []).append(e)
             by_col.setdefault(j, []).append(e)
-        self.nbr = []
-        for e, (i, j) in enumerate(pairs):
-            s = set(by_row[i]) | set(by_col[j])
-            s.discard(e)
-            self.nbr.append(sorted(s))
+        self.nbr = [sorted((set(by_row[i]) | set(by_col[j])) - {e})
+                    for e, (i, j) in enumerate(pairs)]
 
     def offer(self, subset: list):
         rc: dict = {}
@@ -197,7 +185,15 @@ class _SubsetSearch:
         cheap = math.sqrt(min(len(subset), max(rc.values()) * max(cc.values())))
         if cheap <= self.best + 1e-12:
             return
-        val = _pairs_value([self.pairs[e] for e in subset])
+        # compacted from the counts: on sets of <= m pairs numpy's per-call
+        # cost (`_pairs_compact`) is larger than the work (2x slower searches)
+        rmap = {i: k for k, i in enumerate(sorted(rc))}
+        cmap = {j: k for k, j in enumerate(sorted(cc))}
+        m = np.zeros((len(rmap), len(cmap)))
+        for e in subset:
+            i, j = self.pairs[e]
+            m[rmap[i], cmap[j]] = 1.0
+        val = float(top_values(m))
         if val > self.best + 1e-12:
             self.best = val
             self.best_set = tuple(subset)
@@ -235,52 +231,58 @@ def r_exact_01(E: EdgeSet, p: float, budget_cap: int = 200_000) -> RBracket:
     (sqrt(m), the capped row and column degrees, and the whole-set norm
     when it is cheap to get).  A search that exhausts `budget_cap` nodes
     returns the best value found with certified=False and the cap as upper.
+    Runs as `_exact_01` on the pairs as row and column index arrays.
     """
+    edges = np.array(E.pairs, dtype=np.intp).reshape(-1, 2)
+    return _exact_01(edges[:, 0], edges[:, 1], E.n, p, budget_cap)
+
+
+def _exact_01(rows: np.ndarray, cols: np.ndarray, n: int, p: float,
+              budget_cap: int) -> RBracket:
+    """`r_exact_01` on the pairs (rows[e], cols[e]), in row-major order with
+    indices below n, which only sizes the witnesses.  Only the order of the
+    indices matters, so a support masked out of a larger one gives the
+    bracket of its extracted submatrix."""
     if math.floor(p) < 1:
         raise ValueError("p must satisfy floor(p) >= 1")
-    n = E.n
-    pairs = list(E.pairs)
-    m = min(int(math.floor(p)), len(pairs))
+    m = min(int(math.floor(p)), rows.size)
     if m == 0:
         z = np.zeros(n)
         return RBracket(float(p), 0.0, 0.0, z, z, "exact01")
 
-    if m >= len(pairs):
-        full_val, full_s, full_t = _pairs_norm(pairs, n)
+    if m >= rows.size:
+        full_val, full_s, full_t = _pairs_norm(rows, cols, n)
         return RBracket(float(p), full_val, full_val, full_s, full_t, "exact01")
 
-    row_counts: dict = {}
-    col_counts: dict = {}
-    for i, j in pairs:
-        row_counts[i] = row_counts.get(i, 0) + 1
-        col_counts[j] = col_counts.get(j, 0) + 1
-    rmax = max(row_counts.values())
-    cmax = max(col_counts.values())
+    row_deg = np.bincount(rows)
+    col_deg = np.bincount(cols)
+    rmax = int(row_deg.max())
+    cmax = int(col_deg.max())
     global_cap = min(math.sqrt(m), math.sqrt(min(rmax, m) * min(cmax, m)))
 
-    # star seed: the densest row or column already achieves sqrt(size)
+    # star seed: the densest row or column (the lowest index among ties)
+    # already achieves sqrt(size)
     if rmax >= cmax:
-        i_star = max(row_counts, key=lambda i: (row_counts[i], -i))
-        star = [e for e, (i, _) in enumerate(pairs) if i == i_star][:m]
+        star = np.flatnonzero(rows == row_deg.argmax())[:m]
     else:
-        j_star = max(col_counts, key=lambda j: (col_counts[j], -j))
-        star = [e for e, (_, j) in enumerate(pairs) if j == j_star][:m]
+        star = np.flatnonzero(cols == col_deg.argmax())[:m]
     best_val = math.sqrt(len(star))
-    best_set = tuple(star)
+    best_set = star
     complete = best_val >= global_cap - 1e-12
 
     # the whole-set norm tightens the cap when it is cheap to get
-    if not complete and len(row_counts) <= 512 and len(col_counts) <= 512:
-        global_cap = min(global_cap, _pairs_value(pairs))
+    if (not complete and np.count_nonzero(row_deg) <= 512
+            and np.count_nonzero(col_deg) <= 512):
+        global_cap = min(global_cap, float(top_values(_pairs_compact(rows, cols)[0])))
         complete = best_val >= global_cap - 1e-12
 
     if not complete:
-        search = _SubsetSearch(pairs, m, budget_cap)
+        search = _SubsetSearch(list(zip(rows.tolist(), cols.tolist())), m, budget_cap)
         search.best = best_val
-        search.best_set = best_set
+        search.best_set = tuple(star.tolist())
         complete = search.run(global_cap)
-        best_set = search.best_set
-    val, s, t = _pairs_norm([pairs[e] for e in best_set], n)
+        best_set = np.array(search.best_set, dtype=np.intp)
+    val, s, t = _pairs_norm(rows[best_set], cols[best_set], n)
     return RBracket(float(p), val, val if complete else global_cap, s, t, "exact01",
                     certified=complete)
 
@@ -422,21 +424,22 @@ def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
                     "heuristic", certified=False, loose_constants=True)
 
 
-def _magnitude(a: np.ndarray) -> float | None:
-    """The one value every nonzero |a_ij| takes (1.0 when there are none),
-    or None when they take several."""
-    mags = np.abs(a[a != 0.0])
-    if mags.size == 0:
-        return 1.0
-    return float(mags[0]) if np.all(mags == mags[0]) else None
+def _magnitude(stack: np.ndarray) -> np.ndarray:
+    """The one value every nonzero |a_ij| of each matrix of an (S, r, c)
+    stack takes: 0 when the matrix has no nonzero entry, NaN when they take
+    several values."""
+    mags = np.abs(stack).reshape(len(stack), -1)
+    top = mags.max(axis=1)
+    low = np.where(mags > 0.0, mags, np.inf).min(axis=1)
+    return np.where(low == top, top, np.where(top > 0.0, np.nan, 0.0))
 
 
 def r_estimate(A: WeightMatrix, p: float, config: EngineConfig = EngineConfig()) -> RBracket:
     """Dispatch: when every nonzero |a_ij| equals one c, the exact bracket
     of the 0/1 support scaled by c; surrogate ascent otherwise."""
-    c = _magnitude(A.entries) if A.is_square else None
-    if c is not None:
-        br = r_exact_01(_zero_one_pairs(A.entries), p, config.budget_cap)
+    c = float(_magnitude(A.entries[None])[0]) if A.is_square else math.nan
+    if not math.isnan(c):
+        br = _exact_01(*np.nonzero(A.entries), A.n_rows, p, config.budget_cap)
         return replace(br, lower=c * br.lower, upper=c * br.upper)
     return r_heuristic(A, p, restarts=config.restarts, seed=config.seed)
 
@@ -445,21 +448,17 @@ def r_estimate(A: WeightMatrix, p: float, config: EngineConfig = EngineConfig())
 # k-sweep term
 
 
-def _quick_r_lower(a: np.ndarray, p: float) -> tuple:
+def _quick_r_lower(a: np.ndarray, p: float) -> float:
     """Cheap surrogate value at an approximate top pair (for search only)."""
-    if not a.any():
-        return 0.0, None
     sigma, u, v = top_pair(a, steps=6)
     if sigma == 0.0:
-        return 0.0, None
-    return _surrogate_at(a, u, v, p), (u, v)
-
-
-def _proxy_after_removal(a: np.ndarray, pair, z: int, p: float) -> float:
-    """Surrogate at the current witness with row/col z zeroed out."""
-    if pair is None:
         return 0.0
-    u, v = pair
+    return _surrogate_at(a, u, v, p)
+
+
+def _proxy_after_removal(a: np.ndarray, u: np.ndarray, v: np.ndarray, z: int,
+                         p: float) -> float:
+    """Surrogate at the witness pair (u, v) with row/col z zeroed out."""
     u2 = u.copy()
     v2 = v.copy()
     u2[z] = 0.0
@@ -470,9 +469,13 @@ def _proxy_after_removal(a: np.ndarray, pair, z: int, p: float) -> float:
     return _surrogate_at(a, u2 / nu, v2 / nv, p)
 
 
-def _zero_one_pairs(sub: np.ndarray) -> EdgeSet:
-    ii, jj = np.nonzero(sub)
-    return EdgeSet(sub.shape[0], tuple(zip(ii.tolist(), jj.tolist())))
+def _support_lower(rows: np.ndarray, cols: np.ndarray, on: np.ndarray, n: int,
+                   p: float, config: EngineConfig) -> float:
+    """Search score of a 0/1 support of side n: the exact lower value at
+    moment p of the pairs (rows[e], cols[e]) selected by the mask `on`,
+    with a reduced node budget."""
+    budget = max(2000, config.budget_cap // 100)
+    return _exact_01(rows[on], cols[on], n, p, budget).lower
 
 
 def _full_estimates(A: WeightMatrix, keeps: list, p: float, config: EngineConfig) -> list:
@@ -486,14 +489,12 @@ def _full_estimates(A: WeightMatrix, keeps: list, p: float, config: EngineConfig
         return [0.0] * len(keeps)
     idx = np.array(keeps)
     stack = A.entries[idx[:, :, None], idx[:, None, :]]
-    mags = np.abs(stack).reshape(len(keeps), -1)
-    top = mags.max(axis=1)
-    low = np.where(mags > 0.0, mags, np.inf).min(axis=1)
+    mags = _magnitude(stack)
     scores = [0.0] * len(keeps)
-    for i in np.flatnonzero((top > 0.0) & (low == top)).tolist():
-        br = r_exact_01(_zero_one_pairs(stack[i]), p, config.budget_cap)
-        scores[i] = float(top[i]) * br.lower
-    general = np.flatnonzero(low < top)
+    for i in np.flatnonzero(mags > 0.0).tolist():
+        br = _exact_01(*np.nonzero(stack[i]), idx.shape[1], p, config.budget_cap)
+        scores[i] = float(mags[i]) * br.lower
+    general = np.flatnonzero(np.isnan(mags))
     if general.size:
         values, _, _ = _ascent(stack[general], p, max(1, config.restarts - 1),
                                config.seed, max_iters=8)
@@ -502,40 +503,18 @@ def _full_estimates(A: WeightMatrix, keeps: list, p: float, config: EngineConfig
     return scores
 
 
-def _search_score(sub: np.ndarray, drop: int | None, p: float, pair,
-                  on_support: bool, config: EngineConfig) -> float:
-    """Cheap but faithful score of the R estimate after dropping `drop`.
-
-    With `on_support` (every nonzero |a_ij| equal) the score is the real
-    subgraph search on the 0/1 support, unscaled, with a reduced node
-    budget; otherwise it falls back to the surrogate at the frozen
-    witness pair (zeroing the dropped coordinate).
-    """
-    if drop is not None and not on_support:
-        return _proxy_after_removal(sub, pair, drop, p)
-    if drop is not None:
-        keep = [i for i in range(sub.shape[0]) if i != drop]
-        sub = sub[np.ix_(keep, keep)]
-    if not sub.any():
-        return 0.0
-    if on_support:
-        budget = max(2000, config.budget_cap // 100)
-        return r_exact_01(_zero_one_pairs(sub), p, budget).lower
-    val, _ = _quick_r_lower(sub, p)
-    return val
-
-
-def _greedy_chain(A: WeightMatrix, p: float, steps: int, config: EngineConfig) -> list:
+def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
+                  config: EngineConfig) -> list:
     """Deterministic chain of single-index removals, most-reducing first.
 
     Candidates are shortlisted by row-plus-column mass and scored by a
-    cheap version of the R estimate after the removal (the real subgraph
-    search on the support when every nonzero |a_ij| is equal, a
-    frozen-witness surrogate otherwise), ties to the lowest index.  Returns
-    the removal order (length <= steps).
+    cheap version of the R estimate after the removal, ties to the lowest
+    index: with `on_support` (every nonzero |a_ij| equal) the subgraph
+    search on the step's support index arrays with row and column z masked
+    out, otherwise the surrogate at the step's 6-power-step top pair with
+    coordinate z zeroed.  Returns the removal order (length <= steps).
     """
     n = A.n_rows
-    on_support = _magnitude(A.entries) is not None
     keep = list(range(n))
     removed = []
     a = A.entries
@@ -547,9 +526,10 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, config: EngineConfig) -
             removed.extend(keep.copy())
             del keep[:]
             break
-        pair = None
-        if not on_support:
-            _, pair = _quick_r_lower(sub, p)
+        if on_support:
+            rows, cols = np.nonzero(sub)
+        else:
+            sigma, u, v = top_pair(sub, steps=6)
         mass = (sub * sub).sum(axis=1) + (sub * sub).sum(axis=0)
         if len(keep) > SHORTLIST_SIZE:
             shortlist_local = np.argsort(-mass, kind="stable")[:SHORTLIST_SIZE]
@@ -559,7 +539,11 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, config: EngineConfig) -
         best_score = math.inf
         best_local = shortlist_local[0]
         for z in shortlist_local:
-            score = _search_score(sub, z, p, pair, on_support, config)
+            if on_support:
+                score = _support_lower(rows, cols, (rows != z) & (cols != z),
+                                       len(keep), p, config)
+            else:
+                score = _proxy_after_removal(sub, u, v, z, p) if sigma != 0.0 else 0.0
             if score < best_score - 1e-12:
                 best_score = score
                 best_local = z
@@ -595,12 +579,15 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
     Up to EXACT_FULL_N indices every enumerated subset gets the full
     estimate, the general-weight ones of a grid point as one batched
     surrogate ascent over their same-shape submatrices (`_full_estimates`);
-    beyond, only the winner of the cheap search score does.
+    beyond, only the winner of the cheap search score does.  On a
+    one-magnitude support that score is the exact search on the support's
+    index arrays with the removed rows and columns masked out.
     """
     if not A.is_square:
         raise ValueError("k-sweep needs a square matrix")
     n = A.n_rows
-    on_support = _magnitude(A.entries) is not None
+    on_support = not np.isnan(_magnitude(A.entries[None])[0])
+    rows, cols = np.nonzero(A.entries)
     table = []
     chains: dict = {}
     published: dict = {}  # p -> best (smallest) value so far at that moment
@@ -614,9 +601,12 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
             keeps = [_complement(n, combo) for combo in combos]
             if n <= EXACT_FULL_N:
                 scores = _full_estimates(A, keeps, p, config)
+            elif on_support:
+                scores = [_support_lower(rows, cols,
+                                         ~(np.isin(rows, combo) | np.isin(cols, combo)),
+                                         n, p, config) for combo in combos]
             else:
-                scores = [_search_score(A.entries[np.ix_(keep, keep)], None, p, None,
-                                        on_support, config) for keep in keeps]
+                scores = [_quick_r_lower(A.entries[np.ix_(keep, keep)], p) for keep in keeps]
             best = math.inf
             removed = []
             for combo, v in zip(combos, scores):
@@ -632,7 +622,7 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
             steps = min(k, GREEDY_STEP_CAP)
             chain = chains.get(p)
             if chain is None or len(chain) < steps:
-                chain = _greedy_chain(A, p, steps, config)
+                chain = _greedy_chain(A, p, steps, on_support, config)
                 chains[p] = chain
             removed = chain[:steps]
             keep = _complement(n, removed)
@@ -711,14 +701,31 @@ class BoundProfile:
 
 
 def bound_profile(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> BoundProfile:
-    """Evaluate every named bound and the two-sided profile for A."""
+    """Evaluate every named bound and the two-sided profile for A.
+
+    When max|a_ij| = m 2^e with m in [1/2, 1) and |e| > PROFILE_EXPONENT_MAX,
+    the bounds are taken of 2^-e A and every magnitude is scaled back by 2^e.
+    """
     if not A.is_square:
         raise ValueError("bound profiles are defined for square matrices")
+    e = math.frexp(A.max_abs())[1]
+    if abs(e) > PROFILE_EXPONENT_MAX:
+        A = WeightMatrix(np.ldexp(A.entries, -e), symmetric=A.symmetric)
+    else:
+        e = 0
+
+    def up(x):
+        return float(np.ldexp(x, e))
+
     n = A.n_rows
-    row, col = max_row_col_l2(A)
+    row, col = map(up, max_row_col_l2(A))
     degree = derive_graph(A).max_degree
     r_logn = r_estimate(A, log_clamped(n), config)
+    r_logn = replace(r_logn, lower=up(r_logn.lower), upper=up(r_logn.upper))
     ks_value, ks_table = ksweep_term(A, config)
+    ks_value = up(ks_value)
+    for entry in ks_table:
+        entry["value"] = up(entry["value"])
     profile = row + col + ks_value
     loglog_d = log_clamped(log_clamped(degree))
     logloglog_n = log_clamped(log_clamped(log_clamped(n)))
@@ -726,11 +733,11 @@ def bound_profile(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> Bou
         n=n,
         row_max=row,
         col_max=col,
-        max_abs=A.max_abs(),
+        max_abs=up(A.max_abs()),
         degree=degree,
-        seginer=seginer_bound(A),
-        bvh=bvh_bound(A),
-        trivial_degree=trivial_degree_bound(A),
+        seginer=up(seginer_bound(A)),
+        bvh=up(bvh_bound(A)),
+        trivial_degree=up(trivial_degree_bound(A)),
         r_logn=r_logn,
         ksweep_value=ks_value,
         ksweep_table=ks_table,

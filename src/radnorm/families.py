@@ -157,6 +157,32 @@ def moore_bound(d: int, g: int) -> int:
     return int(total)
 
 
+def _random_insertion(n: int, d: int, seed: int, attempt_factor: int, rejects) -> tuple:
+    """(adj, deg, edges) of a graph of max degree <= d on [n], grown by
+    inserting random pairs (v, w) unless `rejects(adj, v, w)` holds."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    adj = [set() for _ in range(n)]
+    deg = [0] * n
+    edges = []
+    misses = 0
+    for _ in range(attempt_factor * n * max(d, 1)):
+        if misses > 50 * n:
+            break
+        v, w = int(gen.integers(n)), int(gen.integers(n))
+        if v == w or deg[v] >= d or deg[w] >= d or w in adj[v] or rejects(adj, v, w):
+            misses += 1
+            continue
+        adj[v].add(w)
+        adj[w].add(v)
+        deg[v] += 1
+        deg[w] += 1
+        edges.append((v, w))
+        misses = 0
+    if not edges:
+        raise GenerationError("random insertion produced no edges")
+    return adj, deg, edges
+
+
 def large_girth_instance(n: int, d: int, g_target: int, seed: int,
                          attempt_factor: int = 60) -> FamilyInstance:
     """Graph with max degree <= d and girth >= g_target, by random edge
@@ -169,31 +195,12 @@ def large_girth_instance(n: int, d: int, g_target: int, seed: int,
         raise ValueError(
             f"no d={d}-regular-degree graph of girth {g_target} fits in n={n} vertices"
         )
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    adj = [set() for _ in range(n)]
-    deg = [0] * n
-    edges = []
-    misses = 0
-    attempts = attempt_factor * n * max(d, 1)
-    for _ in range(attempts):
-        if misses > 50 * n:
-            break
-        v, w = int(gen.integers(n)), int(gen.integers(n))
-        if v == w or deg[v] >= d or deg[w] >= d or w in adj[v]:
-            misses += 1
-            continue
+
+    def closes_short_cycle(adj, v, w):
         # adding (v, w) closes a cycle of length dist(v, w) + 1
-        if w in bfs_distances(adj, v, g_target - 2):
-            misses += 1
-            continue
-        adj[v].add(w)
-        adj[w].add(v)
-        deg[v] += 1
-        deg[w] += 1
-        edges.append((v, w))
-        misses = 0
-    if not edges:
-        raise GenerationError("random insertion produced no edges")
+        return w in bfs_distances(adj, v, g_target - 2)
+
+    adj, deg, edges = _random_insertion(n, d, seed, attempt_factor, closes_short_cycle)
     E = _graph_edge_set(n, edges)
     G = GraphView(n, tuple(tuple(sorted(s)) for s in adj))
     if girth(G) < g_target or max(deg) > d:
@@ -212,34 +219,18 @@ def one_cycle_neighborhood_instance(n: int, d: int, r: int, seed: int,
         raise ValueError("need d >= 1 and r >= 1")
     if n > MAX_SIZE:
         raise CapExceededError(f"n={n} exceeds the size cap")
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    adj = [set() for _ in range(n)]
-    deg = [0] * n
-    edges = []
-    misses = 0
 
-    for _ in range(attempt_factor * n * max(d, 1)):
-        if misses > 50 * n:
-            break
-        v, w = int(gen.integers(n)), int(gen.integers(n))
-        if v == w or deg[v] >= d or deg[w] >= d or w in adj[v]:
-            misses += 1
-            continue
+    def tangles(adj, v, w):
         adj[v].add(w)
         adj[w].add(v)
         # a new tangle must involve the new edge, so only balls near it move
         affected = bfs_distances(adj, v, r).keys() | bfs_distances(adj, w, r).keys()
-        if any(_cycle_space_dim(adj, bfs_distances(adj, u, r)) > 1 for u in affected):
-            adj[v].discard(w)
-            adj[w].discard(v)
-            misses += 1
-            continue
-        deg[v] += 1
-        deg[w] += 1
-        edges.append((v, w))
-        misses = 0
-    if not edges:
-        raise GenerationError("random insertion produced no edges")
+        bad = any(_cycle_space_dim(adj, bfs_distances(adj, u, r)) > 1 for u in affected)
+        adj[v].discard(w)
+        adj[w].discard(v)
+        return bad
+
+    adj, deg, edges = _random_insertion(n, d, seed, attempt_factor, tangles)
     E = _graph_edge_set(n, edges)
     G = GraphView(n, tuple(tuple(sorted(s)) for s in adj))
     if not is_tangle_free(G, r) or max(deg) > d:

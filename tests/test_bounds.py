@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,3 +369,29 @@ class TestProfileInvariance:
         for j in (-30, 30):
             got = bound_profile(WeightMatrix(np.ldexp(a, j))).lower_profile
             assert got == np.ldexp(base, j)
+
+    @pytest.mark.parametrize("j", [-660, 660])
+    def test_extreme_scale_is_exact_and_finite(self, j):
+        # general weights with max|a| in [1/2, 1); the low threshold gives
+        # greedy rows as well as exact ones
+        g = np.random.default_rng(8).standard_normal((12, 12))
+        a = 0.75 * g / np.abs(g).max()
+        config = EngineConfig(exact_threshold=20)
+        base = bound_profile(WeightMatrix(a), config).to_json_dict()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bound_profile(WeightMatrix(np.ldexp(a, j)), config).to_json_dict()
+        json.dumps(got, allow_nan=False)
+        for key in ("row_max", "col_max", "max_abs", "seginer", "bvh", "trivial_degree",
+                    "lower_profile", "conjectured_upper_profile", "loglog_degree_upper",
+                    "logloglog_upper"):
+            assert got[key] == np.ldexp(base[key], j), key
+        for key in ("lower", "upper"):
+            assert got["r_logn"][key] == np.ldexp(base["r_logn"][key], j)
+        assert got["ksweep"]["value"] == np.ldexp(base["ksweep"]["value"], j)
+        modes = set()
+        for row, ref in zip(got["ksweep"]["table"], base["ksweep"]["table"], strict=True):
+            assert row["value"] == np.ldexp(ref["value"], j)
+            assert (row["removed"], row["mode"]) == (ref["removed"], ref["mode"])
+            modes.add(row["mode"])
+        assert {"exact", "greedy"} <= modes

@@ -1,6 +1,7 @@
 """The fast part of the golden command set: CLI stdout and exit codes on
-inputs of side <= 16 equal the recorded outputs in tests/golden/, byte for
-byte.  The whole set runs with `python3 scripts/golden.py check`."""
+inputs of side <= 16, and on one n = 128 profile of a 0/1 support, equal
+the recorded outputs in tests/golden/, byte for byte.  The whole set runs
+with `python3 scripts/golden.py check`."""
 
 import importlib.util
 import pathlib

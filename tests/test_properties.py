@@ -7,7 +7,9 @@ exactly: both hold bit for bit, so the checks use array equality.  The
 block plan must also give the norm of the whole dense realization.  The
 exact subgraph value and the exact expectation must respect the
 symmetries of the quantity (transpose, row and column permutations, sign
-flips), up to rounding in the order of summation.
+flips), up to rounding in the order of summation, and the exact value of
+a support masked out of a larger one must equal that of the extracted
+submatrix bit for bit.
 """
 
 from unittest import mock
@@ -21,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radnorm import sampler, streams
-from radnorm.bounds import r_exact_01
+from radnorm.bounds import _exact_01, r_exact_01
 from radnorm.core import EdgeSet, WeightMatrix
 from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation
 from radnorm.spectral import top_values
@@ -128,6 +130,42 @@ def test_exact_01_invariant_under_transpose_and_permutations(case):
         br = r_exact_01(EdgeSet(n, tuple(other)), p)
         assert br.certified
         np.testing.assert_allclose(br.lower, base.lower, rtol=1e-12, atol=0)
+
+
+@st.composite
+def masked_supports(draw):
+    """(support, kept, p, budget): a sparse 0/1 support of side <= 12, the indices
+    kept after dropping one of them or a random proper subset, a moment and
+    a node budget small enough to truncate some searches."""
+    n = draw(st.integers(2, 12))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    support = np.zeros((n, n), dtype=bool)
+    support[tuple(np.array(cells, dtype=int).reshape(-1, 2).T)] = True
+    dropped = draw(st.one_of(st.integers(0, n - 1).map(lambda z: [z]),
+                             st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True)))
+    kept = [i for i in range(n) if i not in dropped]
+    p = draw(st.integers(1, 6))
+    budget = draw(st.sampled_from([3, 30, 200_000]))
+    return support, kept, p, budget
+
+
+@PROPERTY_SETTINGS
+@given(case=masked_supports())
+def test_masked_support_equals_extracted_submatrix(case):
+    # the k-sweep scores a removal on the full support's index arrays with
+    # the dropped rows and columns masked out, never relabelled
+    support, kept, p, budget = case
+    n = len(support)
+    rows, cols = np.nonzero(support)
+    on = np.isin(rows, kept) & np.isin(cols, kept)
+    got = _exact_01(rows[on], cols[on], n, p, budget)
+    ii, jj = np.nonzero(support[np.ix_(kept, kept)])
+    want = r_exact_01(EdgeSet(len(kept), tuple(zip(ii.tolist(), jj.tolist()))), p, budget)
+    assert (got.lower, got.upper, got.certified) == (want.lower, want.upper, want.certified)
+    for g, w in ((got.witness_s, want.witness_s), (got.witness_t, want.witness_t)):
+        assert np.array_equal(g[kept], w)
+        assert not np.delete(g, kept).any()
 
 
 @st.composite

@@ -4,7 +4,9 @@ Top singular values and pairs come from the spectral kernel, and the
 brute-force oracles keep their own independent SVD.  Exhaustive sign
 patterns come from `core.sign_patterns`, and breadth-first search from
 `core.bfs_distances`.  A new copy of any of them elsewhere in the package
-fails here, so a change of method stays a one-file change.
+fails here, so a change of method stays a one-file change.  Edge sets are
+built only where a support enters or leaves the program (input, families,
+scenarios, output); the bound engine carries supports as index arrays.
 Comments and string literals are ignored.  Every `EngineConfig` knob is
 also a `profile` flag, so no knob is left that no caller sets.
 """
@@ -29,6 +31,8 @@ RULES = {
     "power iteration on A^T A": (re.compile(r"\.T\s*@\s*\("), {"spectral.py"}),
     "sign-pattern bit trick": (re.compile(r"\[\s*:\s*,\s*None\s*\]\s*>>"), {"core.py"}),
     "BFS frontier loop": (re.compile(r"frontier\s*=\s*nxt"), {"core.py"}),
+    "edge-set construction": (re.compile(r"\bEdgeSet(\(|\.from_)"),
+                              {"core.py", "families.py", "scenarios.py", "cli.py", "matio.py"}),
 }
 
 
