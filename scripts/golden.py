@@ -8,16 +8,19 @@ tests/golden/<name>.out and all exit codes to tests/golden/exit_codes.json.
 Re-record only for an intended output change.  `check` runs the same
 commands and reports every one whose stdout or exit code differs; it exits
 1 when any does.  `--jobs N` runs the commands in N worker processes.
-tests/test_golden.py checks the commands marked fast, each well under a
-second: inputs of side <= 16, plus the n = 128 one-magnitude profile
+tests/test_golden.py checks the 72 commands marked fast, each well under
+a second: inputs of side <= 16, plus the n = 128 one-magnitude profile
 `bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
-enumerated and greedy rows on its 0/1 support.
+enumerated and greedy rows on its 0/1 support, and the `family` and
+`oracle` commands.
 
-The set covers every square input of side <= 64 in the three corpora
-(default flags, --exact-threshold 150 and --restarts 1), the benchmark's
-profile operations, --budget-cap, --exact-threshold and --seed variants,
-scaled and one-magnitude inputs, the path P3 and the cycle C4, `mc` in
-all three modes, every `verify` scenario, and the error exits.
+The 194 commands cover every square input of side <= 64 in the three
+corpora (default flags, --exact-threshold 150 and --restarts 1), the
+benchmark's profile operations, --budget-cap, --exact-threshold and
+--seed variants, scaled and one-magnitude inputs, the path P3 and the
+cycle C4, `mc` in all three modes, every `verify` scenario, one small
+`family` instance per generator, the three `oracle` quantities, and the
+error exits.
 
 Commands run in-process through `radnorm.cli.main`, with input files
 written to `inputs/` under a scratch working directory (default
@@ -187,6 +190,25 @@ def commands() -> list:
         if scenario in ("union_complete_regimes", "block_counterexample"):
             argv += ["--n-cap", "64"]
         add(f"verify.{scenario}", argv, False)
+
+    # one small instance per family generator
+    for name, argv in (
+            ("union_complete", ["--m", "2", "--d", "3"]),
+            ("random_regular", ["--n", "10", "--d", "3", "--seed", "4"]),
+            ("large_girth", ["--n", "20", "--d", "3", "--g-target", "5", "--seed", "2"]),
+            ("one_cycle_neighborhood", ["--n", "16", "--d", "3", "--r", "2", "--seed", "3"]),
+            ("block_plus_singletons", ["--n", "8", "--d", "3"]),
+            ("circulant", ["--b", "1,0.5,-0.25,2"])):
+        add(f"family.{name}", ["family", "--family", name] + argv, True)
+
+    # the brute-force oracles on tiny inputs
+    add("oracle.subgraph_norm.C4", ["oracle", "--input", _path("C4"),
+                                    "--quantity", "subgraph_norm", "--p", "3"], True)
+    add("oracle.exact_expectation.P3",
+        ["oracle", "--input", _path("P3"), "--quantity", "exact_expectation",
+         "--mode", "rademacher_symmetric"], True)
+    add("oracle.x_quantity.P3", ["oracle", "--input", _path("P3"),
+                                 "--quantity", "x_quantity"], True)
 
     # error exits: parse and usage errors (2) and a resource cap (3)
     add("error.missing_input", ["profile", "--input", "inputs/missing.json"], True)

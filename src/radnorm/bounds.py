@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import EdgeSet, WeightMatrix, derive_graph, log_clamped
 from .moments import hitczenko_surrogate, surrogate_rows, water_fill
-from .spectral import max_row_col_l2, top_pair, top_values
+from .spectral import FULL_DECOMPOSITION_MAX, max_row_col_l2, top_pair, top_values
 from . import streams
 
 
@@ -64,7 +64,8 @@ class RBracket:
     exact01 mode: lower == upper == the exact subgraph-search value when
     certified; a search that runs out of node budget keeps lower at the
     best value found and upper at the cheap cap it searched against,
-    certified=False.
+    certified=False, as does a best set beyond the exact kernel's side,
+    whose norm is a power estimate.
     heuristic mode: lower is a surrogate value (constant-level only) and
     upper is the crude cap row + col + sqrt(p) max|a|; both carry
     loose_constants=True.
@@ -136,14 +137,15 @@ def _pairs_compact(rows: np.ndarray, cols: np.ndarray) -> tuple:
 
 def _pairs_norm(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
     """Spectral norm of the 0/1 indicator of the pairs (rows[e], cols[e]),
-    at least one, with witnesses embedded into length-n vectors."""
+    at least one, with witnesses embedded into length-n vectors, and
+    whether it is exact (side <= FULL_DECOMPOSITION_MAX) or a power estimate."""
     m, ur, uc = _pairs_compact(rows, cols)
     sigma, u, v = top_pair(m)
     s = np.zeros(n)
     t = np.zeros(n)
     s[ur] = u
     t[uc] = v
-    return sigma, s, t
+    return sigma, s, t, max(m.shape) <= FULL_DECOMPOSITION_MAX
 
 
 class _BudgetExhausted(Exception):
@@ -230,8 +232,9 @@ def r_exact_01(E: EdgeSet, p: float, budget_cap: int = 200_000) -> RBracket:
     or column and stopped as soon as the best value reaches the cheap cap
     (sqrt(m), the capped row and column degrees, and the whole-set norm
     when it is cheap to get).  A search that exhausts `budget_cap` nodes
-    returns the best value found with certified=False and the cap as upper.
-    Runs as `_exact_01` on the pairs as row and column index arrays.
+    returns the best value found with certified=False and the cap as upper,
+    as does a best set beyond the exact kernel's side.  Runs as `_exact_01`
+    on the pairs as row and column index arrays.
     """
     edges = np.array(E.pairs, dtype=np.intp).reshape(-1, 2)
     return _exact_01(edges[:, 0], edges[:, 1], E.n, p, budget_cap)
@@ -251,8 +254,10 @@ def _exact_01(rows: np.ndarray, cols: np.ndarray, n: int, p: float,
         return RBracket(float(p), 0.0, 0.0, z, z, "exact01")
 
     if m >= rows.size:
-        full_val, full_s, full_t = _pairs_norm(rows, cols, n)
-        return RBracket(float(p), full_val, full_val, full_s, full_t, "exact01")
+        val, s, t, exact = _pairs_norm(rows, cols, n)
+        # a power estimate is capped by sqrt(max row degree * max col degree)
+        upper = val if exact else math.sqrt(np.bincount(rows).max() * np.bincount(cols).max())
+        return RBracket(float(p), val, upper, s, t, "exact01", certified=exact)
 
     row_deg = np.bincount(rows)
     col_deg = np.bincount(cols)
@@ -271,8 +276,8 @@ def _exact_01(rows: np.ndarray, cols: np.ndarray, n: int, p: float,
     complete = best_val >= global_cap - 1e-12
 
     # the whole-set norm tightens the cap when it is cheap to get
-    if (not complete and np.count_nonzero(row_deg) <= 512
-            and np.count_nonzero(col_deg) <= 512):
+    if (not complete and np.count_nonzero(row_deg) <= FULL_DECOMPOSITION_MAX
+            and np.count_nonzero(col_deg) <= FULL_DECOMPOSITION_MAX):
         global_cap = min(global_cap, float(top_values(_pairs_compact(rows, cols)[0])))
         complete = best_val >= global_cap - 1e-12
 
@@ -282,9 +287,10 @@ def _exact_01(rows: np.ndarray, cols: np.ndarray, n: int, p: float,
         search.best_set = tuple(star.tolist())
         complete = search.run(global_cap)
         best_set = np.array(search.best_set, dtype=np.intp)
-    val, s, t = _pairs_norm(rows[best_set], cols[best_set], n)
-    return RBracket(float(p), val, val if complete else global_cap, s, t, "exact01",
-                    certified=complete)
+    val, s, t, exact = _pairs_norm(rows[best_set], cols[best_set], n)
+    certified = complete and exact
+    return RBracket(float(p), val, val if certified else global_cap, s, t, "exact01",
+                    certified=certified)
 
 
 # ---------------------------------------------------------------------------

@@ -269,15 +269,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    # first: LinAlgError is a ValueError
+    except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CapExceededError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -218,10 +218,6 @@ class GraphView:
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self.adjacency), default=0)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
     def edges(self):
         """Undirected edges as (v, w) with v < w."""
         for v, nbrs in enumerate(self.adjacency):
@@ -313,19 +309,11 @@ class LevelSets:
     Bucket k >= 1 holds the indices i with base^(-k) < |s_i| <= base^(1-k).
     Zero coordinates land in no bucket.  With base = e this is the e-grid
     decomposition shifted by one (bucket k here is the set with exponent
-    k - 1 in the zero-started convention); `index_shift` records that
-    offset so both conventions are reachable.
+    k - 1 in the zero-started convention).
     """
 
     base: float
     buckets: dict
-    index_shift: int = 1
-
-    def bucket_of(self, k: int) -> tuple:
-        return self.buckets.get(k, ())
-
-    def support_size(self) -> int:
-        return sum(len(v) for v in self.buckets.values())
 
     def weighted_mass(self) -> float:
         """Sum over buckets of base^(-2k) |I_k| (always <= ||s||_2^2)."""

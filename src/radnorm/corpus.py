@@ -51,8 +51,8 @@ def _band(n: int, width: int, seed: int) -> WeightMatrix:
     return WeightMatrix(a, symmetric=True)
 
 
-def corpus_mixed(n_max: int = 256) -> list:
-    """30 matrices: example families plus random weights, sides <= n_max."""
+def corpus_mixed() -> list:
+    """30 matrices: example families plus random weights, sides <= 256."""
     items = []
     for m, d in [(2, 1), (4, 2), (8, 3), (16, 3), (8, 7), (4, 15)]:
         inst = union_complete(m, d)
@@ -86,11 +86,11 @@ def corpus_mixed(n_max: int = 256) -> list:
     x = np.abs(_gen(74).standard_normal((40, 40))) ** 3
     items.append(("heavy_n40", WeightMatrix(_zero_diag(x))))
     assert len(items) == 30
-    assert all(m.n_rows <= n_max for _, m in items)
+    assert all(m.n_rows <= 256 for _, m in items)
     return items
 
 
-def corpus_symmetric(n_max: int = 64) -> list:
+def corpus_symmetric() -> list:
     """10 symmetric matrices, K_8 included."""
     items = []
     items.append(("complete_k8", union_complete(1, 7).weight_matrix()))
@@ -106,14 +106,14 @@ def corpus_symmetric(n_max: int = 64) -> list:
     b[8] = 1.0
     items.append(("circulant_sym_n16", circulant(b).weight_matrix()))
     assert len(items) == 10
-    assert all(m.n_rows <= n_max for _, m in items)
+    assert all(m.n_rows <= 64 for _, m in items)
     for _, m in items:
         assert np.array_equal(m.entries, m.entries.T)
     return items
 
 
-def corpus_zero_one(n_max: int = 128) -> list:
-    """0/1 matrices with sides <= n_max."""
+def corpus_zero_one() -> list:
+    """0/1 matrices with sides <= 128."""
     items = []
     for m, d in [(4, 2), (8, 3), (16, 7)]:
         items.append((f"union_complete_m{m}_d{d}", union_complete(m, d).weight_matrix()))
@@ -127,5 +127,5 @@ def corpus_zero_one(n_max: int = 128) -> list:
     b = np.zeros(32)
     b[1] = b[2] = 1.0
     items.append(("circulant01_n32", circulant(b).weight_matrix()))
-    assert all(m.is_zero_one() and m.n_rows <= n_max for _, m in items)
+    assert all(m.is_zero_one() and m.n_rows <= 128 for _, m in items)
     return items

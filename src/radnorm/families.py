@@ -29,6 +29,11 @@ from .core import (
 )
 
 
+#: Pairing-model restarts in random_regular; draws per n * d in _random_insertion.
+_PAIRING_RESTARTS = 2000
+_INSERTION_ATTEMPTS = 60
+
+
 class GenerationError(RuntimeError):
     """A randomized construction stalled or exhausted its retry budget."""
 
@@ -108,7 +113,7 @@ def union_complete(m: int, d: int) -> FamilyInstance:
     )
 
 
-def random_regular(n: int, d: int, seed: int, max_restarts: int = 2000) -> FamilyInstance:
+def random_regular(n: int, d: int, seed: int) -> FamilyInstance:
     """Simple d-regular graph via the pairing model with full restarts.
 
     Half-edges are matched uniformly; any self-loop or repeated edge
@@ -121,7 +126,7 @@ def random_regular(n: int, d: int, seed: int, max_restarts: int = 2000) -> Famil
     if n > MAX_SIZE:
         raise CapExceededError(f"n={n} exceeds the size cap")
     gen = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(max_restarts):
+    for _ in range(_PAIRING_RESTARTS):
         points = np.repeat(np.arange(n), d)
         gen.shuffle(points)
         edges = set()
@@ -141,14 +146,14 @@ def random_regular(n: int, d: int, seed: int, max_restarts: int = 2000) -> Famil
                 seed=seed,
             )
     raise GenerationError(
-        f"pairing model exhausted {max_restarts} restarts for n={n}, d={d}"
+        f"pairing model exhausted {_PAIRING_RESTARTS} restarts for n={n}, d={d}"
     )
 
 
 def moore_bound(d: int, g: int) -> int:
     """Minimum vertex count admitting a d-regular graph of girth g."""
     if d < 2:
-        return 1 if g < math.inf else 1
+        return 1
     r = (g - 1) // 2
     if g % 2 == 1:
         total = 1 + sum(d * (d - 1) ** i for i in range(r))
@@ -157,7 +162,7 @@ def moore_bound(d: int, g: int) -> int:
     return int(total)
 
 
-def _random_insertion(n: int, d: int, seed: int, attempt_factor: int, rejects) -> tuple:
+def _random_insertion(n: int, d: int, seed: int, rejects) -> tuple:
     """(adj, deg, edges) of a graph of max degree <= d on [n], grown by
     inserting random pairs (v, w) unless `rejects(adj, v, w)` holds."""
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -165,7 +170,7 @@ def _random_insertion(n: int, d: int, seed: int, attempt_factor: int, rejects) -
     deg = [0] * n
     edges = []
     misses = 0
-    for _ in range(attempt_factor * n * max(d, 1)):
+    for _ in range(_INSERTION_ATTEMPTS * n * max(d, 1)):
         if misses > 50 * n:
             break
         v, w = int(gen.integers(n)), int(gen.integers(n))
@@ -183,8 +188,7 @@ def _random_insertion(n: int, d: int, seed: int, attempt_factor: int, rejects) -
     return adj, deg, edges
 
 
-def large_girth_instance(n: int, d: int, g_target: int, seed: int,
-                         attempt_factor: int = 60) -> FamilyInstance:
+def large_girth_instance(n: int, d: int, g_target: int, seed: int) -> FamilyInstance:
     """Graph with max degree <= d and girth >= g_target, by random edge
     insertion that rejects any edge closing a short cycle."""
     if d < 1 or g_target < 3:
@@ -200,7 +204,7 @@ def large_girth_instance(n: int, d: int, g_target: int, seed: int,
         # adding (v, w) closes a cycle of length dist(v, w) + 1
         return w in bfs_distances(adj, v, g_target - 2)
 
-    adj, deg, edges = _random_insertion(n, d, seed, attempt_factor, closes_short_cycle)
+    adj, deg, edges = _random_insertion(n, d, seed, closes_short_cycle)
     E = _graph_edge_set(n, edges)
     G = GraphView(n, tuple(tuple(sorted(s)) for s in adj))
     if girth(G) < g_target or max(deg) > d:
@@ -211,8 +215,7 @@ def large_girth_instance(n: int, d: int, g_target: int, seed: int,
     )
 
 
-def one_cycle_neighborhood_instance(n: int, d: int, r: int, seed: int,
-                                    attempt_factor: int = 60) -> FamilyInstance:
+def one_cycle_neighborhood_instance(n: int, d: int, r: int, seed: int) -> FamilyInstance:
     """Graph of max degree <= d whose radius-r balls each hold at most one
     cycle, grown by insertion with a local tangle check."""
     if d < 1 or r < 1:
@@ -230,7 +233,7 @@ def one_cycle_neighborhood_instance(n: int, d: int, r: int, seed: int,
         adj[w].discard(v)
         return bad
 
-    adj, deg, edges = _random_insertion(n, d, seed, attempt_factor, tangles)
+    adj, deg, edges = _random_insertion(n, d, seed, tangles)
     E = _graph_edge_set(n, edges)
     G = GraphView(n, tuple(tuple(sorted(s)) for s in adj))
     if not is_tangle_free(G, r) or max(deg) > d:

@@ -202,22 +202,19 @@ def scenario_block_counterexample(samples=2000, seed=1, threads=1, n=2048) -> Sc
     return _report("block_counterexample", samples, seed, points)
 
 
-def scenario_circulant_chain(samples=600, seed=1, threads=1, n=64,
-                             b_vectors=None) -> ScenarioReport:
+def scenario_circulant_chain(samples=600, seed=1, threads=1) -> ScenarioReport:
     """Sandwich check for circulant weights: ||b||_2 + R(Log n) below the
-    Monte Carlo mean (up to constants) and the triple-log multiple above.
+    Monte Carlo mean (up to constants) and the triple-log multiple above,
+    for the eight basis vectors b = e_k of length n = 64.
     """
-    if b_vectors is None:
-        b_vectors = []
-        for k in range(8):
-            b = np.zeros(n)
-            b[k] = 1.0
-            b_vectors.append(b)
+    n = 64
     config = EngineConfig()
     log_n = log_clamped(n)
     lll = log_clamped(log_clamped(log_clamped(n)))
     points = []
-    for k, b in enumerate(b_vectors):
+    for k in range(8):
+        b = np.zeros(n)
+        b[k] = 1.0
         inst = circulant(b)
         inst = dataclasses.replace(inst, params={"n": inst.params["n"], "index": k})
         A = inst.weight_matrix()

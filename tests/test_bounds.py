@@ -143,6 +143,22 @@ class TestRExact01:
         want = float(np.linalg.svd(E.indicator().entries, compute_uv=False)[0])
         assert r_exact_01(E, 10).lower == pytest.approx(want)
 
+    def test_beyond_exact_side_is_not_certified(self):
+        # K_{20,20} + K_{18,20} + 500 diagonal singletons: side 540 is past
+        # the full decomposition, and the gap 20 vs sqrt(360) is too small
+        # for the fixed power steps to reach 20 exactly
+        pairs = [(i, j) for i in range(20) for j in range(20)]
+        pairs += [(20 + i, 20 + j) for i in range(18) for j in range(20)]
+        pairs += [(i, i) for i in range(40, 540)]
+        E = EdgeSet(540, tuple(pairs))
+        want = float(np.linalg.svd(E.indicator().entries, compute_uv=False)[0])
+        br = r_exact_01(E, len(pairs))
+        assert br.lower <= want
+        if br.certified:
+            assert br.lower == pytest.approx(want, rel=0, abs=1e-12)
+        else:
+            assert br.upper >= want
+
     def test_branch_and_bound_equals_enumeration(self):
         # exercise the connected-subset search itself against the dumb
         # oracle, |E| <= 12 and p <= 6

@@ -7,9 +7,11 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from radnorm import cli
 from radnorm.cli import main
 from radnorm.core import EdgeSet, WeightMatrix
 from radnorm.matio import dump_json
+from radnorm.spectral import ConvergenceError
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -88,6 +90,20 @@ class TestProfileCommand:
 
     def test_directory_out_exit_2(self, k3_file, tmp_path):
         assert main(["profile", "--input", k3_file, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("exc", [ConvergenceError("no convergence", 1.0),
+                                     FloatingPointError("overflow"),
+                                     np.linalg.LinAlgError("SVD did not converge")])
+    def test_numeric_failure_exit_4(self, k3_file, monkeypatch, capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "bound_profile", fail)
+        assert main(["profile", "--input", k3_file]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", [("--restarts", "0"), ("--restarts", "-2"),
                                       ("--budget-cap", "0"), ("--budget-cap", "-5"),

@@ -1,6 +1,7 @@
-"""The fast part of the golden command set: CLI stdout and exit codes on
-inputs of side <= 16, and on one n = 128 profile of a 0/1 support, equal
-the recorded outputs in tests/golden/, byte for byte.  The whole set runs
+"""The fast part of the golden command set, 72 of its 194 commands: CLI
+stdout and exit codes on inputs of side <= 16, on one n = 128 profile of
+a 0/1 support, and of the small `family` and `oracle` commands, equal the
+recorded outputs in tests/golden/, byte for byte.  The whole set runs
 with `python3 scripts/golden.py check`."""
 
 import importlib.util
@@ -21,7 +22,7 @@ def load_golden():
 def test_fast_golden_commands_match(tmp_path):
     golden = load_golden()
     cmds = [c for c in golden.commands() if c.fast]
-    assert len(cmds) >= 50
+    assert len(cmds) >= 70
     results = golden.run_all(cmds, tmp_path, jobs=1)
     assert golden.mismatches(cmds, results) == []
 

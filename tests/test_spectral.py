@@ -7,6 +7,8 @@ from radnorm.core import WeightMatrix
 from radnorm.spectral import (
     FULL_DECOMPOSITION_MAX,
     ConvergenceError,
+    _power_pair,
+    _start_vector,
     max_row_col_l2,
     spectral_norm,
     top_pair,
@@ -37,7 +39,7 @@ class TestSpectralNorm:
             n = int(rng.integers(2, 33))
             m = int(rng.integers(2, 33))
             a = rng.standard_normal((n, m))
-            got = spectral_norm(WeightMatrix(a), method="power").value
+            got = _power_pair(a)[0]
             want = float(np.linalg.svd(a, compute_uv=False)[0])
             assert got == pytest.approx(want, rel=1e-8)
 
@@ -64,6 +66,18 @@ class TestSpectralNorm:
         res = spectral_norm(WeightMatrix(np.zeros((5, 5))))
         assert res.value == 0.0 and res.iterations == 0
 
+    def test_power_loop_beyond_full_decomposition(self):
+        # side 600 > FULL_DECOMPOSITION_MAX runs the power loop to convergence
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((600, 600))
+        a[:, 0] *= 4.0  # a clear gap above the bulk
+        res = spectral_norm(WeightMatrix(a))
+        want = float(np.linalg.svd(a, compute_uv=False)[0])
+        assert res.method == "power_iteration" and res.iterations > 0
+        assert res.residual <= 1e-10
+        assert res.value == pytest.approx(want, rel=1e-8)
+        assert res.value <= want * (1 + 1e-14)
+
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             spectral_norm(WeightMatrix([[1.0]]), tol=1e-2)
@@ -72,9 +86,10 @@ class TestSpectralNorm:
 
     def test_deterministic(self):
         a = np.random.default_rng(5).standard_normal((40, 40))
-        r1 = spectral_norm(WeightMatrix(a), method="power")
-        r2 = spectral_norm(WeightMatrix(a), method="power")
-        assert r1.value == r2.value and r1.iterations == r2.iterations
+        sigma1, _, v1, it1, _ = _power_pair(a)
+        sigma2, _, v2, it2, _ = _power_pair(a)
+        assert sigma1 == sigma2 and it1 == it2
+        assert np.array_equal(v1, v2)
 
     def test_nonconvergence_carries_best_value(self, monkeypatch):
         import radnorm.spectral as spectral_mod
@@ -82,9 +97,27 @@ class TestSpectralNorm:
         monkeypatch.setattr(spectral_mod, "ITERATION_CAP_BASE", -18)
         a = np.random.default_rng(6).standard_normal((2, 2))
         with pytest.raises(ConvergenceError) as exc:
-            spectral_norm(WeightMatrix(a), method="power")
+            _power_pair(a)
         want = float(np.linalg.svd(a, compute_uv=False)[0])
         assert 0 < exc.value.best <= want * 1.01
+
+
+class TestZeroFirstStep:
+    def test_nonzero_matrix_never_reports_zero(self):
+        # the only nonzero row is orthogonal to the ramped start vector, so
+        # the first power step maps it to zero
+        n = 600
+        assert n > FULL_DECOMPOSITION_MAX
+        v0 = _start_vector(n)
+        a = np.zeros((n, n))
+        a[0, 0], a[0, 1] = v0[1], -v0[0]
+        assert not (a @ v0).any()
+        want = float(np.linalg.svd(a, compute_uv=False)[0])
+        assert spectral_norm(WeightMatrix(a)).value == pytest.approx(want, rel=1e-12)
+        for steps in (None, 6):
+            sigma, u, v = top_pair(a, steps)
+            assert sigma == pytest.approx(want, rel=1e-12)
+            assert float(u @ a @ v) == pytest.approx(sigma, rel=1e-12)
 
 
 class TestTopValues:
