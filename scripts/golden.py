@@ -8,13 +8,13 @@ tests/golden/<name>.out and all exit codes to tests/golden/exit_codes.json.
 Re-record only for an intended output change.  `check` runs the same
 commands and reports every one whose stdout or exit code differs; it exits
 1 when any does.  `--jobs N` runs the commands in N worker processes.
-tests/test_golden.py checks the 72 commands marked fast, each well under
+tests/test_golden.py checks the 77 commands marked fast, each well under
 a second: inputs of side <= 16, plus the n = 128 one-magnitude profile
 `bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
 enumerated and greedy rows on its 0/1 support, and the `family` and
 `oracle` commands.
 
-The 194 commands cover every square input of side <= 64 in the three
+The 199 commands cover every square input of side <= 64 in the three
 corpora (default flags, --exact-threshold 150 and --restarts 1), the
 benchmark's profile operations, --budget-cap, --exact-threshold and
 --seed variants, scaled and one-magnitude inputs, the path P3 and the
@@ -108,6 +108,9 @@ def write_inputs(workdir: pathlib.Path) -> None:
     for name, (obj, _) in _inputs().items():
         dump_json(obj, workdir / _path(name))
     (workdir / "inputs" / "broken.json").write_text("{not json\n")
+    # headers that parse as JSON but are not sizes: null, and 1e400 (inf)
+    (workdir / "inputs" / "n_null.json").write_text('{"n": null, "entries": [[1.0]]}\n')
+    (workdir / "inputs" / "edges_n_huge.json").write_text('{"n": 1e400, "pairs": []}\n')
 
 
 def commands() -> list:
@@ -224,6 +227,14 @@ def commands() -> list:
     add("error.family_odd_regular", ["family", "--family", "random_regular", "--n", "5",
                                      "--d", "3"], True)
     add("error.circulant_without_b", ["family", "--family", "circulant"], True)
+    add("error.n_null", ["profile", "--input", "inputs/n_null.json"], True)
+    add("error.edges_n_huge", ["profile", "--input", "inputs/edges_n_huge.json"], True)
+    add("error.oracle_p_inf", ["oracle", "--input", _path("C4"), "--quantity",
+                               "subgraph_norm", "--p", "inf"], True)
+    add("error.n_cap_zero", ["verify", "--scenario", "union_complete_regimes",
+                             "--n-cap", "0"], True)
+    add("error.n_cap_unsized", ["verify", "--scenario", "symmetrization",
+                                "--n-cap", "64"], True)
     return cmds
 
 

@@ -16,8 +16,6 @@ from .core import (
     power_graph,
 )
 from .spectral import (
-    ConvergenceError,
-    SpectralResult,
     max_row_col_l2,
     spectral_norm,
     trace_power_norm,

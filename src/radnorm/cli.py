@@ -30,7 +30,6 @@ from .matio import ParseError, load_input
 from .oracles import subgraph_norm_enum, x_quantity
 from .sampler import exact_small_norm_expectation, mc_norm, mc_norm_moments
 from .scenarios import SCENARIOS, run_scenario
-from .spectral import ConvergenceError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -145,12 +144,18 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
+#: The scenarios that take a size, with the keyword --n-cap sets.
+_SIZED_SCENARIOS = {"union_complete_regimes": "n_cap", "block_counterexample": "n"}
+
+
 def cmd_verify(args) -> int:
     kwargs = {}
-    if args.scenario == "union_complete_regimes" and args.n_cap:
-        kwargs["n_cap"] = args.n_cap
-    if args.scenario == "block_counterexample" and args.n_cap:
-        kwargs["n"] = args.n_cap
+    if args.n_cap is not None:
+        if args.scenario not in _SIZED_SCENARIOS:
+            raise ValueError(f"--n-cap applies only to {', '.join(_SIZED_SCENARIOS)}")
+        if args.n_cap < 1:
+            raise ValueError(f"--n-cap must be at least 1, got {args.n_cap}")
+        kwargs[_SIZED_SCENARIOS[args.scenario]] = args.n_cap
     report = run_scenario(
         args.scenario, samples=args.samples, seed=args.seed,
         threads=args.threads, **kwargs,
@@ -170,17 +175,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    obj = load_input(args.input)
+    if not np.isfinite(args.p):
+        raise ValueError(f"--p must be finite, got {args.p}")
     if args.quantity == "subgraph_norm":
+        obj = load_input(args.input)
         if isinstance(obj, WeightMatrix):
             obj = EdgeSet.from_matrix(obj)
         value = subgraph_norm_enum(obj, int(args.p))
     elif args.quantity == "exact_expectation":
-        A = obj if isinstance(obj, WeightMatrix) else obj.indicator()
-        value = exact_small_norm_expectation(A, args.mode)
+        value = exact_small_norm_expectation(_load_matrix(args.input), args.mode)
     elif args.quantity == "x_quantity":
-        A = obj if isinstance(obj, WeightMatrix) else obj.indicator()
-        value = x_quantity(A)
+        value = x_quantity(_load_matrix(args.input))
     else:
         raise ValueError(f"unknown oracle quantity {args.quantity!r}")
     payload = {
@@ -270,7 +275,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # first: LinAlgError is a ValueError
-    except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ParseError, ValueError, OSError) as exc:

@@ -37,29 +37,38 @@ def edges_to_dict(E: EdgeSet) -> dict:
     return {"n": E.n, "pairs": E.to_one_based()}
 
 
+def _header(d: dict, key: str, kind: type):
+    """d[key] as read from JSON, which must be a `kind` (bool is not an int)."""
+    value = d[key]
+    if type(value) is not kind:
+        raise ParseError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def matrix_from_dict(d: dict) -> WeightMatrix:
     try:
         entries = np.asarray(d["entries"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix entries: {exc}") from exc
     if "n" in d:
-        n = int(d["n"])
+        n = _header(d, "n", int)
         if entries.shape != (n, n):
             raise ParseError(f"entries shape {entries.shape} does not match n={n}")
     elif "n_rows" in d and "n_cols" in d:
-        if entries.shape != (int(d["n_rows"]), int(d["n_cols"])):
+        if entries.shape != (_header(d, "n_rows", int), _header(d, "n_cols", int)):
             raise ParseError("entries shape does not match n_rows/n_cols")
+    symmetric = _header(d, "symmetric", bool) if "symmetric" in d else False
     try:
-        return WeightMatrix(entries, symmetric=bool(d.get("symmetric", False)))
+        return WeightMatrix(entries, symmetric=symmetric)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def edges_from_dict(d: dict) -> EdgeSet:
     try:
-        n = int(d["n"])
+        n = _header(d, "n", int)
         pairs = [(int(i), int(j)) for i, j in d["pairs"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad edge set: {exc}") from exc
     try:
         return EdgeSet.from_one_based(n, pairs)

@@ -10,9 +10,9 @@ stack: the full SVD up to side FULL_DECOMPOSITION_MAX, and beyond that
 (or when the caller asks for a cheap pair) a fixed number of power steps
 on A^T A from a fixed ramped start.  Beyond side FULL_DECOMPOSITION_MAX
 the pair is therefore a 40-step lower estimate, never a certified value.
-`spectral_norm` runs the same power loop, `_power_pair`, to convergence
-instead.  Choosing a different method per shape is a change to this
-module only.
+Only `top_pair` takes power steps (`_power_pair`); `spectral_norm` is
+`top_values` at every side.  Choosing a different method per shape is a
+change to this module only.
 
 The brute-force oracles in `oracles` keep a plain SVD of their own on
 purpose: they are the independent route the kernel is tested against.
@@ -22,9 +22,6 @@ used to sanity-check the kernel on symmetric inputs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import WeightMatrix
@@ -32,36 +29,11 @@ from .core import WeightMatrix
 #: Side length up to which the full decomposition is used.
 FULL_DECOMPOSITION_MAX = 512
 
-#: Iteration cap for power iteration is 10 n + this.
-ITERATION_CAP_BASE = 1000
-
-DEFAULT_TOL = 1e-10
-
 #: Power steps top_pair takes beyond FULL_DECOMPOSITION_MAX.
 _PAIR_STEPS = 40
 
 #: Vector norms outside [1 / this, this] are recomputed with max scaling.
 _SQUARE_SAFE = 2.0 ** 500
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration hit its cap; `best` carries the last estimate."""
-
-    def __init__(self, message: str, best: float):
-        super().__init__(message)
-        self.best = best
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    value: float
-    iterations: int
-    residual: float
-    method: str  # full_decomposition | power_iteration
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("spectral norm is nonnegative")
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -108,25 +80,21 @@ def top_pair(a: np.ndarray, steps: int | None = None) -> tuple:
         return sv[:, 0].copy(), u[:, :, 0].copy(), vt[:, 0, :].copy()
     # sides beyond FULL_DECOMPOSITION_MAX: one matrix at a time costs
     # nothing next to the matrix products
-    sigma, u, v = zip(*(_power_pair(m, steps or _PAIR_STEPS)[:3] for m in a))
+    sigma, u, v = zip(*(_power_pair(m, steps or _PAIR_STEPS) for m in a))
     return np.array(sigma), np.stack(u), np.stack(v)
 
 
-def _power_pair(a: np.ndarray, steps: int | None = None, tol: float = DEFAULT_TOL) -> tuple:
-    """(sigma, u, v, iterations, residual): power steps on A^T A from
+def _power_pair(a: np.ndarray, steps: int) -> tuple:
+    """(sigma, u, v): exactly `steps` power steps on A^T A from
     _start_vector, then sigma = ||a v|| and u = a v / sigma.
 
-    Given `steps`, exactly that many steps, never raising.  Otherwise until
-    the root ||A^T A v_prev||^{1/2} moves by at most `tol` relative, with
-    ConvergenceError after 10 max(side) + ITERATION_CAP_BASE steps.  When
-    the start vector of a nonzero matrix maps to zero, the first step
-    restarts from the heaviest column's basis vector: sigma is 0 only for
-    a zero matrix (u = 0, v the start vector).
+    No convergence test: sigma is a lower estimate.  When the start vector
+    of a nonzero matrix maps to zero, the first step restarts from the
+    heaviest column's basis vector: sigma is 0 only for a zero matrix
+    (u = 0, v the start vector).
     """
-    cap = steps if steps is not None else 10 * max(a.shape) + ITERATION_CAP_BASE
     v = _start_vector(a.shape[1])
-    it, root, residual = 0, 0.0, 0.0
-    for it in range(1, cap + 1):
+    for it in range(1, steps + 1):
         w = a.T @ (a @ v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0 and it == 1 and a.any():
@@ -136,38 +104,19 @@ def _power_pair(a: np.ndarray, steps: int | None = None, tol: float = DEFAULT_TO
         if norm_w == 0.0:
             break
         v = w / norm_w
-        new_root = math.sqrt(norm_w)
-        residual = abs(new_root - root) / new_root
-        root = new_root
-        if steps is None and residual <= tol:
-            break
-    if steps is None and residual > tol:
-        raise ConvergenceError(
-            f"power iteration did not reach tol={tol} within {cap} iterations", root)
     u = a @ v
     sigma = float(np.linalg.norm(u))
     if sigma > 0.0:
         u = u / sigma
-    return sigma, u, v, it, residual
+    return sigma, u, v
 
 
-def spectral_norm(A: WeightMatrix, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Largest singular value of A: 0 for a zero matrix, `top_values` up to
-    side FULL_DECOMPOSITION_MAX, the power loop run to convergence beyond.
-
-    `tol` is the loop's stopping rule, not an error bound: at tol 1e-10
-    the value was 2.1e-9 to 3.1e-8 relative below the SVD value on five
-    square standard Gaussian inputs of side 600-2048.
-    """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3]")
-    a = A.entries
-    if a.size == 0 or not a.any():
-        return SpectralResult(0.0, 0, 0.0, "full_decomposition")
-    if max(a.shape) <= FULL_DECOMPOSITION_MAX:
-        return SpectralResult(float(top_values(a)), 0, 0.0, "full_decomposition")
-    sigma, _, _, iterations, residual = _power_pair(a, tol=tol)
-    return SpectralResult(sigma, iterations, residual, "power_iteration")
+def spectral_norm(A: WeightMatrix) -> float:
+    """Largest singular value of A: the values-only SVD (`top_values`) at
+    every side, 0 for an empty or zero matrix."""
+    if A.entries.size == 0:
+        return 0.0
+    return float(top_values(A.entries))
 
 
 def trace_power_norm(A: WeightMatrix, k: int) -> float:

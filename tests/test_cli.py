@@ -11,7 +11,6 @@ from radnorm import cli
 from radnorm.cli import main
 from radnorm.core import EdgeSet, WeightMatrix
 from radnorm.matio import dump_json
-from radnorm.spectral import ConvergenceError
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -91,8 +90,7 @@ class TestProfileCommand:
     def test_directory_out_exit_2(self, k3_file, tmp_path):
         assert main(["profile", "--input", k3_file, "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("exc", [ConvergenceError("no convergence", 1.0),
-                                     FloatingPointError("overflow"),
+    @pytest.mark.parametrize("exc", [FloatingPointError("overflow"),
                                      np.linalg.LinAlgError("SVD did not converge")])
     def test_numeric_failure_exit_4(self, k3_file, monkeypatch, capsys, exc):
         def fail(*args, **kwargs):
@@ -104,6 +102,27 @@ class TestProfileCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        '{"n": null, "entries": [[1.0]]}',
+        '{"n": 1e400, "entries": [[1.0]]}',
+        '{"n": 1.0, "entries": [[1.0]]}',
+        '{"n": true, "entries": [[1.0]]}',
+        '{"n_rows": "1", "n_cols": 1, "entries": [[1.0]]}',
+        '{"n": 1, "entries": [[1.0]], "symmetric": "false"}',
+        '{"n": 1, "entries": [[1.0]], "symmetric": 0}',
+        '{"n": 1e400, "pairs": []}',
+        '{"n": "3", "pairs": [[1, 2]]}',
+        '{"n": 3, "pairs": [[1e400, 2]]}',
+    ])
+    def test_malformed_header_exit_2(self, tmp_path, capsys, text):
+        # sizes must be JSON integers and `symmetric` a JSON boolean
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["profile", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", [("--restarts", "0"), ("--restarts", "-2"),
                                       ("--budget-cap", "0"), ("--budget-cap", "-5"),
@@ -224,6 +243,19 @@ class TestVerifyCommand:
         assert payload["report"]["scenario"] == "circulant_chain"
         assert len(payload["report"]["points"]) == 8
 
+    @pytest.mark.parametrize("scenario, n_cap", [
+        ("union_complete_regimes", "0"), ("block_counterexample", "0"),
+        ("union_complete_regimes", "-5"), ("block_counterexample", "-5"),
+        ("symmetrization", "64"), ("circulant_chain", "64"),
+    ])
+    def test_n_cap_rejected_exit_2(self, tmp_path, capsys, scenario, n_cap):
+        # --n-cap must be at least 1 and applies only to the sized scenarios
+        out = tmp_path / "out.json"
+        assert main(["verify", "--scenario", scenario, "--samples", "100",
+                     "--n-cap", n_cap, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_scenario_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--scenario", "nope"])
@@ -250,6 +282,17 @@ class TestOracleCommand:
         )
         assert code == 0
         assert payload["value"] == pytest.approx((2 + math.sqrt(2)) / 2)
+
+    @pytest.mark.parametrize("quantity", ["subgraph_norm", "x_quantity"])
+    @pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
+    def test_non_finite_p_exit_2(self, tmp_path, capsys, quantity, p):
+        epath = tmp_path / "e.json"
+        dump_json(EdgeSet(3, ((0, 1), (1, 0))), epath)
+        assert main(["oracle", "--input", str(epath), "--quantity", quantity,
+                     f"--p={p}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_cap_exit_3(self, tmp_path):
         mpath = tmp_path / "big.json"

@@ -1,4 +1,4 @@
-"""The fast part of the golden command set, 72 of its 194 commands: CLI
+"""The fast part of the golden command set, 77 of its 199 commands: CLI
 stdout and exit codes on inputs of side <= 16, on one n = 128 profile of
 a 0/1 support, and of the small `family` and `oracle` commands, equal the
 recorded outputs in tests/golden/, byte for byte.  The whole set runs

@@ -6,7 +6,6 @@ import pytest
 from radnorm.core import WeightMatrix
 from radnorm.spectral import (
     FULL_DECOMPOSITION_MAX,
-    ConvergenceError,
     _power_pair,
     _start_vector,
     max_row_col_l2,
@@ -19,38 +18,23 @@ from radnorm.spectral import (
 
 class TestSpectralNorm:
     def test_all_ones(self):
-        res = spectral_norm(WeightMatrix(np.ones((3, 3))))
-        assert res.value == pytest.approx(3.0, abs=1e-12)
-        assert res.method == "full_decomposition"
+        assert spectral_norm(WeightMatrix(np.ones((3, 3)))) == pytest.approx(3.0, abs=1e-12)
 
     def test_scaled_orthogonal_rows(self):
-        res = spectral_norm(WeightMatrix([[1, 1], [1, -1]]))
-        assert res.value == pytest.approx(math.sqrt(2), abs=1e-12)
+        value = spectral_norm(WeightMatrix([[1, 1], [1, -1]]))
+        assert value == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_random_20x20_matches_decomposition(self):
         a = np.random.default_rng(7).standard_normal((20, 20))
-        res = spectral_norm(WeightMatrix(a))
         want = np.linalg.svd(a, compute_uv=False)[0]
-        assert res.value == pytest.approx(want, rel=1e-8)
-
-    def test_power_path_matches_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = int(rng.integers(2, 33))
-            m = int(rng.integers(2, 33))
-            a = rng.standard_normal((n, m))
-            got = _power_pair(a)[0]
-            want = float(np.linalg.svd(a, compute_uv=False)[0])
-            assert got == pytest.approx(want, rel=1e-8)
+        assert spectral_norm(WeightMatrix(a)) == pytest.approx(want, rel=1e-8)
 
     def test_transpose_invariance(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             a = rng.standard_normal((int(rng.integers(2, 20)), int(rng.integers(2, 20))))
             A = WeightMatrix(a)
-            assert spectral_norm(A).value == pytest.approx(
-                spectral_norm(A.transpose()).value, rel=1e-10
-            )
+            assert spectral_norm(A) == pytest.approx(spectral_norm(A.transpose()), rel=1e-10)
 
     def test_dominates_row_col_lengths(self):
         rng = np.random.default_rng(13)
@@ -58,48 +42,31 @@ class TestSpectralNorm:
             a = rng.standard_normal((int(rng.integers(1, 16)), int(rng.integers(1, 16))))
             A = WeightMatrix(a)
             row, col = max_row_col_l2(A)
-            v = spectral_norm(A).value
+            v = spectral_norm(A)
             assert v >= row - 1e-10
             assert v >= col - 1e-10
 
     def test_zero_matrix(self):
-        res = spectral_norm(WeightMatrix(np.zeros((5, 5))))
-        assert res.value == 0.0 and res.iterations == 0
+        assert spectral_norm(WeightMatrix(np.zeros((5, 5)))) == 0.0
 
-    def test_power_loop_beyond_full_decomposition(self):
-        # side 600 > FULL_DECOMPOSITION_MAX runs the power loop to convergence
-        rng = np.random.default_rng(14)
-        a = rng.standard_normal((600, 600))
-        a[:, 0] *= 4.0  # a clear gap above the bulk
-        res = spectral_norm(WeightMatrix(a))
-        want = float(np.linalg.svd(a, compute_uv=False)[0])
-        assert res.method == "power_iteration" and res.iterations > 0
-        assert res.residual <= 1e-10
-        assert res.value == pytest.approx(want, rel=1e-8)
-        assert res.value <= want * (1 + 1e-14)
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            spectral_norm(WeightMatrix([[1.0]]), tol=1e-2)
-        with pytest.raises(ValueError):
-            spectral_norm(WeightMatrix([[1.0]]), tol=0.0)
+    def test_equals_decomposition_beyond_full_decomposition_max(self):
+        # sides above FULL_DECOMPOSITION_MAX get the same values-only SVD:
+        # a top gap of 1e-4 is answered exactly, not by a stalled power loop
+        n = 513
+        assert n > FULL_DECOMPOSITION_MAX
+        small_gap = np.zeros((n, n))
+        small_gap[0, 0], small_gap[1, 1] = 1.0, 0.9999
+        gauss = np.random.default_rng(14).standard_normal((600, 600))
+        for a in (small_gap, gauss):
+            want = np.linalg.svd(a, compute_uv=False)[0]
+            assert spectral_norm(WeightMatrix(a)) == want
 
     def test_deterministic(self):
         a = np.random.default_rng(5).standard_normal((40, 40))
-        sigma1, _, v1, it1, _ = _power_pair(a)
-        sigma2, _, v2, it2, _ = _power_pair(a)
-        assert sigma1 == sigma2 and it1 == it2
+        sigma1, _, v1 = _power_pair(a, 6)
+        sigma2, _, v2 = _power_pair(a, 6)
+        assert sigma1 == sigma2
         assert np.array_equal(v1, v2)
-
-    def test_nonconvergence_carries_best_value(self, monkeypatch):
-        import radnorm.spectral as spectral_mod
-
-        monkeypatch.setattr(spectral_mod, "ITERATION_CAP_BASE", -18)
-        a = np.random.default_rng(6).standard_normal((2, 2))
-        with pytest.raises(ConvergenceError) as exc:
-            _power_pair(a)
-        want = float(np.linalg.svd(a, compute_uv=False)[0])
-        assert 0 < exc.value.best <= want * 1.01
 
 
 class TestZeroFirstStep:
@@ -113,7 +80,7 @@ class TestZeroFirstStep:
         a[0, 0], a[0, 1] = v0[1], -v0[0]
         assert not (a @ v0).any()
         want = float(np.linalg.svd(a, compute_uv=False)[0])
-        assert spectral_norm(WeightMatrix(a)).value == pytest.approx(want, rel=1e-12)
+        assert spectral_norm(WeightMatrix(a)) == pytest.approx(want, rel=1e-12)
         for steps in (None, 6):
             sigma, u, v = top_pair(a, steps)
             assert sigma == pytest.approx(want, rel=1e-12)
@@ -227,7 +194,7 @@ class TestTracePowerNorm:
             a = rng.standard_normal((n, n))
             a = (a + a.T) / 2
             A = WeightMatrix(a, symmetric=True)
-            norm = spectral_norm(A).value
+            norm = spectral_norm(A)
             for k in (1, 2, 4, 8):
                 v = trace_power_norm(A, k)
                 assert norm - 1e-9 <= v <= n ** (1 / (2 * k)) * norm + 1e-9
