@@ -2,19 +2,27 @@
 
     python3 scripts/golden.py record [--jobs N] [--workdir DIR]
     python3 scripts/golden.py check  [--jobs N] [--workdir DIR]
+    python3 scripts/golden.py diff   [--rtol R] [--atol A] [--jobs N] [--workdir DIR]
 
 `record` runs every command and writes its stdout to
 tests/golden/<name>.out and all exit codes to tests/golden/exit_codes.json.
 Re-record only for an intended output change.  `check` runs the same
 commands and reports every one whose stdout or exit code differs; it exits
-1 when any does.  `--jobs N` runs the commands in N worker processes.
-tests/test_golden.py checks the 77 commands marked fast, each well under
+1 when any does.  `diff` runs them and prints, per command, the largest
+relative and absolute differences over the numeric fields of stdout (JSON
+values, or the numbers of a CSV line); it exits 1 when a number is off by
+more than both R relative and A absolute, or when a string, boolean, null,
+key, list length, anything under `flags`, `mode` or `removed`, or an exit
+code differs.  Run `diff` before re-recording a change that moves low-order
+bits, to show every command is within the stated tolerance.  `--jobs N`
+runs the commands in N worker processes.
+tests/test_golden.py checks the 79 commands marked fast, each well under
 a second: inputs of side <= 16, plus the n = 128 one-magnitude profile
 `bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
 enumerated and greedy rows on its 0/1 support, and the `family` and
 `oracle` commands.
 
-The 199 commands cover every square input of side <= 64 in the three
+The 201 commands cover every square input of side <= 64 in the three
 corpora (default flags, --exact-threshold 150 and --restarts 1), the
 benchmark's profile operations, --budget-cap, --exact-threshold and
 --seed variants, scaled and one-magnitude inputs, the path P3 and the
@@ -40,7 +48,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import pathlib
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -111,6 +121,9 @@ def write_inputs(workdir: pathlib.Path) -> None:
     # headers that parse as JSON but are not sizes: null, and 1e400 (inf)
     (workdir / "inputs" / "n_null.json").write_text('{"n": null, "entries": [[1.0]]}\n')
     (workdir / "inputs" / "edges_n_huge.json").write_text('{"n": 1e400, "pairs": []}\n')
+    # pair indices that are not JSON integers
+    (workdir / "inputs" / "edges_bad_index.json").write_text(
+        '{"n": 3, "pairs": [[1.5, 2], [true, 3]]}\n')
 
 
 def commands() -> list:
@@ -231,6 +244,10 @@ def commands() -> list:
     add("error.edges_n_huge", ["profile", "--input", "inputs/edges_n_huge.json"], True)
     add("error.oracle_p_inf", ["oracle", "--input", _path("C4"), "--quantity",
                                "subgraph_norm", "--p", "inf"], True)
+    add("error.oracle_p_negative", ["oracle", "--input", _path("C4"), "--quantity",
+                                    "subgraph_norm", "--p=-0.5"], True)
+    add("error.edges_bad_index", ["oracle", "--input", "inputs/edges_bad_index.json",
+                                  "--quantity", "subgraph_norm", "--p", "2"], True)
     add("error.n_cap_zero", ["verify", "--scenario", "union_complete_regimes",
                              "--n-cap", "0"], True)
     add("error.n_cap_unsized", ["verify", "--scenario", "symmetrization",
@@ -285,14 +302,107 @@ def mismatches(cmds: list, results: list) -> list:
     return bad
 
 
+#: Subtrees compared exactly by `diff`, numbers included.
+EXACT_KEYS = frozenset({"flags", "mode", "removed"})
+
+
+def _parse(stdout: str):
+    """stdout as JSON, or else as its list of comma- and space-separated
+    tokens, each a float where it parses as one."""
+    try:
+        return json.loads(stdout)
+    except json.JSONDecodeError:
+        tokens = [t for t in re.split(r"[\s,]+", stdout) if t]
+        out = []
+        for token in tokens:
+            try:
+                out.append(float(token))
+            except ValueError:
+                out.append(token)
+        return out
+
+
+def _leaf_pairs(ref, out, path="", exact=False):
+    """(path, ref, out, exact) for every leaf of two parsed outputs, or
+    (path, None, None, None) where their shapes differ."""
+    if isinstance(ref, dict) or isinstance(out, dict):
+        if not (isinstance(ref, dict) and isinstance(out, dict)) or set(ref) != set(out):
+            yield path, None, None, None
+            return
+        for key in ref:
+            yield from _leaf_pairs(ref[key], out[key], f"{path}.{key}",
+                                   exact or key in EXACT_KEYS)
+    elif isinstance(ref, list) or isinstance(out, list):
+        if not (isinstance(ref, list) and isinstance(out, list)) or len(ref) != len(out):
+            yield path, None, None, None
+            return
+        for k, (r, o) in enumerate(zip(ref, out)):
+            yield from _leaf_pairs(r, o, f"{path}[{k}]", exact)
+    else:
+        yield path, ref, out, exact
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare_outputs(ref: str, out: str, rtol: float, atol: float) -> tuple:
+    """(largest relative difference, largest absolute difference, problems)
+    between two stdouts, over their numeric fields outside EXACT_KEYS."""
+    rel = abs_ = 0.0
+    problems = []
+    for path, r, o, exact in _leaf_pairs(_parse(ref), _parse(out)):
+        if exact is None:
+            problems.append(f"{path}: keys or lengths differ")
+        elif _is_number(r) and _is_number(o) and not exact:
+            if r == o or (math.isnan(r) and math.isnan(o)):
+                continue
+            d = abs(r - o)
+            if not math.isfinite(d):
+                problems.append(f"{path}: {o!r} recorded as {r!r}")
+                continue
+            rel = max(rel, d / max(abs(r), abs(o)))
+            abs_ = max(abs_, d)
+            if d > atol and d > rtol * max(abs(r), abs(o)):
+                problems.append(f"{path}: {o!r} recorded as {r!r}")
+        elif type(r) is not type(o) or r != o:
+            problems.append(f"{path}: {o!r} recorded as {r!r}")
+    return rel, abs_, problems
+
+
+def diff(cmds: list, results: list, rtol: float, atol: float) -> int:
+    """Print each command's largest differences from the record; 1 if any
+    command is outside the tolerance, else 0."""
+    codes = load_expected()
+    bad = 0
+    for cmd, (rc, stdout) in zip(cmds, results):
+        path = GOLDEN / f"{cmd.name}.out"
+        if not path.exists() or cmd.name not in codes:
+            rel, abs_, problems = 0.0, 0.0, ["no record"]
+        else:
+            rel, abs_, problems = compare_outputs(path.read_text(), stdout, rtol, atol)
+            if codes[cmd.name] != rc:
+                problems.append(f"exit code {rc} recorded as {codes[cmd.name]}")
+        bad += bool(problems)
+        print(f"{'DIFF' if problems else 'ok  '} rel {rel:.2e} abs {abs_:.2e} {cmd.name}")
+        for problem in problems[:5]:
+            print(f"     {problem}")
+    print(f"{len(cmds) - bad}/{len(cmds)} commands within rtol {rtol:g}, atol {atol:g}")
+    return 1 if bad else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=["record", "check"])
+    parser.add_argument("mode", choices=["record", "check", "diff"])
+    parser.add_argument("--rtol", type=float, default=0.0)
+    parser.add_argument("--atol", type=float, default=0.0)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--workdir", default=str(WORKDIR))
     args = parser.parse_args(argv)
     cmds = commands()
     results = run_all(cmds, pathlib.Path(args.workdir).resolve(), args.jobs)
+    if args.mode == "diff":
+        return diff(cmds, results, args.rtol, args.atol)
     if args.mode == "record":
         GOLDEN.mkdir(parents=True, exist_ok=True)
         for cmd, (_, stdout) in zip(cmds, results):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -175,13 +176,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if not np.isfinite(args.p):
-        raise ValueError(f"--p must be finite, got {args.p}")
+    if not np.isfinite(args.p) or args.p < 0:
+        raise ValueError(f"--p must be finite and nonnegative, got {args.p}")
     if args.quantity == "subgraph_norm":
         obj = load_input(args.input)
         if isinstance(obj, WeightMatrix):
             obj = EdgeSet.from_matrix(obj)
-        value = subgraph_norm_enum(obj, int(args.p))
+        # |F| <= floor(p), as in r_exact_01
+        value = subgraph_norm_enum(obj, math.floor(args.p))
     elif args.quantity == "exact_expectation":
         value = exact_small_norm_expectation(_load_matrix(args.input), args.mode)
     elif args.quantity == "x_quantity":
@@ -260,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--quantity", required=True,
                    choices=["subgraph_norm", "exact_expectation", "x_quantity"])
-    p.add_argument("--p", type=float, default=1)
+    p.add_argument("--p", type=float, default=1,
+                   help="subgraph_norm: subsets of at most floor(p) positions; "
+                        "finite and nonnegative")
     p.add_argument("--mode", default="rademacher_iid",
                    choices=["rademacher_iid", "rademacher_symmetric"])
     p.add_argument("--out")

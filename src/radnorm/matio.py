@@ -64,11 +64,18 @@ def matrix_from_dict(d: dict) -> WeightMatrix:
         raise ParseError(str(exc)) from exc
 
 
+def _index(value):
+    """One pair index as read from JSON: an integer, not a bool or float."""
+    if type(value) is not int:
+        raise ParseError(f"pair indices must be JSON integers, got {value!r}")
+    return value
+
+
 def edges_from_dict(d: dict) -> EdgeSet:
     try:
         n = _header(d, "n", int)
-        pairs = [(int(i), int(j)) for i, j in d["pairs"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        pairs = [(_index(i), _index(j)) for i, j in d["pairs"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad edge set: {exc}") from exc
     try:
         return EdgeSet.from_one_based(n, pairs)

@@ -161,6 +161,12 @@ def greedy_cover(G: GraphView, I_pool, J_pool, threshold: int) -> tuple:
     return picked, residuals
 
 
+def top_singular_value(m: np.ndarray) -> float:
+    """Largest singular value of one matrix by a plain values-only SVD: the
+    independent route the spectral kernel is tested against."""
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
 def subgraph_norm_enum(E: EdgeSet, p: int) -> float:
     """Exhaustive max of ||1_F|| over F subset of E with |F| <= p.
 
@@ -186,7 +192,7 @@ def subgraph_norm_enum(E: EdgeSet, p: int) -> float:
             cmap = {x: i for i, x in enumerate(cols)}
             for i, j in combo:
                 m[rmap[i], cmap[j]] = 1.0
-            val = float(np.linalg.svd(m, compute_uv=False)[0])
+            val = top_singular_value(m)
             if val > best:
                 best = val
     return best

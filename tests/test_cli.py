@@ -114,6 +114,9 @@ class TestProfileCommand:
         '{"n": 1e400, "pairs": []}',
         '{"n": "3", "pairs": [[1, 2]]}',
         '{"n": 3, "pairs": [[1e400, 2]]}',
+        '{"n": 3, "pairs": [[1.5, 2]]}',
+        '{"n": 3, "pairs": [[1, 2.0]]}',
+        '{"n": 3, "pairs": [[true, 3]]}',
     ])
     def test_malformed_header_exit_2(self, tmp_path, capsys, text):
         # sizes must be JSON integers and `symmetric` a JSON boolean
@@ -294,6 +297,31 @@ class TestOracleCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("p", ["-0.5", "-1"])
+    def test_negative_p_exit_2(self, tmp_path, capsys, p):
+        # -0.5 must not truncate to the valid p = 0
+        epath = tmp_path / "e.json"
+        dump_json(EdgeSet(3, ((0, 1), (1, 0))), epath)
+        assert main(["oracle", "--input", str(epath), "--quantity", "subgraph_norm",
+                     f"--p={p}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_fractional_p_uses_floor(self, tmp_path):
+        # |F| <= floor(p): a 2x2 block needs 4 positions, so p = 3.9 gives
+        # the best 3-set, sqrt((3 + sqrt(5)) / 2), and p = 4 gives 2
+        epath = tmp_path / "e.json"
+        dump_json(EdgeSet(2, ((0, 0), (0, 1), (1, 0), (1, 1))), epath)
+        values = {}
+        for p in ("3.9", "4"):
+            code, payload = run_json(["oracle", "--input", str(epath), "--quantity",
+                                      "subgraph_norm", "--p", p], tmp_path, f"{p}.json")
+            assert code == 0 and payload["flags"]["p"] == float(p)
+            values[p] = payload["value"]
+        assert values["3.9"] == pytest.approx(math.sqrt((3 + math.sqrt(5)) / 2))
+        assert values["4"] == pytest.approx(2.0)
+
     def test_cap_exit_3(self, tmp_path):
         mpath = tmp_path / "big.json"
         dump_json(WeightMatrix(np.ones((16, 16))), mpath)
@@ -309,6 +337,24 @@ class TestDeterminism:
         assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
         assert main(base + ["--threads", "4", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_byte_identical_across_threads_over_gram_slices(self, tmp_path, capsys):
+        # one 128x128 block per sample: 100 samples span several Gram
+        # slices of top_values, and chunks split them differently per
+        # thread count
+        from radnorm.corpus import corpus_mixed
+        from radnorm.spectral import _GRAM_SLICE
+
+        A = dict(corpus_mixed())["dense_gauss_n128"]
+        assert 100 * A.entries.size > 4 * _GRAM_SLICE
+        path = tmp_path / "dense.json"
+        dump_json(A, path)
+        outs = []
+        for threads in ("1", "2"):
+            assert main(["mc", "--input", str(path), "--mode", "gaussian",
+                         "--samples", "100", "--seed", "4", "--threads", threads]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and '"mean"' in outs[0]
 
     def test_byte_identical_repeat_runs(self, k3_file, tmp_path):
         out1 = tmp_path / "a.json"

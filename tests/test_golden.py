@@ -1,12 +1,15 @@
-"""The fast part of the golden command set, 77 of its 199 commands: CLI
+"""The fast part of the golden command set, 79 of its 201 commands: CLI
 stdout and exit codes on inputs of side <= 16, on one n = 128 profile of
 a 0/1 support, and of the small `family` and `oracle` commands, equal the
 recorded outputs in tests/golden/, byte for byte.  The whole set runs
-with `python3 scripts/golden.py check`."""
+with `python3 scripts/golden.py check`; the tolerance rule of its `diff`
+mode is checked on small outputs."""
 
 import importlib.util
 import pathlib
 import sys
+
+import pytest
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
 
@@ -33,3 +36,20 @@ def test_every_command_has_a_record():
     assert len(set(names)) == len(names)
     assert sorted(golden.load_expected()) == sorted(names)
     assert all((golden.GOLDEN / f"{name}.out").exists() for name in names)
+
+
+def test_diff_tolerance_and_exact_fields():
+    golden = load_golden()
+    ref = '{"flags": {"seed": 1}, "mean": 2.0, "stderr": 0.0, "mode": "exact", "ok": true}'
+    moved = '{"flags": {"seed": 1}, "mean": 2.0000000000001, "stderr": 2e-17, ' \
+            '"mode": "exact", "ok": true}'
+    rel, abs_, problems = golden.compare_outputs(ref, moved, 1e-13, 1e-15)
+    assert problems == [] and rel == 1.0 and abs_ == pytest.approx(1e-13, rel=1e-3)
+    assert golden.compare_outputs(ref, moved, 1e-14, 1e-15)[2] == [".mean: 2.0000000000001 "
+                                                                  "recorded as 2.0"]
+    for changed in (moved.replace('"exact"', '"greedy"'), moved.replace("true", "false"),
+                    moved.replace('"seed": 1', '"seed": 1.0'), moved.replace('"ok"', '"no"')):
+        assert golden.compare_outputs(ref, changed, 1.0, 1.0)[2]
+    csv = "id,mean\np3,1.4142135623730956\n"
+    assert golden.compare_outputs(csv, csv.replace("956", "951"), 1e-15, 0)[2] == []
+    assert golden.compare_outputs(csv, csv.replace("p3", "p4"), 1.0, 1.0)[2]

@@ -9,7 +9,8 @@ exact subgraph value and the exact expectation must respect the
 symmetries of the quantity (transpose, row and column permutations, sign
 flips), up to rounding in the order of summation, and the exact value of
 a support masked out of a larger one must equal that of the extracted
-submatrix bit for bit.
+submatrix bit for bit.  The spectral kernel's top values must lie within
+its stated 16 eps of the oracles' plain SVD at any weight scale.
 """
 
 from unittest import mock
@@ -25,6 +26,7 @@ from hypothesis.extra.numpy import arrays
 from radnorm import sampler, streams
 from radnorm.bounds import _exact_01, r_exact_01
 from radnorm.core import EdgeSet, WeightMatrix
+from radnorm.oracles import top_singular_value
 from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation
 from radnorm.spectral import top_values
 
@@ -203,3 +205,18 @@ def test_exact_expectation_symmetric_conjugation(case):
     got = exact_small_norm_expectation(WeightMatrix(a[perm][:, perm]),
                                        "rademacher_symmetric")
     np.testing.assert_allclose(got, base, rtol=1e-12, atol=0)
+
+
+@PROPERTY_SETTINGS
+@given(a=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 9), st.integers(2, 9)),
+                elements=st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0]),
+                                   st.floats(-4.0, 4.0, allow_subnormal=False))),
+       j=st.one_of(st.just(0), st.integers(-1060, 1020)))
+def test_top_values_within_tolerance_of_oracle_svd(a, j):
+    # sides >= 2 take the Gram eigensolve; 2^j reaches subnormal and
+    # near-overflow entries
+    a = np.ldexp(a, j)
+    want = np.array([top_singular_value(m) for m in a])
+    with np.errstate(all="raise"):
+        got = top_values(a)
+    np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0)

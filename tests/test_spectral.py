@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from radnorm.core import WeightMatrix
+from radnorm.oracles import top_singular_value
 from radnorm.spectral import (
+    _GRAM_SLICE,
     FULL_DECOMPOSITION_MAX,
     _power_pair,
     _start_vector,
@@ -14,6 +16,9 @@ from radnorm.spectral import (
     top_values,
     trace_power_norm,
 )
+
+#: The stated tolerance of `top_values` against an SVD on sides >= 2.
+KERNEL_RTOL = 16 * np.finfo(float).eps
 
 
 class TestSpectralNorm:
@@ -50,16 +55,17 @@ class TestSpectralNorm:
         assert spectral_norm(WeightMatrix(np.zeros((5, 5)))) == 0.0
 
     def test_equals_decomposition_beyond_full_decomposition_max(self):
-        # sides above FULL_DECOMPOSITION_MAX get the same values-only SVD:
-        # a top gap of 1e-4 is answered exactly, not by a stalled power loop
+        # sides above FULL_DECOMPOSITION_MAX get the same kernel as below:
+        # a top gap of 1e-4 is answered to the kernel's tolerance, not by a
+        # stalled power loop
         n = 513
         assert n > FULL_DECOMPOSITION_MAX
         small_gap = np.zeros((n, n))
         small_gap[0, 0], small_gap[1, 1] = 1.0, 0.9999
         gauss = np.random.default_rng(14).standard_normal((600, 600))
         for a in (small_gap, gauss):
-            want = np.linalg.svd(a, compute_uv=False)[0]
-            assert spectral_norm(WeightMatrix(a)) == want
+            want = top_singular_value(a)
+            assert spectral_norm(WeightMatrix(a)) == pytest.approx(want, rel=KERNEL_RTOL, abs=0)
 
     def test_deterministic(self):
         a = np.random.default_rng(5).standard_normal((40, 40))
@@ -117,7 +123,43 @@ class TestTopValues:
 
     def test_single_matrix(self):
         a = np.random.default_rng(3).standard_normal((4, 6))
-        assert float(top_values(a)) == np.linalg.svd(a, compute_uv=False)[0]
+        want = top_singular_value(a)
+        assert float(top_values(a)) == pytest.approx(want, rel=KERNEL_RTOL, abs=0)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)])
+    def test_slices_never_change_a_value(self, shape):
+        # a stack longer than one Gram slice, with scaled and zero matrices
+        # in it, gives each matrix bit for bit its value alone
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        count = 2 * (_GRAM_SLICE // (shape[0] * shape[1])) + 7
+        stack = rng.standard_normal((count,) + shape)
+        stack[3] *= 1e300
+        stack[4] *= 1e-300
+        stack[5] = 0.0
+        got = top_values(stack)
+        alone = np.array([float(top_values(m)) for m in stack])
+        assert np.array_equal(got, alone)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (6, 4)])
+    @pytest.mark.parametrize("kind", ["tiny", "huge", "subnormal", "mixed"])
+    def test_no_floating_point_warning_at_extreme_scales(self, shape, kind):
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.standard_normal((6,) + shape)
+        if kind == "tiny":
+            stack *= 1e-300
+        elif kind == "huge":
+            stack *= 1e300
+        elif kind == "subnormal":
+            stack = np.round(4 * stack) * 5e-324  # every nonzero entry subnormal
+        else:
+            # ordinary entries beside subnormal and 1e300-scale ones
+            stack[:, 0, 0] = 5e-324
+            stack[1:3] *= 1e300
+        stack[0] = 0.0
+        with np.errstate(all="raise"):
+            got = top_values(stack)
+        want = np.array([top_singular_value(m) for m in stack])
+        np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=0)
 
 
 class TestTopPair:
