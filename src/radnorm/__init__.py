@@ -18,7 +18,6 @@ from .core import (
 from .spectral import (
     max_row_col_l2,
     spectral_norm,
-    trace_power_norm,
 )
 from .moments import (
     SurrogateResult,

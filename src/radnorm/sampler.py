@@ -7,8 +7,9 @@ and independent standard Gaussians.  All modes consume the same uniform
 stream, so estimates across modes are paired sample by sample.
 
 The per-sample norm exploits block structure: the spectral norm of a
-matrix splits over the connected components of its bipartite support, so
-block-diagonal families cost only as much as their largest block.  The
+matrix is the largest norm of the blocks on the connected components of
+its bipartite support, and a block whose bracketed norm cannot reach its
+sample's maximum is never decomposed (`spectral.top_value_max`).  The
 blocks are built from cells: each nonzero (i, j) joins row i to column j,
 and the components are labelled in numpy.  In symmetric mode the two
 mirrored cells (i, j) and (j, i) read one shared sign column, whether or
@@ -33,7 +34,7 @@ import numpy as np
 from . import streams
 from .core import WeightMatrix, sign_patterns
 from .moments import power_mean_estimate
-from .spectral import top_values
+from .spectral import top_value_max
 
 MODES = ("rademacher_iid", "rademacher_symmetric", "gaussian")
 
@@ -103,9 +104,10 @@ def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
     symmetric mode the index of its lower-triangle position
     (max(i, j), min(i, j)), so mirrored cells share a sign even when they
     fall in two blocks.  Blocks of one shape form one group (ascending
-    shape, blocks in order of first cell) and share one batched
-    decomposition; `slot` is a cell's block in the group, `flat` its place
-    in the block.
+    shape, blocks in order of first cell) and share one
+    `spectral.top_value_max` call, which eigensolves only the blocks that
+    can hold a sample's maximum; `slot` is a cell's block in the group,
+    `flat` its place in the block.
     """
     a = A.entries
     nr, nc = a.shape
@@ -152,7 +154,9 @@ def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
 
 
 def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
-    """Per-sample spectral norms given sampled values (m, n_positions)."""
+    """Per-sample spectral norms given sampled values (m, n_positions):
+    the largest block norm of each sample, carried from group to group as
+    the floor below which `top_value_max` skips a block."""
     m = values.shape[0]
     out = np.zeros(m)
     for group in plan:
@@ -167,7 +171,7 @@ def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
             continue
         block = np.zeros((m, g, r * c))
         block[:, group["slot"], group["flat"]] = vals
-        np.maximum(out, top_values(block.reshape(m, g, r, c)).max(axis=1), out=out)
+        out = top_value_max(block.reshape(m, g, r, c), out)
     return out
 
 
@@ -201,9 +205,9 @@ def _sample_norms(A: WeightMatrix, mode: str, samples: int, seed: int,
     """Norms of `samples` realizations, one stream block in memory at a time.
 
     Each block is split by _chunk_plan; a chunk's transform and norms run
-    on a worker thread (the batched SVD releases the GIL).  Every sample's
-    norm depends only on its own uniforms, so the result is bit-identical
-    for any thread count.
+    on a worker thread (numpy's matrix products and batched eigensolves
+    release the GIL).  Every sample's norm depends only on its own
+    uniforms, so the result is bit-identical for any thread count.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")

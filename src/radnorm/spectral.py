@@ -1,21 +1,24 @@
-"""The spectral kernel: largest singular values and pairs, plus the
-trace-power cross-check.
+"""The spectral kernel: largest singular values, the largest of each row
+of a stack, and singular pairs.
 
 Every top singular value or pair the library needs comes from here.
 `top_values` takes a (..., r, c) stack and returns each matrix's largest
 singular value: a vector 2-norm when a side is 1 (max-scaled where the
 squares would overflow or underflow), and otherwise the square root of
 the top eigenvalue of the Gram matrix on the smaller side (numpy's
-`eigvalsh`).  A matrix whose max |a_ij| lies beyond 2^(+-200) is scaled
-by a power of two first, so the squares neither overflow nor underflow
-and the scaling adds no rounding.  The stated tolerance is 16 eps
-relative to an SVD; on Gaussian, +-1, Cauchy, graded, nearly-rank-1,
-rectangular and 1e+-300-scaled stacks of sides 2 to 254 the worst
-measured error was 7.7 eps.  The stack is solved _GRAM_SLICE elements
-(1 MB) at a time, so each matrix's value depends on that matrix alone
-(Monte Carlo output stays byte-identical for any thread count) and the
-kernel's extra memory per call is about one slice's worth of Gram
-matrices, scaled copy and eigenvalues, next to the sampler's
+`eigvalsh`).  Every matrix is first scaled by a power of two so that its
+max |a_ij| lies in [1/2, 1): the squares neither overflow nor underflow,
+the scaling adds no rounding, and a matrix and its power-of-two
+multiples give `eigvalsh` the same Gram matrix, so their values scale
+exactly (`eigvalsh` itself does not: on some sign-structured Gram
+matrices, scaling by 2^60 moved the top eigenvalue's low bits).  The
+stated tolerance is 16 eps relative to an SVD; on Gaussian, +-1, Cauchy,
+graded, nearly-rank-1, rectangular and 1e+-300-scaled stacks of sides 2
+to 254 the worst measured error was 7.7 eps.  The stack is solved
+_GRAM_SLICE elements (1 MB) at a time, so each matrix's value depends on
+that matrix alone (Monte Carlo output stays byte-identical for any thread
+count) and the kernel's extra memory per call is about one slice's worth
+of Gram matrices, scaled copy and eigenvalues, next to the sampler's
 _REALIZE_BUDGET of 2^24 elements (128 MB) per block.  Measured on a
 2-core box with OPENBLAS_NUM_THREADS=1, best of 9 calls, values-only SVD
 -> Gram route:
@@ -27,6 +30,22 @@ _REALIZE_BUDGET of 2^24 elements (128 MB) per block.  Measured on a
        200 of 32x32   17 -> 13 ms         1 of 1024x1024 394 -> 153 ms
 
 The Gram route wins at every side, so there is no size switch.
+
+`top_value_max(stack, floor)` is the Monte Carlo sampler's entry: the
+largest value in each row of an (m, g, r, c) stack of same-shape blocks,
+at least `floor`, bit for bit equal to taking `top_values` of the whole
+stack.  It eigensolves only the blocks that can hold a row's maximum.
+Each block's sigma is bracketed from its scaled Gram matrix G by
+sqrt(tr G^5 / tr G^4) <= sigma <= (tr G^8)^(1/16), and a block whose
+upper bound falls below max(floor, best lower bound in its row) by more
+than _PRUNE_MARGIN (1e-9 relative) is skipped; the kept ones go through
+the same eigensolve as `top_values`.  Groups of one block per row (dense
+inputs) and vector shapes skip the bracket.  On `verify
+union_complete_regimes` (--n-cap 1024, 200 samples) the share of blocks
+eigensolved is 50% of the 3x3 blocks of d = 2 (half of their sign
+patterns have norm 2, every row's maximum, and ties are kept), 3.4% at
+d = 3 and 0.8-1.9% at d = 4 to 8; the d = 1 blocks are 1x1 and never
+reach the kernel.
 
 `top_pair` returns (sigma, u, v) for one matrix or for each matrix of a
 stack: the full SVD up to side FULL_DECOMPOSITION_MAX, and beyond that
@@ -43,9 +62,7 @@ change to this module only.
 
 The brute-force oracles in `oracles` keep a plain SVD of their own on
 purpose (`oracles.top_singular_value`): they are the independent route
-the kernel is tested against.  The trace-power estimator
-(tr A^{2k})^{1/2k} is another independent route, used to sanity-check
-the kernel on symmetric inputs.
+the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -63,13 +80,19 @@ _PAIR_STEPS = 40
 #: Vector norms outside [1 / this, this] are recomputed with max scaling.
 _SQUARE_SAFE = 2.0 ** 500
 
-#: A matrix whose max |a_ij| lies outside [1 / this, this] is scaled by a
-#: power of two before its Gram matrix is formed.
-_GRAM_SAFE = 2.0 ** 200
-
 #: Elements of the (..., r, c) stack `top_values` takes per Gram eigensolve:
 #: about 1 MB of float64, which also bounds each slice's Gram matrices.
 _GRAM_SLICE = 1 << 17
+
+#: Relative slack with which `top_value_max` prunes a matrix: it drops one
+#: only when its upper bound is below the threshold by this factor.  The
+#: dropped value and the value that set the threshold are each within the
+#: kernel's 16 eps of their sigmas, and each bound is a root of a ratio of
+#: traces of Gram powers, rounded by a few eps: on rank-one matrices, where
+#: both bounds equal sigma, the computed bounds lay within 12 eps of the
+#: kernel's value up to side 256.  1e-9 (4.5e6 eps) covers the sum many
+#: times over, so a matrix that could hold the maximum is never dropped.
+_PRUNE_MARGIN = 1e-9
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -104,27 +127,87 @@ def top_values(stack: np.ndarray) -> np.ndarray:
 def _gram_top(stack: np.ndarray) -> np.ndarray:
     """sqrt(max(eigvalsh(G)[-1], 0)) of each matrix of an (S, r, c) stack,
     G the Gram matrix on the smaller side, _GRAM_SLICE elements at a time.
-
-    A matrix with max |a_ij| outside [1/_GRAM_SAFE, _GRAM_SAFE] is first
-    scaled into [1/2, 1) by a power of two (exact), so its squares neither
-    overflow nor lose bits; squares of entries far below a matrix's max can
-    still underflow, which changes its value by far less than an ulp.
     """
     s, r, c = stack.shape
     out = np.empty(s)
     step = max(1, _GRAM_SLICE // (r * c))
     with np.errstate(under="ignore"):
         for lo in range(0, s, step):
+            out[lo:lo + step] = _gram_eig_top(*_scaled_gram(stack[lo:lo + step]))
+    return out
+
+
+def _scaled_gram(a: np.ndarray) -> tuple:
+    """(gram, shift) of an (S, r, c) stack: each matrix scaled by 2^-shift
+    so that its max |a_ij| lies in [1/2, 1) (a zero matrix keeps shift 0),
+    and the Gram matrix of the scaled matrix on its smaller side.
+
+    The scaling is exact, so the squares neither overflow nor lose bits and
+    a matrix and its power-of-two multiples give eigvalsh the same Gram
+    matrix (eigvalsh itself is not exactly power-of-two equivariant);
+    squares of entries far below a matrix's max can still underflow, which
+    changes its value by far less than an ulp.
+    """
+    flat = a.reshape(a.shape[0], -1)
+    shift = np.frexp(np.maximum(flat.max(axis=1), -flat.min(axis=1)))[1]
+    a = np.ldexp(a, -shift[:, None, None])
+    at = a.transpose(0, 2, 1)
+    return (a @ at if a.shape[1] < a.shape[2] else at @ a), shift
+
+
+def _gram_eig_top(gram: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """2^shift sqrt(max(top eigenvalue, 0)) of each Gram matrix."""
+    return np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), shift)
+
+
+def _bracket(gram: np.ndarray, shift: np.ndarray) -> tuple:
+    """(lower, upper) on each sigma = 2^shift sqrt(lambda_max(gram)):
+    2^shift sqrt(<G^4, G> / <G^2, G^2>) and 2^shift <G^4, G^4>^(1/16)."""
+    g2 = gram @ gram
+    g4 = g2 @ g2
+    num = np.einsum("sij,sij->s", g4, gram)
+    den = np.einsum("sij,sij->s", g2, g2)
+    lower = np.sqrt(np.divide(num, den, out=np.zeros_like(num), where=den > 0))
+    upper = np.einsum("sij,sij->s", g4, g4) ** (1.0 / 16.0)
+    return np.ldexp(lower, shift), np.ldexp(upper, shift)
+
+
+def top_value_max(stack: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """max(floor, top_values(stack).max(axis=1)) of an (m, g, r, c) stack,
+    bit for bit, eigensolving only the matrices that can reach the maximum.
+
+    `floor` (m,) is each row's running maximum.  Per _GRAM_SLICE elements,
+    each matrix's sigma = sqrt(lambda_max(G)) is bracketed from its scaled
+    Gram matrix G (`_scaled_gram`) by
+
+        sqrt(<G^4, G> / <G^2, G^2>)  <=  sigma  <=  <G^4, G^4>^(1/16),
+
+    that is sqrt(tr G^5 / tr G^4) (a lambda^4-weighted mean of the
+    eigenvalues) and (tr G^8)^(1/16); a zero matrix gets 0 for both.  A
+    row's threshold is max(floor, its best lower bound), and only matrices
+    whose upper bound reaches threshold * (1 - _PRUNE_MARGIN) are
+    eigensolved, by the same `_gram_eig_top` as `top_values`, so every
+    value that can be the maximum has the bits it has there.  Groups of one
+    matrix per row, and vector shapes, go straight to `top_values`.
+    """
+    m, g, r, c = stack.shape
+    if g == 1 or r == 1 or c == 1:
+        return np.maximum(floor, top_values(stack).max(axis=1))
+    out = np.empty(m)
+    step = max(1, _GRAM_SLICE // (g * r * c))
+    with np.errstate(under="ignore"):
+        for lo in range(0, m, step):
             a = stack[lo:lo + step]
-            top = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))
-            far = ~(top <= _GRAM_SAFE) | (top < 1.0 / _GRAM_SAFE)
-            shift = np.where(far, np.frexp(top)[1], 0) if far.any() else None
-            if shift is not None:
-                a = np.ldexp(a, -shift[:, None, None])
-            at = a.transpose(0, 2, 1)
-            gram = a @ at if r < c else at @ a
-            vals = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-            out[lo:lo + step] = vals if shift is None else np.ldexp(vals, shift)
+            rows = a.shape[0]
+            gram, shift = _scaled_gram(a.reshape(-1, r, c))
+            lower, upper = (b.reshape(rows, g) for b in _bracket(gram, shift))
+            cut = np.maximum(floor[lo:lo + step], lower.max(axis=1))
+            # NaN in a bound or threshold keeps the matrix
+            keep = ~(upper < (cut * (1.0 - _PRUNE_MARGIN))[:, None]).ravel()
+            vals = np.zeros(rows * g)
+            vals[keep] = _gram_eig_top(gram[keep], shift[keep])
+            out[lo:lo + step] = np.maximum(floor[lo:lo + step],
+                                           vals.reshape(rows, g).max(axis=1))
     return out
 
 
@@ -185,24 +268,6 @@ def spectral_norm(A: WeightMatrix) -> float:
     if A.entries.size == 0:
         return 0.0
     return float(top_values(A.entries))
-
-
-def trace_power_norm(A: WeightMatrix, k: int) -> float:
-    """(tr A^{2k})^{1/(2k)} for symmetric A.
-
-    Always sandwiched in [||A||, n^{1/(2k)} ||A||].  Computed from the
-    eigenvalues with max-abs scaling so large powers cannot overflow.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if not A.symmetric and not np.array_equal(A.entries, A.entries.T):
-        raise ValueError("trace-power norm requires a symmetric matrix")
-    eig = np.linalg.eigvalsh(A.entries)
-    m = float(np.max(np.abs(eig))) if eig.size else 0.0
-    if m == 0.0:
-        return 0.0
-    scaled = np.abs(eig) / m
-    return m * float(np.sum(scaled ** (2 * k)) ** (1.0 / (2 * k)))
 
 
 def max_row_col_l2(A: WeightMatrix) -> tuple:

@@ -1,20 +1,27 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from radnorm import spectral
 from radnorm.core import WeightMatrix
+from radnorm.families import union_complete
 from radnorm.oracles import top_singular_value
+from radnorm.sampler import _sample_norms
 from radnorm.spectral import (
     _GRAM_SLICE,
+    _PRUNE_MARGIN,
     FULL_DECOMPOSITION_MAX,
+    _bracket,
     _power_pair,
+    _scaled_gram,
     _start_vector,
     max_row_col_l2,
     spectral_norm,
     top_pair,
+    top_value_max,
     top_values,
-    trace_power_norm,
 )
 
 #: The stated tolerance of `top_values` against an SVD on sides >= 2.
@@ -53,6 +60,18 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(WeightMatrix(np.zeros((5, 5)))) == 0.0
+
+    def test_within_trace_power_sandwich(self):
+        # an independent route by matrix products only:
+        # ||A|| <= (tr (A^T A)^k)^(1/2k) <= n^(1/2k) ||A||
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            n = int(rng.integers(2, 12))
+            a = rng.standard_normal((n, n))
+            norm = spectral_norm(WeightMatrix(a))
+            for k in (1, 2, 4, 8):
+                v = np.trace(np.linalg.matrix_power(a.T @ a, k)) ** (1 / (2 * k))
+                assert norm * (1 - 1e-12) <= v <= n ** (1 / (2 * k)) * norm * (1 + 1e-12)
 
     def test_equals_decomposition_beyond_full_decomposition_max(self):
         # sides above FULL_DECOMPOSITION_MAX get the same kernel as below:
@@ -162,6 +181,113 @@ class TestTopValues:
         np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=0)
 
 
+def eigensolved(call):
+    """(result of call(), matrices `top_value_max` eigensolved in it)."""
+    seen = []
+    original = spectral._gram_eig_top
+
+    def counting(gram, shift):
+        seen.append(gram.shape[0])
+        return original(gram, shift)
+
+    with mock.patch.object(spectral, "_gram_eig_top", counting):
+        return call(), sum(seen)
+
+
+def block_max(stack, floor):
+    """The unpruned reference of `top_value_max`."""
+    return np.maximum(floor, top_values(stack).max(axis=1))
+
+
+class TestTopValueMax:
+    def test_union_complete_blocks_pruned_to_the_same_bits(self):
+        # the iid blocks of a union of complete graphs: a K_3 block has norm
+        # 2 or sqrt(3), so half the blocks tie at a row's maximum
+        rng = np.random.default_rng(40)
+        for d, share in ((2, 0.6), (4, 0.1)):
+            support = np.ones((d + 1, d + 1)) - np.eye(d + 1)
+            stack = support * rng.choice([-1.0, 1.0], size=(50, 30, d + 1, d + 1))
+            floor = np.zeros(50)
+            got, solved = eigensolved(lambda: top_value_max(stack, floor))
+            assert np.array_equal(got, block_max(stack, floor))
+            assert solved <= share * stack.shape[0] * stack.shape[1]
+
+    def test_ties_and_zero_blocks_keep_the_maximum(self):
+        rng = np.random.default_rng(41)
+        block = rng.standard_normal((4, 3))
+        stack = np.broadcast_to(block, (6, 9, 4, 3)).copy()
+        stack[:, ::2] = 0.0
+        stack[5] = 0.0
+        floor = np.zeros(6)
+        got, solved = eigensolved(lambda: top_value_max(stack, floor))
+        assert np.array_equal(got, block_max(stack, floor))
+        assert got[5] == 0.0 and np.all(got[:5] == float(top_values(block)))
+        # every copy of the block ties and its zeros drop; a zero row's
+        # threshold is 0, which prunes nothing
+        assert solved == 5 * 4 + 9
+
+    def test_floor_above_every_block_solves_nothing(self):
+        stack = np.random.default_rng(42).standard_normal((7, 5, 3, 3))
+        floor = np.full(7, 1e3)
+        floor[2] = np.inf
+        got, solved = eigensolved(lambda: top_value_max(stack, floor))
+        assert np.array_equal(got, floor) and solved == 0
+
+    @pytest.mark.parametrize("shape", [(9, 1, 4, 5), (9, 6, 1, 5), (9, 6, 5, 1)])
+    def test_one_block_per_row_and_vectors_bypass_the_bracket(self, shape):
+        stack = np.random.default_rng(43).standard_normal(shape)
+        floor = np.full(9, 1.5)
+        with mock.patch.object(spectral, "_bracket", side_effect=AssertionError):
+            got = top_value_max(stack, floor)
+        assert np.array_equal(got, block_max(stack, floor))
+
+    @pytest.mark.parametrize("j", [-1000, -1074 + 60, 1000])
+    def test_extreme_scales(self, j):
+        rng = np.random.default_rng(44)
+        stack = np.ldexp(rng.choice([-1.0, 0.0, 1.0], size=(20, 12, 3, 4)), j)
+        stack *= rng.uniform(0.5, 4.0, size=stack.shape)
+        floor = np.zeros(20)
+        with np.errstate(all="raise"):
+            got = top_value_max(stack, floor)
+        assert np.array_equal(got, block_max(stack, floor))
+        assert np.array_equal(np.ldexp(got, -j), top_value_max(np.ldexp(stack, -j), floor))
+
+    def test_slices_never_change_the_maximum(self):
+        # rows spanning several Gram slices, with a per-row floor
+        rng = np.random.default_rng(45)
+        rows = 3 * (_GRAM_SLICE // (8 * 5 * 5)) + 1
+        stack = rng.choice([-1.0, 1.0], size=(rows, 8, 5, 5))
+        floor = rng.uniform(0.0, 6.0, size=rows)
+        got = top_value_max(stack, floor)
+        assert np.array_equal(got, block_max(stack, floor))
+        alone = np.concatenate([top_value_max(stack[i:i + 1], floor[i:i + 1])
+                                for i in range(0, rows, 97)])
+        assert np.array_equal(got[::97], alone)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (6, 4), (9, 9), (40, 33)])
+    def test_bracket_contains_the_oracle_value(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = np.concatenate([
+            rng.standard_normal((20,) + shape),
+            rng.choice([-1.0, 1.0], size=(20,) + shape),
+            np.ldexp(np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])),
+                     300)[None],  # rank one: both bounds equal sigma
+            np.zeros((1,) + shape),
+        ])
+        lower, upper = _bracket(*_scaled_gram(stack))
+        want = np.array([top_singular_value(m) for m in stack])
+        assert np.all(lower <= want * (1 + _PRUNE_MARGIN))
+        assert np.all(upper >= want * (1 - _PRUNE_MARGIN))
+        assert lower[-1] == upper[-1] == 0.0
+
+    def test_sampled_union_complete_identical_for_any_thread_count(self):
+        A = union_complete(13, 3).matrix.indicator()
+        for mode in ("rademacher_iid", "rademacher_symmetric"):
+            want = _sample_norms(A, mode, 500, 8)
+            for threads in (2, 3):
+                assert np.array_equal(_sample_norms(A, mode, 500, 8, threads), want)
+
+
 class TestTopPair:
     def test_witnesses_achieve_value(self):
         rng = np.random.default_rng(21)
@@ -201,49 +327,6 @@ class TestTopPair:
         sigma, u, v = top_pair(np.zeros((700, 3)))
         assert sigma == 0.0 and not u.any()
         assert np.linalg.norm(v) == pytest.approx(1.0)
-
-
-class TestTracePowerNorm:
-    def test_identity(self):
-        A = WeightMatrix(np.eye(4), symmetric=True)
-        assert trace_power_norm(A, 2) == pytest.approx(4 ** 0.25, abs=1e-12)
-
-    def test_rank_one_projector(self):
-        w = np.random.default_rng(3).standard_normal(6)
-        w /= np.linalg.norm(w)
-        A = WeightMatrix(np.outer(w, w), symmetric=True)
-        for k in (1, 2, 5):
-            assert trace_power_norm(A, k) == pytest.approx(1.0, abs=1e-10)
-
-    def test_cycle4_exact(self):
-        # C_4 adjacency spectrum is {2, 0, 0, -2}: tr A^{2k} = 2 * 4^k
-        a = np.zeros((4, 4))
-        for i in range(4):
-            a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = 1.0
-        A = WeightMatrix(a, symmetric=True)
-        got = trace_power_norm(A, 3)
-        assert got == pytest.approx((2 * 4 ** 3) ** (1 / 6), abs=1e-12)
-        assert 2.0 - 1e-12 <= got <= 2.0 * 4 ** (1 / 6) + 1e-12
-
-    def test_requires_symmetry(self):
-        with pytest.raises(ValueError):
-            trace_power_norm(WeightMatrix([[0, 1], [0, 0]]), 2)
-
-    def test_sandwich(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            n = int(rng.integers(2, 12))
-            a = rng.standard_normal((n, n))
-            a = (a + a.T) / 2
-            A = WeightMatrix(a, symmetric=True)
-            norm = spectral_norm(A)
-            for k in (1, 2, 4, 8):
-                v = trace_power_norm(A, k)
-                assert norm - 1e-9 <= v <= n ** (1 / (2 * k)) * norm + 1e-9
-
-    def test_no_overflow_at_large_k(self):
-        A = WeightMatrix(np.diag([1e8, 1.0]), symmetric=True)
-        assert trace_power_norm(A, 32) == pytest.approx(1e8)
 
 
 class TestMaxRowColL2:

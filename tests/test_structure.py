@@ -8,7 +8,8 @@ fails here, so a change of method stays a one-file change.  Edge sets are
 built only where a support enters or leaves the program (input, families,
 scenarios, output); the bound engine carries supports as index arrays.
 Comments and string literals are ignored.  Every `EngineConfig` knob is
-also a `profile` flag, so no knob is left that no caller sets.
+also a `profile` flag, so no knob is left that no caller sets, and
+library surface deleted because no result used it stays deleted.
 """
 
 import argparse
@@ -34,6 +35,10 @@ RULES = {
     "edge-set construction": (re.compile(r"\bEdgeSet(\(|\.from_)"),
                               {"core.py", "families.py", "scenarios.py", "cli.py", "matio.py"}),
 }
+
+
+#: Public functions deleted because only their own tests called them.
+DELETED = ("trace_power_norm",)
 
 
 def code_only(path: pathlib.Path) -> str:
@@ -80,3 +85,12 @@ def test_engine_config_knobs_are_profile_flags():
     dests = {a.dest for a in sub.choices["profile"]._actions}
     unset = [f.name for f in dataclasses.fields(EngineConfig) if f.name not in dests]
     assert not unset, f"EngineConfig fields without a profile flag: {unset}"
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_surface_stays_deleted(name):
+    assert not hasattr(radnorm, name)
+    pattern = re.compile(rf"\b{name}\b")
+    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if pattern.search(code_only(path))]
+    assert not offenders, f"{name} is back in {offenders}"
