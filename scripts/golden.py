@@ -16,15 +16,16 @@ key, list length, anything under `flags`, `mode` or `removed`, or an exit
 code differs.  Run `diff` before re-recording a change that moves low-order
 bits, to show every command is within the stated tolerance.  `--jobs N`
 runs the commands in N worker processes.
-tests/test_golden.py checks the 80 commands marked fast, each well under
+tests/test_golden.py checks the 82 commands marked fast, each well under
 a second: inputs of side <= 16, plus the n = 128 one-magnitude profile
 `bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
 enumerated and greedy rows on its 0/1 support, `verify
 union_complete_regimes --n-cap 64`, whose many same-shape Monte Carlo
-blocks take the pruned block maximum, and the `family` and `oracle`
-commands.
+blocks take the pruned block maximum, `verify block_counterexample
+--n-cap 64`, whose k-sweep masks the support's index arrays, and the
+`family` and `oracle` commands.
 
-The 201 commands cover every square input of side <= 64 in the three
+The 202 commands cover every square input of side <= 64 in the three
 corpora (default flags, --exact-threshold 150 and --restarts 1), the
 benchmark's profile operations, --budget-cap, --exact-threshold and
 --seed variants, scaled and one-magnitude inputs, the path P3 and the
@@ -207,8 +208,10 @@ def commands() -> list:
         argv = ["verify", "--scenario", scenario, "--samples", "100", "--seed", "2"]
         if scenario in ("union_complete_regimes", "block_counterexample"):
             argv += ["--n-cap", "64"]
-        # 7 to 32 same-shape blocks per group: pins the pruned block maximum
-        add(f"verify.{scenario}", argv, scenario == "union_complete_regimes")
+        # union_complete_regimes: 7 to 32 same-shape blocks per group pins the
+        # pruned block maximum; block_counterexample pins its masked k-sweep
+        add(f"verify.{scenario}", argv,
+            scenario in ("union_complete_regimes", "block_counterexample"))
 
     # one small instance per family generator
     for name, argv in (
@@ -229,7 +232,7 @@ def commands() -> list:
     add("oracle.x_quantity.P3", ["oracle", "--input", _path("P3"),
                                  "--quantity", "x_quantity"], True)
 
-    # error exits: parse and usage errors (2) and a resource cap (3)
+    # error exits: parse and usage errors (2) and resource caps (3)
     add("error.missing_input", ["profile", "--input", "inputs/missing.json"], True)
     add("error.broken_json", ["profile", "--input", "inputs/broken.json"], True)
     add("error.rectangular_profile", ["profile", "--input", _path("rect_2x3")], True)
@@ -245,6 +248,9 @@ def commands() -> list:
     add("error.circulant_without_b", ["family", "--family", "circulant"], True)
     add("error.n_null", ["profile", "--input", "inputs/n_null.json"], True)
     add("error.edges_n_huge", ["profile", "--input", "inputs/edges_n_huge.json"], True)
+    add("error.exact_expectation_cap",
+        ["oracle", "--input", _path("mixed.dense_gauss_n16"), "--quantity",
+         "exact_expectation"], True)
     add("error.oracle_p_inf", ["oracle", "--input", _path("C4"), "--quantity",
                                "subgraph_norm", "--p", "inf"], True)
     add("error.oracle_p_negative", ["oracle", "--input", _path("C4"), "--quantity",

@@ -5,14 +5,11 @@ from .core import (
     CapExceededError,
     EdgeSet,
     GraphView,
-    LevelSets,
     WeightMatrix,
     derive_graph,
     girth,
     is_tangle_free,
-    level_sets,
     log_clamped,
-    neighborhood_sets,
     power_graph,
 )
 from .spectral import (
@@ -21,10 +18,7 @@ from .spectral import (
 )
 from .moments import (
     SurrogateResult,
-    dual_surrogate,
-    empirical_lp,
     hitczenko_surrogate,
-    rearrange_desc,
 )
 from .bounds import (
     BoundProfile,
@@ -56,10 +50,7 @@ from .families import (
     union_complete,
 )
 from .oracles import (
-    SignBilinearResult,
     enumerate_connected,
-    greedy_cover,
-    sign_bilinear_max,
     subgraph_norm_enum,
     x_quantity,
 )

@@ -152,6 +152,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _CapReached(Exception):
+    pass
+
+
 class _SubsetSearch:
     """Branch and bound over connected edge subsets of size <= m.
 
@@ -159,13 +163,15 @@ class _SubsetSearch:
     edge-adjacency sense (sharing a row or a column index), since the norm
     of a block-diagonal arrangement is the largest block norm.  Subsets
     are enumerated once each, rooted at their smallest edge index, and
-    pruned against the best value found so far.
+    pruned against the best value found so far.  The search stops as soon
+    as the best value reaches the cap that no subset can beat.
     """
 
     def __init__(self, pairs: list, m: int, node_cap: int):
         self.pairs = pairs
         self.m = m
         self.node_cap = node_cap
+        self.global_cap = math.inf
         self.nodes = 0
         self.best = 0.0
         self.best_set: tuple = ()
@@ -199,17 +205,21 @@ class _SubsetSearch:
         if val > self.best + 1e-12:
             self.best = val
             self.best_set = tuple(subset)
+            if val >= self.global_cap - 1e-12:
+                raise _CapReached
 
     def run(self, global_cap: float) -> bool:
-        """Explore; returns True when the search ran to completion."""
+        """Explore; returns True when the search ran to completion or its
+        best value reached `global_cap`."""
+        self.global_cap = global_cap
         try:
             for root in range(len(self.pairs)):
-                if self.best >= global_cap - 1e-12:
-                    return True
                 cand = [f for f in self.nbr[root] if f > root]
                 self._rec([root], cand, set(cand) | {root})
         except _BudgetExhausted:
             return False
+        except _CapReached:
+            pass
         return True
 
     def _rec(self, cur: list, cand: list, seen: set):

@@ -1,10 +1,9 @@
-"""Core data types: weight matrices, edge sets, support graphs, level sets.
+"""Core data types: weight matrices, edge sets, support graphs.
 
 The objects here are the vocabulary shared by every other module: a dense
 weighted matrix with an optional symmetry flag, a set of ordered index
-pairs standing for a 0/1 matrix, the support graph of a square matrix with
-its BFS distance structure, and the geometric level-set decomposition of a
-unit vector.
+pairs standing for a 0/1 matrix, and the support graph of a square matrix
+with its BFS distance structure.
 
 Indices are 0-based everywhere inside the library; file formats and
 reports use 1-based indices.
@@ -68,9 +67,6 @@ class WeightMatrix:
 
     Invariants enforced at construction: all entries finite; when the
     symmetric flag is set the matrix is square and equal to its transpose.
-    The zero-diagonal predicate is exposed because signed diagonal entries
-    contribute exactly max |a_ii| to the norm and are conventionally
-    dropped from corpus matrices.
     """
 
     entries: np.ndarray
@@ -104,13 +100,6 @@ class WeightMatrix:
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
-
-    @property
-    def zero_diagonal(self) -> bool:
-        """True iff every diagonal entry vanishes (requires square)."""
-        if not self.is_square:
-            return False
-        return not np.any(np.diagonal(self.entries))
 
     def max_abs(self) -> float:
         if self.entries.size == 0:
@@ -281,68 +270,6 @@ def power_graph(G: GraphView, r: int) -> GraphView:
             if 1 <= d and v < w:
                 edges.append((v, w))
     return GraphView.from_edges(G.n, edges)
-
-
-def neighborhood_sets(G: GraphView, I) -> tuple:
-    """First and second neighborhood expansions (I', I'') of a vertex set.
-
-    I' is every vertex adjacent to some member of I; I'' is every vertex
-    adjacent to some member of I'.  |I'| <= d |I| and |I''| <= d^2 |I|.
-    """
-    I = frozenset(int(v) for v in I)
-    for v in I:
-        if not 0 <= v < G.n:
-            raise ValueError(f"vertex {v} out of range")
-    i_prime = set()
-    for v in I:
-        i_prime.update(G.adjacency[v])
-    i_second = set()
-    for v in i_prime:
-        i_second.update(G.adjacency[v])
-    return frozenset(i_prime), frozenset(i_second)
-
-
-@dataclass(frozen=True)
-class LevelSets:
-    """Geometric level-set decomposition of a vector.
-
-    Bucket k >= 1 holds the indices i with base^(-k) < |s_i| <= base^(1-k).
-    Zero coordinates land in no bucket.  With base = e this is the e-grid
-    decomposition shifted by one (bucket k here is the set with exponent
-    k - 1 in the zero-started convention).
-    """
-
-    base: float
-    buckets: dict
-
-    def weighted_mass(self) -> float:
-        """Sum over buckets of base^(-2k) |I_k| (always <= ||s||_2^2)."""
-        return sum(self.base ** (-2 * k) * len(v) for k, v in self.buckets.items())
-
-
-def level_sets(s, base: float) -> LevelSets:
-    """Bucket the coordinates of a unit vector by magnitude on a base-grid."""
-    if not base > 1.0:
-        raise ValueError("base must exceed 1")
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("expected a vector")
-    norm = float(np.linalg.norm(s))
-    if norm > 1.0 + 1e-9:
-        raise ValueError(f"vector must satisfy ||s||_2 <= 1, got {norm}")
-    buckets: dict = {}
-    logb = math.log(base)
-    for i, v in enumerate(np.abs(s)):
-        if v == 0.0:
-            continue
-        k = max(1, int(math.floor(-math.log(v) / logb)) + 1)
-        # floating point can land the candidate one off at exact powers
-        while base ** (1 - k) < v:
-            k -= 1
-        while v <= base ** (-k):
-            k += 1
-        buckets.setdefault(k, []).append(i)
-    return LevelSets(base, {k: tuple(v) for k, v in sorted(buckets.items())})
 
 
 def girth(G: GraphView) -> float:

@@ -1,4 +1,4 @@
-"""Two-sided L_p surrogates for Rademacher sums, plus empirical moments.
+"""Two-sided L_p surrogates for Rademacher sums.
 
 For coefficients a and p >= 1 the head-plus-tail surrogate
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
 from .core import sign_patterns
 
 
@@ -33,12 +32,6 @@ class SurrogateResult:
     def __post_init__(self):
         if self.head < 0 or self.tail < 0:
             raise ValueError("head and tail are nonnegative")
-
-
-def rearrange_desc(a) -> np.ndarray:
-    """Nonincreasing rearrangement of the absolute values."""
-    a = np.asarray(a, dtype=float)
-    return np.sort(np.abs(a.ravel()))[::-1]
 
 
 def hitczenko_surrogate(a, p: float) -> SurrogateResult:
@@ -100,15 +93,6 @@ def water_fill(star: np.ndarray, p: float) -> tuple:
     return values, b
 
 
-def dual_surrogate(a, p: float) -> float:
-    """Exact value of sup{<a, b> : ||b||_inf <= 1, ||b||_2 <= sqrt(p)}."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    star = rearrange_desc(a)
-    value, _ = water_fill(star, float(p))
-    return value
-
-
 def power_mean_estimate(values: np.ndarray, p: float) -> tuple:
     """(mean values^p)^{1/p} with a delta-method standard error.
 
@@ -128,27 +112,6 @@ def power_mean_estimate(values: np.ndarray, p: float) -> tuple:
     sd_y = float(y.std(ddof=1))
     est = top * mean_y ** (1.0 / p)
     return est, est / (p * mean_y) * sd_y / math.sqrt(n)
-
-
-def empirical_lp(a, p: float, samples: int, seed: int) -> tuple:
-    """Monte Carlo estimate of || sum_k a_k eps_k ||_p with its standard error.
-
-    Plain Monte Carlo over independent sign vectors from the counter
-    stream; the estimate is (mean |S|^p)^{1/p} and the standard error
-    comes from the delta method.
-    """
-    if p < 1 or p > 64:
-        raise ValueError("p must lie in [1, 64]")
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    a = np.asarray(a, dtype=float).ravel()
-    if a.size == 0 or not a.any():
-        return 0.0, 0.0
-    abs_s = np.empty(samples)
-    for start, u in streams.uniform_blocks(seed, a.size, samples):
-        eps = streams.signs_from_uniform(u)
-        abs_s[start:start + eps.shape[0]] = np.abs(eps @ a)
-    return power_mean_estimate(abs_s, p)
 
 
 def exact_lp_enumeration(a, p: float) -> float:

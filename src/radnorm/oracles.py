@@ -1,68 +1,28 @@
 """Brute-force computations of the proof-side quantities at tiny scale.
 
-These are the independent second routes: sign-bilinear maxima over index
-set pairs, the normalized maximum X over all such pairs, connected-subset
-enumeration with its Catalan-style count bound, the greedy neighbor cover,
-and the dumb exhaustive twin of the 0/1 subgraph search.
+These are the independent second routes: the normalized sign-bilinear
+maximum X over index set pairs, connected-subset enumeration with its
+Catalan-style count bound, and the dumb exhaustive twin of the 0/1
+subgraph search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (CapExceededError, EdgeSet, GraphView, WeightMatrix, power_graph,
                    sign_patterns)
 
-SIGN_SIDE_CAP = 20
 X_SIZE_CAP = 8
 ENUM_CAP = 10 ** 6
 
 
-@dataclass(frozen=True, eq=False)
-class SignBilinearResult:
-    value: float
-    eta_rows: np.ndarray
-    eta_cols: np.ndarray
-
-
-def sign_bilinear_max(B: WeightMatrix) -> SignBilinearResult:
-    """max over eta, eta' in {-1, +1} of sum_ij b_ij eta_i eta'_j.
-
-    Signs are enumerated on the smaller side (cap 20); the other side's
-    optimum is the componentwise sign of the partial sums.  The global
-    flip symmetry halves the enumeration.
-    """
-    b = B.entries
-    transposed = b.shape[1] < b.shape[0]
-    if transposed:
-        b = b.T
-    k = b.shape[0]
-    if k > SIGN_SIDE_CAP:
-        raise CapExceededError(f"smaller side {k} exceeds the cap {SIGN_SIDE_CAP}")
-    if b.size == 0 or k == 0:
-        return SignBilinearResult(0.0, np.ones(B.n_rows), np.ones(B.n_cols))
-    best = -math.inf
-    best_eta = np.ones(k)
-    for signs in sign_patterns(k):
-        partial = signs @ b  # (patterns, cols)
-        vals = np.abs(partial).sum(axis=1)
-        i = int(vals.argmax())
-        if vals[i] > best:
-            best = float(vals[i])
-            best_eta = signs[i].copy()
-    col_sums = best_eta @ b
-    eta_cols = np.where(col_sums >= 0, 1.0, -1.0)
-    if transposed:
-        return SignBilinearResult(best, eta_cols, best_eta)
-    return SignBilinearResult(best, best_eta, eta_cols)
-
-
 def x_quantity(A_realized: WeightMatrix) -> float:
-    """max over nonempty I, J of (|I||J|)^{-1/2} sign_bilinear_max(B[I, J]).
+    """max over nonempty I, J and signs eta in {-1, +1}^I, eta' in {-1, +1}^J
+    of (|I||J|)^{-1/2} sum_{i in I, j in J} b_ij eta_i eta'_j.
 
     The realized matrix (weights times signs) is supplied by the caller so
     one realization can feed several paired quantities.  For each I and
@@ -121,44 +81,6 @@ def connected_count_bound(G: GraphView, k: int, r: int) -> float:
     """(4 d)^{k-1} with d the max degree of the r-th power graph."""
     d = power_graph(G, r).max_degree
     return float((4 * d) ** (k - 1)) if k >= 1 else 0.0
-
-
-def greedy_cover(G: GraphView, I_pool, J_pool, threshold: int) -> tuple:
-    """Greedy picks from I_pool, each claiming the most J_pool vertices not
-    adjacent to anything already picked.
-
-    Stops before the first pick whose residual count would drop below
-    threshold.  Returns (picked, residuals); residuals are nonincreasing,
-    len(picked) * residuals[-1] <= |J_pool|, and every unpicked vertex of
-    I_pool ends with residual count < threshold.  Ties go to the lowest
-    vertex index; a pick exactly at threshold is kept.
-    """
-    if threshold < 1:
-        raise ValueError("threshold must be a positive integer")
-    I_pool = sorted(set(int(x) for x in I_pool))
-    J_free = set(int(x) for x in J_pool)
-    for v in I_pool + sorted(J_free):
-        if not 0 <= v < G.n:
-            raise ValueError(f"vertex {v} out of range")
-    picked: list = []
-    residuals: list = []
-    remaining = list(I_pool)
-    while remaining:
-        best_v = None
-        best_count = -1
-        for v in remaining:
-            count = sum(1 for w in G.adjacency[v] if w in J_free)
-            if count > best_count:
-                best_count = count
-                best_v = v
-        if best_count < threshold:
-            break
-        picked.append(best_v)
-        residuals.append(best_count)
-        remaining.remove(best_v)
-        for w in G.adjacency[best_v]:
-            J_free.discard(w)
-    return picked, residuals
 
 
 def top_singular_value(m: np.ndarray) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .core import WeightMatrix, sign_patterns
+from .core import CapExceededError, WeightMatrix, sign_patterns
 from .moments import power_mean_estimate
 from .spectral import top_value_max
 
@@ -290,6 +290,6 @@ def exact_small_norm_expectation(A: WeightMatrix, mode: str) -> float:
     if k == 0:
         return 0.0
     if k > EXACT_SIGNS_CAP:
-        raise ValueError(f"{k} independent signs exceed the cap {EXACT_SIGNS_CAP}")
+        raise CapExceededError(f"{k} independent signs exceed the cap {EXACT_SIGNS_CAP}")
     total = sum(float(_batch_norms(signs, plan).sum()) for signs in sign_patterns(k))
     return total / (1 << (k - 1))

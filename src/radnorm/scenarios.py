@@ -20,14 +20,14 @@ import numpy as np
 
 from .bounds import (
     EngineConfig,
+    _exact_01,
     bvh_bound,
     k_grid,
-    r_exact_01,
     r_estimate,
     seginer_bound,
     trivial_degree_bound,
 )
-from .core import EdgeSet, WeightMatrix, log_clamped
+from .core import WeightMatrix, log_clamped
 from .corpus import corpus_symmetric, corpus_zero_one
 from .families import (
     block_plus_singletons,
@@ -176,19 +176,20 @@ def scenario_block_counterexample(samples=2000, seed=1, threads=1, n=2048) -> Sc
         A = inst.weight_matrix()
         est = mc_norm(A, "rademacher_iid", samples, seed, threads)
         row = math.sqrt(d)
-        subgraph = r_exact_01(inst.matrix, log_n, config.budget_cap)
+        rows, cols = np.nonzero(A.entries)
+        subgraph = _exact_01(rows, cols, n, log_n, config.budget_cap)
         rhs_one_sided = row + row + subgraph.lower
         # k-sweep surrogate via the canonical removals (block rows first,
         # then singletons); each term upper-bounds the true inner min, and
         # the last grid point n removes everything
         ksweep = 0.0
         for k in k_grid(n)[:-1]:
-            keep = set(range(min(k, d), d)) | set(range(d + k - min(k, d), n))
-            sub_pairs = [(i, j) for (i, j) in inst.matrix.pairs
-                         if i in keep and j in keep]
-            if sub_pairs:
-                term = r_exact_01(EdgeSet(n, tuple(sub_pairs)), log_clamped(k),
-                                  config.budget_cap)
+            kept = np.ones(n, dtype=bool)
+            kept[:min(k, d)] = False
+            kept[d:d + k - min(k, d)] = False
+            on = kept[rows] & kept[cols]
+            if on.any():
+                term = _exact_01(rows[on], cols[on], n, log_clamped(k), config.budget_cap)
                 ksweep = max(ksweep, term.lower)
         rhs_two_sided = row + row + ksweep
         points.append(_record(

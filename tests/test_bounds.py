@@ -180,6 +180,17 @@ class TestRExact01:
             E = EdgeSet(n, tuple(pairs))
             assert search.best == pytest.approx(subgraph_norm_enum(E, p), abs=1e-9)
 
+    @pytest.mark.parametrize("E, p, budget", [
+        (union_complete(2, 3).matrix, 4, 50),
+        (block_plus_singletons(16, 4).matrix, 8, 200),
+    ])
+    def test_search_stops_certified_at_the_cap(self, E, p, budget):
+        # the best set reaches sqrt(m) inside a root's recursion, long
+        # before the node budget runs out
+        br = r_exact_01(E, p, budget_cap=budget)
+        assert br.certified
+        assert br.upper == br.lower == pytest.approx(math.sqrt(p), abs=1e-12)
+
 
 class TestRHeuristic:
     def test_single_entry(self):

@@ -327,6 +327,12 @@ class TestOracleCommand:
         dump_json(WeightMatrix(np.ones((16, 16))), mpath)
         assert main(["oracle", "--input", str(mpath), "--quantity", "x_quantity"]) == 3
 
+    def test_exact_expectation_sign_cap_exit_3(self, tmp_path):
+        # 25 independent signs, one beyond the enumeration cap
+        mpath = tmp_path / "ones5.json"
+        dump_json(WeightMatrix(np.ones((5, 5))), mpath)
+        assert main(["oracle", "--input", str(mpath), "--quantity", "exact_expectation"]) == 3
+
 
 class TestDeterminism:
     def test_byte_identical_across_threads(self, k3_file, tmp_path):

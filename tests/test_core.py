@@ -14,9 +14,7 @@ from radnorm.core import (
     derive_graph,
     girth,
     is_tangle_free,
-    level_sets,
     log_clamped,
-    neighborhood_sets,
     power_graph,
     sign_patterns,
 )
@@ -64,7 +62,6 @@ class TestWeightMatrix:
     def test_basic(self):
         A = WeightMatrix([[0, 1], [2, 0]])
         assert A.n_rows == 2 and A.n_cols == 2
-        assert A.zero_diagonal
         assert A.max_abs() == 2.0
 
     def test_symmetric_flag_enforced(self):
@@ -182,88 +179,6 @@ class TestPowerGraph:
                 continue
             r = int(rng.integers(1, 4))
             assert power_graph(G, r).max_degree <= d ** r
-
-
-class TestNeighborhoodSets:
-    def test_path(self):
-        ip, isec = neighborhood_sets(path(3), {0})
-        assert ip == {1} and isec == {0, 2}
-
-    def test_isolated(self):
-        G = graph_from_edges(3, [(0, 1)])
-        ip, isec = neighborhood_sets(G, {2})
-        assert ip == frozenset() and isec == frozenset()
-
-    def test_k4(self):
-        ip, isec = neighborhood_sets(complete(4), {0})
-        assert ip == {1, 2, 3} and isec == {0, 1, 2, 3}
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            neighborhood_sets(path(3), {5})
-
-    def test_cardinality_bounds_and_containment(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            n = int(rng.integers(2, 14))
-            G = random_graph(rng, n, 0.35)
-            d = G.max_degree
-            size = int(rng.integers(1, n + 1))
-            I = set(rng.choice(n, size=size, replace=False).tolist())
-            ip, isec = neighborhood_sets(G, I)
-            assert len(ip) <= d * len(I)
-            assert len(isec) <= d * d * len(I)
-            if all(G.adjacency[v] for v in I):
-                assert I <= isec
-
-
-class TestLevelSets:
-    def test_unit_coordinate(self):
-        ls = level_sets([1.0, 0.0], math.e)
-        assert ls.buckets == {1: (0,)}
-
-    def test_zero_vector(self):
-        assert level_sets([0.0, 0.0], math.e).buckets == {}
-
-    def test_two_buckets(self):
-        # derived by direct bucket-predicate evaluation: after normalizing
-        # (e^-1.5, e^-0.5), the coordinates are ~0.245 and ~0.666, so they
-        # sit in buckets 2 and 1 of the e-grid
-        s = np.array([math.exp(-1.5), math.exp(-0.5)])
-        s = s / np.linalg.norm(s)
-        ls = level_sets(s, math.e)
-        assert ls.buckets == {1: (1,), 2: (0,)}
-
-    def test_base_validation(self):
-        with pytest.raises(ValueError):
-            level_sets([0.5], 1.0)
-
-    def test_norm_precondition(self):
-        with pytest.raises(ValueError):
-            level_sets([1.0, 1.0], math.e)
-
-    def test_partition_and_mass(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            n = int(rng.integers(1, 30))
-            s = rng.standard_normal(n)
-            s = s / max(np.linalg.norm(s), 1.0)
-            s[rng.random(n) < 0.2] = 0.0
-            base = float(rng.uniform(1.1, 4.0))
-            ls = level_sets(s, base)
-            all_idx = [i for v in ls.buckets.values() for i in v]
-            assert len(all_idx) == len(set(all_idx))
-            assert set(all_idx) == set(np.nonzero(s)[0].tolist())
-            for k, idx in ls.buckets.items():
-                for i in idx:
-                    assert base ** (-k) < abs(s[i]) <= base ** (1 - k)
-            assert ls.weighted_mass() <= float(s @ s) + 1e-12
-
-    def test_exact_power_boundaries(self):
-        ls = level_sets([math.exp(-1.0) * 0.999999999, 0.1e-30], math.e)
-        (k,) = [k for k, v in ls.buckets.items() if 0 in v]
-        v = math.exp(-1.0) * 0.999999999
-        assert math.e ** (-k) < v <= math.e ** (1 - k)
 
 
 class TestGirth:

@@ -1,7 +1,8 @@
-"""The fast part of the golden command set, 80 of its 201 commands: CLI
+"""The fast part of the golden command set, 82 of its 202 commands: CLI
 stdout and exit codes on inputs of side <= 16, on one n = 128 profile of
 a 0/1 support, of `verify union_complete_regimes` at --n-cap 64 (the
-pruned Monte Carlo block maximum) and of the small `family` and `oracle`
+pruned Monte Carlo block maximum), of `verify block_counterexample` at
+--n-cap 64 (the masked k-sweep) and of the small `family` and `oracle`
 commands, equal the recorded outputs in tests/golden/, byte for byte.
 The whole set runs with `python3 scripts/golden.py check`; the tolerance
 rule of its `diff` mode is checked on small outputs."""

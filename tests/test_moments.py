@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from radnorm.moments import (
-    dual_surrogate,
-    empirical_lp,
     exact_lp_enumeration,
     hitczenko_surrogate,
     power_mean_estimate,
-    rearrange_desc,
     water_fill,
 )
+
+
+def desc(a):
+    """Nonincreasing rearrangement of |a|."""
+    return np.sort(np.abs(np.asarray(a, dtype=float)))[::-1]
+
+
+def dual(a, p):
+    """sup{<a, b> : ||b||_inf <= 1, ||b||_2 <= sqrt(p)} by water-filling."""
+    return water_fill(desc(a), p)[0]
 
 
 def grid_dual_oracle(a, p, steps=60):
@@ -38,20 +45,6 @@ def grid_dual_oracle(a, p, steps=60):
     return best
 
 
-class TestRearrange:
-    def test_examples(self):
-        assert rearrange_desc([-3, 1, 2]).tolist() == [3, 2, 1]
-        assert rearrange_desc([]).tolist() == []
-        assert rearrange_desc([1, 1, 1]).tolist() == [1, 1, 1]
-
-    def test_multiset_preserved(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal(20)
-        out = rearrange_desc(a)
-        assert sorted(out.tolist()) == sorted(np.abs(a).tolist())
-        assert all(x >= y for x, y in zip(out, out[1:]))
-
-
 class TestHitczenkoSurrogate:
     def test_321_p2(self):
         r = hitczenko_surrogate([3, 2, 1], 2)
@@ -75,7 +68,7 @@ class TestHitczenkoSurrogate:
         rng = np.random.default_rng(2)
         for _ in range(40):
             a = rng.standard_normal(int(rng.integers(1, 12)))
-            star = rearrange_desc(a)
+            star = desc(a)
             for p in (1.0, 2.0, 3.5, 8.0):
                 total = hitczenko_surrogate(a, p).total
                 assert total >= star[0] - 1e-12
@@ -84,13 +77,13 @@ class TestHitczenkoSurrogate:
 
 class TestDualSurrogate:
     def test_all_ones_p4(self):
-        assert dual_surrogate([1, 1, 1, 1], 4) == pytest.approx(4.0)
+        assert dual([1, 1, 1, 1], 4) == pytest.approx(4.0)
 
     def test_all_ones_p1_cauchy_schwarz(self):
-        assert dual_surrogate([1, 1, 1, 1], 1) == pytest.approx(2.0)
+        assert dual([1, 1, 1, 1], 1) == pytest.approx(2.0)
 
     def test_321_p2_vs_grid_oracle(self):
-        got = dual_surrogate([3, 2, 1], 2)
+        got = dual([3, 2, 1], 2)
         # KKT water-filling clips the 3, spreads budget 1 over (2, 1)
         assert got == pytest.approx(3 + math.sqrt(5), abs=1e-12)
         assert got >= grid_dual_oracle([3, 2, 1], 2) - 1e-9
@@ -101,7 +94,7 @@ class TestDualSurrogate:
         for _ in range(15):
             a = rng.standard_normal(int(rng.integers(1, 7)))
             p = float(rng.uniform(1, 6))
-            got = dual_surrogate(a, p)
+            got = dual(a, p)
             approx = grid_dual_oracle(a, p)
             assert got >= approx - 1e-9
             assert got <= approx * 1.2 + 1e-9
@@ -109,7 +102,7 @@ class TestDualSurrogate:
     def test_water_fill_feasible_and_tight(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
-            star = rearrange_desc(rng.standard_normal(int(rng.integers(1, 15))))
+            star = desc(rng.standard_normal(int(rng.integers(1, 15))))
             p = float(rng.uniform(1, 20))
             value, b = water_fill(star, p)
             assert np.all(b <= 1.0 + 1e-12) and np.all(b >= -1e-12)
@@ -121,41 +114,10 @@ class TestDualSurrogate:
         for _ in range(80):
             a = rng.standard_normal(int(rng.integers(1, 16)))
             p = float(rng.uniform(1, 12))
-            dual = dual_surrogate(a, p)
+            value = dual(a, p)
             total = hitczenko_surrogate(a, p).total
-            assert dual <= total + 1e-9
-            assert total <= 2 * dual + 1e-9
-
-
-class TestEmpiricalLp:
-    def test_single_coefficient_exact(self):
-        for p in (1, 2, 7.5, 33, 64):
-            est, se = empirical_lp([1.0], p, 200, seed=3)
-            assert est == 1.0 and se == 0.0
-
-    def test_two_ones_p2(self):
-        est, se = empirical_lp([1, 1], 2, 40000, seed=5)
-        assert abs(est - math.sqrt(2)) <= max(3 * se, 5e-3)
-
-    def test_321_p4_vs_enumeration(self):
-        want = exact_lp_enumeration([3, 2, 1], 4)
-        est, se = empirical_lp([3, 2, 1], 4, 60000, seed=7)
-        assert abs(est - want) <= 3 * se
-
-    def test_logspace_path_agrees(self):
-        a = [1.5, 0.7, 0.3]
-        lo, _ = empirical_lp(a, 32, 5000, seed=9)
-        hi, _ = empirical_lp(a, 33, 5000, seed=9)
-        assert hi == pytest.approx(lo, rel=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            empirical_lp([1], 2, 50, seed=1)
-        with pytest.raises(ValueError):
-            empirical_lp([1], 65, 200, seed=1)
-
-    def test_deterministic(self):
-        assert empirical_lp([2, 1], 3, 500, seed=11) == empirical_lp([2, 1], 3, 500, seed=11)
+            assert value <= total + 1e-9
+            assert total <= 2 * value + 1e-9
 
 
 class TestExactLpEnumeration:

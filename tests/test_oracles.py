@@ -8,8 +8,6 @@ from radnorm.core import CapExceededError, EdgeSet, GraphView, WeightMatrix, pow
 from radnorm.oracles import (
     connected_count_bound,
     enumerate_connected,
-    greedy_cover,
-    sign_bilinear_max,
     subgraph_norm_enum,
     x_quantity,
 )
@@ -45,63 +43,6 @@ def cycle(n):
 
 def path(n):
     return GraphView.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-class TestSignBilinearMax:
-    def test_mixed_2x2(self):
-        got = sign_bilinear_max(WeightMatrix([[1, -1], [1, 1]]))
-        assert got.value == pytest.approx(2.0)
-
-    def test_all_ones(self):
-        got = sign_bilinear_max(WeightMatrix(np.ones((3, 4))))
-        assert got.value == pytest.approx(12.0)
-
-    def test_zero(self):
-        assert sign_bilinear_max(WeightMatrix(np.zeros((2, 2)))).value == 0.0
-
-    def test_witnesses_achieve_value(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            b = rng.standard_normal((int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-            res = sign_bilinear_max(WeightMatrix(b))
-            assert float(res.eta_rows @ b @ res.eta_cols) == pytest.approx(res.value)
-            assert set(np.unique(res.eta_rows)) <= {-1.0, 1.0}
-            assert set(np.unique(res.eta_cols)) <= {-1.0, 1.0}
-
-    def test_matches_reference(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            b = rng.standard_normal((int(rng.integers(1, 5)), int(rng.integers(1, 6))))
-            got = sign_bilinear_max(WeightMatrix(b)).value
-            assert got == pytest.approx(reference_sign_bilinear(b), abs=1e-10)
-
-    def test_transpose_invariance(self):
-        rng = np.random.default_rng(7)
-        for _ in range(15):
-            b = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-            A = WeightMatrix(b)
-            assert sign_bilinear_max(A).value == pytest.approx(
-                sign_bilinear_max(A.transpose()).value
-            )
-
-    def test_sign_flip_invariance(self):
-        rng = np.random.default_rng(9)
-        b = rng.standard_normal((3, 4))
-        flips_r = np.diag(rng.choice([-1.0, 1.0], 3))
-        flips_c = np.diag(rng.choice([-1.0, 1.0], 4))
-        assert sign_bilinear_max(WeightMatrix(b)).value == pytest.approx(
-            sign_bilinear_max(WeightMatrix(flips_r @ b @ flips_c)).value
-        )
-
-    def test_at_least_plain_sum(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            b = rng.standard_normal((3, 3))
-            assert sign_bilinear_max(WeightMatrix(b)).value >= float(b.sum()) - 1e-12
-
-    def test_side_cap(self):
-        with pytest.raises(CapExceededError):
-            sign_bilinear_max(WeightMatrix(np.ones((21, 25))))
 
 
 class TestXQuantity:
@@ -205,62 +146,6 @@ class TestEnumerateConnected:
                 total += count
             # total with multiplicity: each set counted once per member
             assert total <= n * connected_count_bound(G, k, r) * k
-
-
-class TestGreedyCover:
-    def test_star(self):
-        G = GraphView.from_edges(5, [(0, i) for i in range(1, 5)])
-        picked, res = greedy_cover(G, {0}, {1, 2, 3, 4}, 1)
-        assert picked == [0] and res == [4]
-
-    def test_empty_j_pool(self):
-        G = GraphView.from_edges(3, [(0, 1)])
-        picked, res = greedy_cover(G, {0, 1}, set(), 1)
-        assert picked == [] and res == []
-
-    def test_two_disjoint_stars(self):
-        edges = [(0, i) for i in range(2, 6)] + [(1, i) for i in range(6, 9)]
-        G = GraphView.from_edges(9, edges)
-        picked, res = greedy_cover(G, {0, 1}, set(range(2, 9)), 2)
-        assert picked == [0, 1]
-        assert res == [4, 3]
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            greedy_cover(path(3), {0}, {1}, 0)
-
-    def test_postconditions_random(self):
-        rng = np.random.default_rng(23)
-        for _ in range(1000):
-            n = int(rng.integers(2, 12))
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < 0.3]
-            G = GraphView.from_edges(n, edges)
-            i_size = int(rng.integers(1, n + 1))
-            j_size = int(rng.integers(0, n + 1))
-            I_pool = set(rng.choice(n, size=i_size, replace=False).tolist())
-            J_pool = set(rng.choice(n, size=j_size, replace=False).tolist()) if j_size else set()
-            threshold = int(rng.integers(1, 4))
-            picked, res = greedy_cover(G, I_pool, J_pool, threshold)
-            # residual counts never increase
-            assert all(x >= y for x, y in zip(res, res[1:]))
-            assert all(l >= threshold for l in res)
-            if picked:
-                assert len(picked) * res[-1] <= len(J_pool)
-            # every unpicked pool vertex ends below threshold
-            claimed = set()
-            for v in picked:
-                claimed.update(G.adjacency[v])
-            for v in sorted(I_pool - set(picked)):
-                residual = sum(1 for w in G.adjacency[v] if w in J_pool - claimed)
-                assert residual < threshold
-
-    def test_deterministic_tie_break(self):
-        # two identical stars: the lower-indexed center is picked first
-        edges = [(0, 2), (0, 3), (1, 4), (1, 5)]
-        G = GraphView.from_edges(6, edges)
-        picked, _ = greedy_cover(G, {0, 1}, {2, 3, 4, 5}, 1)
-        assert picked == [0, 1]
 
 
 class TestXQuantityCorpusBound:

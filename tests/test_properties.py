@@ -9,8 +9,11 @@ exact subgraph value and the exact expectation must respect the
 symmetries of the quantity (transpose, row and column permutations, sign
 flips), up to rounding in the order of summation, and the exact value of
 a support masked out of a larger one must equal that of the extracted
-submatrix bit for bit.  The spectral kernel's top values must lie within
-its stated 16 eps of the oracles' plain SVD at any weight scale.
+submatrix bit for bit.  Every exact 0/1 bracket, whether its search ran
+out of nodes or stopped at its cap, must hold the exhaustive oracle's
+value, and a certified one must equal it.  The spectral kernel's top
+values must lie within its stated 16 eps of the oracles' plain SVD at
+any weight scale.
 """
 
 from unittest import mock
@@ -26,7 +29,7 @@ from hypothesis.extra.numpy import arrays
 from radnorm import sampler, streams
 from radnorm.bounds import _exact_01, r_exact_01
 from radnorm.core import EdgeSet, WeightMatrix
-from radnorm.oracles import top_singular_value
+from radnorm.oracles import subgraph_norm_enum, top_singular_value
 from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation
 from radnorm.spectral import top_value_max, top_values
 
@@ -142,6 +145,36 @@ def test_exact_01_invariant_under_transpose_and_permutations(case):
         br = r_exact_01(EdgeSet(n, tuple(other)), p)
         assert br.certified
         np.testing.assert_allclose(br.lower, base.lower, rtol=1e-12, atol=0)
+
+
+@st.composite
+def budgeted_edge_sets(draw):
+    """(side, pairs, p, budget): side <= 6, at most 12 pairs, and a node
+    budget small enough to truncate some searches."""
+    n = draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(cells, max_size=12, unique=True))
+    p = draw(st.integers(1, 6))
+    budget = draw(st.sampled_from([3, 30, 200_000]))
+    return n, pairs, p, budget
+
+
+@PROPERTY_SETTINGS
+@given(case=budgeted_edge_sets())
+def test_exact_01_bracket_holds_the_oracle(case):
+    # a search stopped by its budget or at its cap still brackets the
+    # exhaustive value, and a certified bracket is that value; the bracket
+    # and the oracle take the same set's norm from different SVD routines,
+    # which may differ in the last bits
+    n, pairs, p, budget = case
+    E = EdgeSet(n, tuple(pairs))
+    want = subgraph_norm_enum(E, p)
+    br = r_exact_01(E, p, budget)
+    assert br.lower <= want + 1e-12
+    assert want <= br.upper + 1e-9
+    if br.certified:
+        assert br.lower == br.upper
+        assert abs(br.lower - want) <= 1e-9
 
 
 @st.composite

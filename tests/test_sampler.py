@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radnorm import sampler, streams
-from radnorm.core import WeightMatrix
+from radnorm.core import CapExceededError, WeightMatrix
 from radnorm.corpus import corpus_symmetric
 from radnorm.sampler import (
     MODES,
@@ -83,7 +83,7 @@ class TestExactSmallNormExpectation:
         assert abs(got - 1.7071067811865475) <= 1e-15
 
     def test_sign_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceededError):
             exact_small_norm_expectation(WeightMatrix(np.ones((5, 5))), "rademacher_iid")
 
     def test_gaussian_rejected(self):

@@ -6,7 +6,7 @@ patterns come from `core.sign_patterns`, and breadth-first search from
 `core.bfs_distances`.  A new copy of any of them elsewhere in the package
 fails here, so a change of method stays a one-file change.  Edge sets are
 built only where a support enters or leaves the program (input, families,
-scenarios, output); the bound engine carries supports as index arrays.
+output); the bound engine and the scenarios carry supports as index arrays.
 Comments and string literals are ignored.  Every `EngineConfig` knob is
 also a `profile` flag, so no knob is left that no caller sets, and
 library surface deleted because no result used it stays deleted.
@@ -33,12 +33,14 @@ RULES = {
     "sign-pattern bit trick": (re.compile(r"\[\s*:\s*,\s*None\s*\]\s*>>"), {"core.py"}),
     "BFS frontier loop": (re.compile(r"frontier\s*=\s*nxt"), {"core.py"}),
     "edge-set construction": (re.compile(r"\bEdgeSet(\(|\.from_)"),
-                              {"core.py", "families.py", "scenarios.py", "cli.py", "matio.py"}),
+                              {"core.py", "families.py", "cli.py", "matio.py"}),
 }
 
 
-#: Public functions deleted because only their own tests called them.
-DELETED = ("trace_power_norm",)
+#: Public names deleted because only their own tests used them.
+DELETED = ("trace_power_norm", "neighborhood_sets", "LevelSets", "level_sets",
+           "dual_surrogate", "empirical_lp", "rearrange_desc", "greedy_cover",
+           "sign_bilinear_max", "SignBilinearResult", "SIGN_SIDE_CAP")
 
 
 def code_only(path: pathlib.Path) -> str:
