@@ -255,24 +255,37 @@ def _exact_01(rows: np.ndarray, cols: np.ndarray, n: int, p: float,
     """`r_exact_01` on the pairs (rows[e], cols[e]), in row-major order with
     indices below n, which only sizes the witnesses.  Only the order of the
     indices matters, so a support masked out of a larger one gives the
-    bracket of its extracted submatrix."""
+    bracket of its extracted submatrix.  The search is `_search_01`; the
+    bracket takes its best set's norm and witnesses from `_pairs_norm`."""
     if math.floor(p) < 1:
         raise ValueError("p must satisfy floor(p) >= 1")
     m = min(int(math.floor(p)), rows.size)
     if m == 0:
         z = np.zeros(n)
         return RBracket(float(p), 0.0, 0.0, z, z, "exact01")
+    _, best_set, complete, cap = _search_01(rows, cols, m, budget_cap)
+    val, s, t, exact = _pairs_norm(rows[best_set], cols[best_set], n)
+    certified = complete and exact
+    return RBracket(float(p), val, val if certified else cap, s, t, "exact01",
+                    certified=certified)
 
-    if m >= rows.size:
-        val, s, t, exact = _pairs_norm(rows, cols, n)
-        # a power estimate is capped by sqrt(max row degree * max col degree)
-        upper = val if exact else math.sqrt(np.bincount(rows).max() * np.bincount(cols).max())
-        return RBracket(float(p), val, upper, s, t, "exact01", certified=exact)
 
+def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> tuple:
+    """(value, best_set, complete, cap) of the search over subsets of at
+    most m >= 1 of the pairs (rows[e], cols[e]): the best value found, the
+    pair indices that attain it, whether the search ran to completion or
+    reached the cap, and the cap searched against.
+
+    The value is sqrt(size) for the star seed, `top_values` of a searched
+    set, and `top_values` of the whole set when m covers it (then the cap
+    is sqrt(max row degree * max col degree), which bounds any norm)."""
     row_deg = np.bincount(rows)
     col_deg = np.bincount(cols)
     rmax = int(row_deg.max())
     cmax = int(col_deg.max())
+    if m >= rows.size:
+        value = float(top_values(_pairs_compact(rows, cols)[0]))
+        return value, np.arange(rows.size), True, math.sqrt(rmax * cmax)
     global_cap = min(math.sqrt(m), math.sqrt(min(rmax, m) * min(cmax, m)))
 
     # star seed: the densest row or column (the lowest index among ties)
@@ -282,7 +295,6 @@ def _exact_01(rows: np.ndarray, cols: np.ndarray, n: int, p: float,
     else:
         star = np.flatnonzero(cols == col_deg.argmax())[:m]
     best_val = math.sqrt(len(star))
-    best_set = star
     complete = best_val >= global_cap - 1e-12
 
     # the whole-set norm tightens the cap when it is cheap to get
@@ -290,17 +302,15 @@ def _exact_01(rows: np.ndarray, cols: np.ndarray, n: int, p: float,
             and np.count_nonzero(col_deg) <= FULL_DECOMPOSITION_MAX):
         global_cap = min(global_cap, float(top_values(_pairs_compact(rows, cols)[0])))
         complete = best_val >= global_cap - 1e-12
+    if complete:
+        return best_val, star, True, global_cap
 
-    if not complete:
-        search = _SubsetSearch(list(zip(rows.tolist(), cols.tolist())), m, budget_cap)
-        search.best = best_val
-        search.best_set = tuple(star.tolist())
-        complete = search.run(global_cap)
-        best_set = np.array(search.best_set, dtype=np.intp)
-    val, s, t, exact = _pairs_norm(rows[best_set], cols[best_set], n)
-    certified = complete and exact
-    return RBracket(float(p), val, val if certified else global_cap, s, t, "exact01",
-                    certified=certified)
+    search = _SubsetSearch(list(zip(rows.tolist(), cols.tolist())), m, budget_cap)
+    search.best = best_val
+    search.best_set = tuple(star.tolist())
+    complete = search.run(global_cap)
+    return (search.best, np.array(search.best_set, dtype=np.intp), complete,
+            global_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +322,30 @@ def _surrogate_at(a: np.ndarray, s: np.ndarray, t: np.ndarray, p: float) -> floa
     return hitczenko_surrogate(c.ravel(), p).total
 
 
-def _stack_seeds(stack: np.ndarray, restarts: int, seed: int):
+def _ascent_pair(stack: np.ndarray, sym: np.ndarray) -> tuple:
+    """(u, v) of `top_pair` for each matrix of an (S, r, c) stack: the SVD
+    pair where `sym` marks an exactly symmetric ascent input, the Gram pair
+    elsewhere.
+
+    On a symmetric input the mirrored entries of a o s t^T tie whenever
+    s = t, and the ascent's stable sort breaks those ties by the pair's
+    last bits, which the two routes do not share; so symmetric inputs keep
+    the SVD pair until the ascent is made label-free.  The gate is per
+    matrix, so each keeps the pair a call on it alone gives."""
+    u = np.empty(stack.shape[:2])
+    v = np.empty((len(stack), stack.shape[2]))
+    for part, gram in ((sym, False), (~sym, True)):
+        if part.any():
+            _, u[part], v[part] = top_pair(stack[part], gram=gram)
+    return u, v
+
+
+def _stack_seeds(stack: np.ndarray, sym: np.ndarray, restarts: int, seed: int):
     """Yield the ascent's start pairs for a stack of nonzero matrices, one
     seed at a time as (rows, s, t): the indices of the matrices that take
     the seed and their (len(rows), r) and (len(rows), c) start vectors.
-    The seeds are the top singular pair, the basis pair at the largest
+    The seeds are the top singular pair (`_ascent_pair`, with `sym` the
+    matrices that are exactly symmetric), the basis pair at the largest
     |a_ij|, the heaviest row and the heaviest column with their normalized
     magnitudes (for the matrices whose row or column L2 norm does not
     underflow to 0), flat vectors on the row and column supports, then
@@ -329,7 +358,7 @@ def _stack_seeds(stack: np.ndarray, restarts: int, seed: int):
         e[np.arange(len(index)), index] = 1.0
         return e
 
-    _, u, v = top_pair(stack)
+    u, v = _ascent_pair(stack, sym)
     yield at, u, v
     flat = np.abs(stack).reshape(count, -1).argmax(axis=1)
     yield at, basis(nr, flat // nc), basis(nc, flat % nc)
@@ -368,12 +397,13 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
     Every matrix must have a nonzero entry.  From each start pair of
     `_stack_seeds` it alternates optimal dual weights (water-filling of
     the reweighted entries) with the top singular pair of the weighted
-    matrix, for at most `max_iters` steps, and stops a matrix's run once
-    its objective s^T (a o b) t stops rising.  Seeds run one after the
-    other; within a seed every step is one batched call over the matrices
-    still improving.  Returns (values, s, t): each matrix's best surrogate
-    over all pairs visited, taken on strict improvement in seed-then-step
-    order, and the unit pair that attains it.
+    matrix (`_ascent_pair`: the Gram pair, or the SVD pair when the input
+    matrix is exactly symmetric), for at most `max_iters` steps, and stops
+    a matrix's run once its objective s^T (a o b) t stops rising.  Seeds
+    run one after the other; within a seed every step is one batched call
+    over the matrices still improving.  Returns (values, s, t): each
+    matrix's best surrogate over all pairs visited, taken on strict
+    improvement in seed-then-step order, and the unit pair that attains it.
     """
     count, nr, nc = stack.shape
     best = np.zeros(count)
@@ -387,7 +417,11 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
         best_s[idx[up]] = s[up]
         best_t[idx[up]] = t[up]
 
-    for idx, s, t in _stack_seeds(stack, restarts, seed):
+    # exactly symmetric inputs take the SVD pair (`_ascent_pair`)
+    sym = np.zeros(count, dtype=bool)
+    if nr == nc:
+        sym = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
+    for idx, s, t in _stack_seeds(stack, sym, restarts, seed):
         if not idx.size:
             continue
         a = stack[idx]
@@ -401,7 +435,7 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
             b = np.empty_like(abs_c)
             np.put_along_axis(b, order, b_sorted, axis=1)
             weighted = a * (np.sign(c) * b).reshape(a.shape)
-            _, s, t = top_pair(weighted)
+            s, t = _ascent_pair(weighted, sym[idx])
             obj = (s[:, None, :] @ weighted @ t[:, :, None])[:, 0, 0]
             offer(idx, a, s, t)
             going = ~(obj <= obj_prev * (1 + 1e-10) + 1e-12)
@@ -420,7 +454,8 @@ def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
     lower: best head-plus-tail surrogate over unit pairs explored by
     alternating ascent (`_ascent` on a stack of one: optimal dual weights
     by water-filling, then the top singular pair of the reweighted
-    matrix).  upper: the crude cap row_max + col_max + sqrt(p) max|a|.
+    matrix, from the Gram route unless A is exactly symmetric).  upper:
+    the crude cap row_max + col_max + sqrt(p) max|a|.
     Both are constant-level values; loose_constants is always set.
     """
     if p < 1:
@@ -485,13 +520,18 @@ def _proxy_after_removal(a: np.ndarray, u: np.ndarray, v: np.ndarray, z: int,
     return _surrogate_at(a, u2 / nu, v2 / nv, p)
 
 
-def _support_lower(rows: np.ndarray, cols: np.ndarray, on: np.ndarray, n: int,
-                   p: float, config: EngineConfig) -> float:
-    """Search score of a 0/1 support of side n: the exact lower value at
-    moment p of the pairs (rows[e], cols[e]) selected by the mask `on`,
-    with a reduced node budget."""
+def _support_lower(rows: np.ndarray, cols: np.ndarray, on: np.ndarray, p: float,
+                   config: EngineConfig) -> float:
+    """Search score of a 0/1 support: the best value at moment p of the
+    search (`_search_01`, with a reduced node budget) over the pairs
+    (rows[e], cols[e]) selected by the mask `on`.  It is the exact
+    bracket's lower value to within 16 eps, without its best set's SVD and
+    witnesses."""
+    m = min(int(math.floor(p)), int(np.count_nonzero(on)))
+    if m == 0:
+        return 0.0
     budget = max(2000, config.budget_cap // 100)
-    return _exact_01(rows[on], cols[on], n, p, budget).lower
+    return _search_01(rows[on], cols[on], m, budget)[0]
 
 
 def _full_estimates(A: WeightMatrix, keeps: list, p: float, config: EngineConfig) -> list:
@@ -556,8 +596,7 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
         best_local = shortlist_local[0]
         for z in shortlist_local:
             if on_support:
-                score = _support_lower(rows, cols, (rows != z) & (cols != z),
-                                       len(keep), p, config)
+                score = _support_lower(rows, cols, (rows != z) & (cols != z), p, config)
             else:
                 score = _proxy_after_removal(sub, u, v, z, p) if sigma != 0.0 else 0.0
             if score < best_score - 1e-12:
@@ -596,8 +635,9 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
     estimate, the general-weight ones of a grid point as one batched
     surrogate ascent over their same-shape submatrices (`_full_estimates`);
     beyond, only the winner of the cheap search score does.  On a
-    one-magnitude support that score is the exact search on the support's
-    index arrays with the removed rows and columns masked out.
+    one-magnitude support that score is the best value of the exact search
+    on the support's index arrays with the removed rows and columns masked
+    out (`_support_lower`).
     """
     if not A.is_square:
         raise ValueError("k-sweep needs a square matrix")
@@ -620,7 +660,7 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
             elif on_support:
                 scores = [_support_lower(rows, cols,
                                          ~(np.isin(rows, combo) | np.isin(cols, combo)),
-                                         n, p, config) for combo in combos]
+                                         p, config) for combo in combos]
             else:
                 scores = [_quick_r_lower(A.entries[np.ix_(keep, keep)], p) for keep in keeps]
             best = math.inf

@@ -48,14 +48,31 @@ d = 3 and 0.8-1.9% at d = 4 to 8; the d = 1 blocks are 1x1 and never
 reach the kernel.
 
 `top_pair` returns (sigma, u, v) for one matrix or for each matrix of a
-stack: the full SVD up to side FULL_DECOMPOSITION_MAX, and beyond that
-(or when the caller asks for a cheap pair) a fixed number of power steps
-on A^T A from a fixed ramped start.  Beyond side FULL_DECOMPOSITION_MAX
-the pair is therefore a 40-step lower estimate, never a certified value.
-The pair stays on the SVD: a Gram `eigh` pair was faster but gave other
-witnesses, so the heuristic ascent took other paths on symmetric inputs
-(`sym_gauss_n64` `r_logn.lower` 4.6276 -> 4.6060, one k-sweep `removed`
-set changed); that waits for a label-free ascent.
+stack.  Up to side FULL_DECOMPOSITION_MAX it is the full SVD's pair, or
+with `gram=True` the Gram route's: the top `eigh` eigenvector of the same
+power-of-two scaled Gram matrix `top_values` uses, and the other side from
+one product with the scaled matrix.  The Gram pair agrees with the SVD
+pair up to a joint sign and rounding (sigma within 16 eps, each vector
+within 256 eps / relative gap on gapped stacks; 43 eps / gap was the worst
+of 20,000 measured).  Beyond FULL_DECOMPOSITION_MAX, or when the caller
+asks for a cheap pair, both take a fixed number of power steps on A^T A
+from a fixed ramped start, so the pair is then a lower estimate, never a
+certified value.  Measured on a 2-core box with OPENBLAS_NUM_THREADS=1,
+best of 21 interleaved calls on Gaussian matrices, SVD pair -> Gram pair:
+
+    120 of 15x15   7.59 -> 4.92 ms        1 of 128x128   3.11 -> 1.82 ms
+      1 of 16x16   0.09 -> 0.10 ms        1 of 256x256  14.96 -> 8.04 ms
+      1 of 64x64   0.91 -> 0.66 ms
+
+The surrogate ascent (`bounds._ascent`) takes the Gram pair for every
+matrix that is not exactly symmetric.  Exactly symmetric matrices stay on
+the SVD pair: there the mirrored entries of a o s t^T tie whenever s = t,
+the ascent's stable sort breaks those ties by the pair's last bits, and
+the Gram pair's last bits are not the SVD's, so the ascent took other
+paths (ungated, 15 goldens moved beyond 1e-12, `sym_gauss_n64`
+`r_logn.lower` by -0.47% and one k-sweep `removed` set changed).  A
+label-free ascent on |A|, whose weighted matrices have a nonnegative
+Perron pair, would remove that cause.
 Only `top_pair` takes power steps (`_power_pair`); `spectral_norm` is
 `top_values` at every side.  Choosing a different method per shape is a
 change to this module only.
@@ -211,28 +228,62 @@ def top_value_max(stack: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return out
 
 
-def top_pair(a: np.ndarray, steps: int | None = None) -> tuple:
+def top_pair(a: np.ndarray, steps: int | None = None, gram: bool = False) -> tuple:
     """(sigma, u, v): top singular value of `a` with unit witnesses.
 
     `a` is one (r, c) matrix, giving a float sigma and vectors u (r,) and
     v (c,), or an (S, r, c) stack, giving sigma (S,), u (S, r) and v (S, c)
     with each matrix's pair bit for bit equal to a call on it alone.
-    Exact (full SVD) up to side FULL_DECOMPOSITION_MAX.  Beyond that side,
-    or when `steps` is given, it takes `steps` power steps (40 by default)
-    on each matrix with no convergence test (`_power_pair`): sigma is then
-    a lower estimate, never a certified value.  sigma is 0 only for a zero
-    matrix, with u = 0.
+    Up to side FULL_DECOMPOSITION_MAX the pair is the full SVD's, or with
+    `gram` the Gram route's (`_gram_pair`: the top eigenvector of the
+    smaller side's Gram matrix and one product for the other side), which
+    is cheaper and agrees with the SVD pair up to a joint sign and
+    rounding: sigma within 16 eps, each vector within 256 eps / relative
+    gap of the top two squared values.  Beyond that side, or when `steps`
+    is given, it takes `steps` power steps (40 by default) on each matrix
+    with no convergence test (`_power_pair`): sigma is then a lower
+    estimate, never a certified value.  sigma is 0 only for a zero matrix,
+    and every route gives it u = 0 and v = `_start_vector`.
     """
     if a.ndim == 2:
-        sigma, u, v = top_pair(a[None], steps)
+        sigma, u, v = top_pair(a[None], steps, gram)
         return float(sigma[0]), u[0], v[0]
     if steps is None and max(a.shape[1:]) <= FULL_DECOMPOSITION_MAX:
-        u, sv, vt = np.linalg.svd(a)
-        return sv[:, 0].copy(), u[:, :, 0].copy(), vt[:, 0, :].copy()
+        if gram:
+            sigma, u, v = _gram_pair(a)
+        else:
+            u, sv, vt = np.linalg.svd(a)
+            sigma, u, v = sv[:, 0].copy(), u[:, :, 0].copy(), vt[:, 0, :].copy()
+        zero = sigma == 0.0
+        if zero.any():
+            u[zero] = 0.0
+            v[zero] = _start_vector(a.shape[2])
+        return sigma, u, v
     # sides beyond FULL_DECOMPOSITION_MAX: one matrix at a time costs
     # nothing next to the matrix products
     sigma, u, v = zip(*(_power_pair(m, steps or _PAIR_STEPS) for m in a))
     return np.array(sigma), np.stack(u), np.stack(v)
+
+
+def _gram_pair(a: np.ndarray) -> tuple:
+    """(sigma, u, v) of each matrix of an (S, r, c) stack: the top
+    eigenvector (`eigh`) of the power-of-two scaled Gram matrix on the
+    smaller side (`_scaled_gram`), the other side from one product with the
+    scaled matrix, and sigma the norm of that product, scaled back.  A zero
+    matrix gives sigma 0 (the caller sets its vectors)."""
+    r, c = a.shape[1:]
+    gram, shift = _scaled_gram(a)
+    with np.errstate(under="ignore"):
+        top = np.linalg.eigh(gram)[1][:, :, -1].copy()
+        scaled = np.ldexp(a, -shift[:, None, None])
+        if r < c:
+            other = (top[:, None, :] @ scaled)[:, 0, :]
+        else:
+            other = (scaled @ top[:, :, None])[:, :, 0]
+        norm = np.sqrt((other * other).sum(axis=1))
+        other = other / np.where(norm > 0.0, norm, 1.0)[:, None]
+        sigma = np.ldexp(norm, shift)
+    return (sigma, top, other) if r < c else (sigma, other, top)
 
 
 def _power_pair(a: np.ndarray, steps: int) -> tuple:

@@ -1,12 +1,14 @@
 """The batched forms behind the exact k-sweep rows equal their one-matrix
 forms bit for bit, checked with hypothesis.
 
-A stacked `top_pair` gives each matrix the pair a call on it alone gives;
-row-wise `water_fill` gives each row the result of the scalar clip-count
-loop it replaced (kept below as the reference); and `_ascent` over a stack
-gives each matrix the value and witnesses `r_heuristic` finds for it.
-All comparisons use exact equality: the batched code performs the same
-floating-point operations in the same order.
+A stacked `top_pair` gives each matrix the pair a call on it alone gives,
+on the SVD, Gram and power routes; row-wise `water_fill` gives each row
+the result of the scalar clip-count loop it replaced (kept below as the
+reference); and `_ascent` over a stack gives each matrix the value and
+witnesses `r_heuristic` finds for it, also when the stack mixes exactly
+symmetric matrices, which take the SVD pair, with matrices that take the
+Gram pair.  All comparisons use exact equality: the batched code performs
+the same floating-point operations in the same order.
 """
 
 import math
@@ -78,13 +80,16 @@ def water_fill_loop(star, p):
 
 
 @PROPERTY_SETTINGS
-@given(a=stacks(max_side=8), steps=st.sampled_from([None, 1, 6]))
-def test_stacked_top_pair_equals_per_matrix(a, steps):
-    sigma, u, v = top_pair(a, steps)
+@given(a=stacks(max_side=8), steps=st.sampled_from([None, 1, 6]), gram=st.booleans())
+@example(a=np.stack([np.zeros((3, 5)), np.ones((3, 5))]), steps=None, gram=True)
+@example(a=np.stack([np.ones((5, 3)), np.zeros((5, 3))]), steps=None, gram=False)
+def test_stacked_top_pair_equals_per_matrix(a, steps, gram):
+    # the SVD, Gram and power routes alike, zero matrices included
+    sigma, u, v = top_pair(a, steps, gram)
     assert sigma.shape == (len(a),) and u.shape == a.shape[:2]
     assert v.shape == (len(a), a.shape[2])
     for m in range(len(a)):
-        s1, u1, v1 = top_pair(a[m], steps)
+        s1, u1, v1 = top_pair(a[m], steps, gram)
         assert sigma[m] == s1
         assert np.array_equal(u[m], u1) and np.array_equal(v[m], v1)
 
@@ -115,9 +120,24 @@ def test_surrogate_rows_equal_one_row(a, p):
         assert (head[m], tail[m], head[m] + tail[m]) == (one.head, one.tail, one.total)
 
 
+#: Stacks that mix exactly symmetric matrices (SVD pair) with non-symmetric
+#: ones (Gram pair), so the per-matrix gate of `_ascent_pair` is pinned.
+_SYM = np.array([[2.0, -1.0, 0.5], [-1.0, 1.0, 3.0], [0.5, 3.0, -2.0]])
+_MIXED = [
+    np.stack([_SYM, _SYM + np.triu(np.full((3, 3), 0.25), 1)]),
+    np.stack([np.arange(9.0).reshape(3, 3) - 4.0, np.ones((3, 3)), _SYM,
+              np.eye(3) + np.eye(3, k=1)]),
+    np.stack([np.where(np.eye(4) > 0, 0.0, 1.0), np.tril(np.ones((4, 4))),
+              np.diag([3.0, 1.0, 1.0, 2.0])]),
+]
+
+
 @PROPERTY_SETTINGS
 @given(a=stacks(), p=MOMENTS, restarts=st.integers(1, 3), seed=st.integers(0, 9),
        max_iters=st.sampled_from([1, 8, 20]))
+@example(a=_MIXED[0], p=2.0, restarts=3, seed=0, max_iters=20)
+@example(a=_MIXED[1], p=math.log(3), restarts=1, seed=4, max_iters=8)
+@example(a=_MIXED[2], p=4.5, restarts=2, seed=7, max_iters=20)
 def test_ascent_equals_per_matrix_r_heuristic(a, p, restarts, seed, max_iters):
     a[:, 0, 0] = np.where(a.reshape(len(a), -1).any(axis=1), a[:, 0, 0], 1.5)
     values, s, t = _ascent(a, p, restarts, seed, max_iters)

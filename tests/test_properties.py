@@ -9,11 +9,13 @@ exact subgraph value and the exact expectation must respect the
 symmetries of the quantity (transpose, row and column permutations, sign
 flips), up to rounding in the order of summation, and the exact value of
 a support masked out of a larger one must equal that of the extracted
-submatrix bit for bit.  Every exact 0/1 bracket, whether its search ran
-out of nodes or stopped at its cap, must hold the exhaustive oracle's
-value, and a certified one must equal it.  The spectral kernel's top
-values must lie within its stated 16 eps of the oracles' plain SVD at
-any weight scale.
+submatrix bit for bit, and the k-sweep's search score of a masked
+support must equal that bracket's lower value within 16 eps.  Every
+exact 0/1 bracket, whether its search ran out of nodes or stopped at its
+cap, must hold the exhaustive oracle's value, and a certified one must
+equal it.  The spectral kernel's top values must lie within its stated
+16 eps of the oracles' plain SVD at any weight scale, and its Gram pair
+within a gap-scaled bound of the SVD pair.
 """
 
 from unittest import mock
@@ -27,11 +29,12 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radnorm import sampler, streams
-from radnorm.bounds import _exact_01, r_exact_01
+from radnorm.bounds import (EngineConfig, _exact_01, _search_01, _support_lower,
+                            r_exact_01)
 from radnorm.core import EdgeSet, WeightMatrix
 from radnorm.oracles import subgraph_norm_enum, top_singular_value
 from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation
-from radnorm.spectral import top_value_max, top_values
+from radnorm.spectral import top_pair, top_value_max, top_values
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
@@ -213,6 +216,30 @@ def test_masked_support_equals_extracted_submatrix(case):
         assert not np.delete(g, kept).any()
 
 
+@PROPERTY_SETTINGS
+@given(case=masked_supports(), cap=st.sampled_from([1, 300_000]))
+def test_support_score_equals_the_exact_lower_value(case, cap):
+    # the k-sweep's search score skips the best set's SVD and witnesses but
+    # keeps its value: sqrt(size) for the star seed and the kernel's value
+    # otherwise, within the kernel's 16 eps of the bracket's SVD value; the
+    # drawn budget truncates some searches, and budget_cap 1 and 300,000
+    # give _support_lower node budgets of 2,000 and 3,000
+    support, kept, p, budget = case
+    n = len(support)
+    rows, cols = np.nonzero(support)
+    on = np.isin(rows, kept) & np.isin(cols, kept)
+    eps = np.finfo(float).eps
+    m = min(p, int(on.sum()))
+    if m:
+        got = _search_01(rows[on], cols[on], m, budget)[0]
+        want = _exact_01(rows[on], cols[on], n, p, budget).lower
+        np.testing.assert_allclose(got, want, rtol=16 * eps, atol=0)
+    config = EngineConfig(budget_cap=cap)
+    got = _support_lower(rows, cols, on, p, config)
+    want = _exact_01(rows[on], cols[on], n, p, max(2000, cap // 100)).lower
+    np.testing.assert_allclose(got, want, rtol=16 * eps, atol=0)
+
+
 @st.composite
 def small_weights(draw, square=False):
     """Weights of side <= 5 with at most 10 nonzero entries of magnitude
@@ -263,6 +290,46 @@ def test_top_values_within_tolerance_of_oracle_svd(a, j):
     with np.errstate(all="raise"):
         got = top_values(a)
     np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0)
+
+
+@st.composite
+def gapped_stacks(draw):
+    """(S, r, c) stacks of sides 1 to 12, r < c, r = c or r > c: rank one,
+    or a rank-one spike of norm 3 over Gaussian noise of norm about
+    0 to 1.5, so that the top gap is clear."""
+    count = draw(st.integers(1, 4))
+    r, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.sampled_from([0.0, 0.1, 0.5, 1.5]))
+    x = rng.standard_normal((count, r, 1))
+    y = rng.standard_normal((count, 1, c))
+    spike = 3.0 * x * y / (np.linalg.norm(x, axis=1, keepdims=True)
+                           * np.linalg.norm(y, axis=2, keepdims=True))
+    return spike + noise * rng.standard_normal((count, r, c)) / np.sqrt(max(r, c))
+
+
+@PROPERTY_SETTINGS
+@given(a=gapped_stacks(), j=st.sampled_from([0, 300, -300]))
+def test_gram_pair_within_tolerance_of_the_svd_pair(a, j):
+    # sigma within the kernel's 16 eps of the oracle; each vector within
+    # 256 eps / relative gap of the SVD pair's, up to one joint sign (the
+    # worst of 20,000 such matrices measured 43 eps / gap); and scaling by
+    # 2^j scales sigma exactly and leaves the vectors' bits alone
+    eps = np.finfo(float).eps
+    sigma, u, v = top_pair(a, gram=True)
+    scaled = top_pair(np.ldexp(a, j), gram=True)
+    assert np.array_equal(scaled[0], np.ldexp(sigma, j))
+    assert np.array_equal(scaled[1], u) and np.array_equal(scaled[2], v)
+    np.testing.assert_allclose(sigma, [top_singular_value(m) for m in a],
+                               rtol=16 * eps, atol=0)
+    _, want_u, want_v = top_pair(a)
+    for m in range(len(a)):
+        values = np.linalg.svd(a[m], compute_uv=False)
+        second = values[1] if values.size > 1 else 0.0
+        tol = 256 * eps * values[0] ** 2 / (values[0] ** 2 - second ** 2)
+        sign = 1.0 if u[m] @ want_u[m] >= 0.0 else -1.0
+        np.testing.assert_allclose(sign * u[m], want_u[m], rtol=0, atol=tol)
+        np.testing.assert_allclose(sign * v[m], want_v[m], rtol=0, atol=tol)
 
 
 @st.composite

@@ -328,6 +328,26 @@ class TestTopPair:
         assert sigma == 0.0 and not u.any()
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (5, 2), (1, 4), (4, 1)])
+    @pytest.mark.parametrize("route", [{}, {"gram": True}, {"steps": 6}])
+    def test_zero_matrix_on_every_route(self, shape, route):
+        # the SVD, Gram and power routes all give sigma 0, u = 0 and the
+        # start vector, alone and inside a stack
+        sigma, u, v = top_pair(np.zeros(shape), **route)
+        assert sigma == 0.0 and not u.any()
+        assert np.array_equal(v, _start_vector(shape[1]))
+        stack = np.stack([np.ones(shape), np.zeros(shape)])
+        sigma, u, v = top_pair(stack, **route)
+        assert sigma[0] > 0.0 and sigma[1] == 0.0 and not u[1].any()
+        assert np.array_equal(v[1], _start_vector(shape[1]))
+
+    def test_gram_pair_beyond_full_decomposition_takes_power_steps(self):
+        a = np.diag(np.linspace(1.0, 2.0, FULL_DECOMPOSITION_MAX + 1))
+        got = top_pair(a, gram=True)
+        want = top_pair(a)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
 
 class TestMaxRowColL2:
     def test_identity(self):
