@@ -59,13 +59,12 @@ PROFILE_EXPONENT_MAX = 400
 
 @dataclass(frozen=True, eq=False)
 class RBracket:
-    """Bracket [lower, upper] for R_A(p) with the witnesses behind lower.
+    """Bracket [lower, upper] for R_A(p).
 
     exact01 mode: lower == upper == the exact subgraph-search value when
     certified; a search that runs out of node budget keeps lower at the
     best value found and upper at the cheap cap it searched against,
-    certified=False, as does a best set beyond the exact kernel's side,
-    whose norm is a power estimate.
+    certified=False.
     heuristic mode: lower is a surrogate value (constant-level only) and
     upper is the crude cap row + col + sqrt(p) max|a|; both carry
     loose_constants=True.
@@ -74,8 +73,6 @@ class RBracket:
     p: float
     lower: float
     upper: float
-    witness_s: np.ndarray
-    witness_t: np.ndarray
     mode: str
     certified: bool = True
     loose_constants: bool = False
@@ -83,9 +80,6 @@ class RBracket:
     def __post_init__(self):
         if not (-1e-12 <= self.lower <= self.upper + 1e-9):
             raise ValueError(f"bracket disorder: [{self.lower}, {self.upper}]")
-        for w in (self.witness_s, self.witness_t):
-            if np.linalg.norm(w) > 1.0 + 1e-12:
-                raise ValueError("witness vectors must be unit or shorter")
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,26 +120,14 @@ def trivial_degree_bound(A: WeightMatrix) -> float:
 # exact 0/1 subgraph search
 
 
-def _pairs_compact(rows: np.ndarray, cols: np.ndarray) -> tuple:
-    # searchsorted, not return_inverse: half the cost on the small best sets
+def _pairs_value(rows: np.ndarray, cols: np.ndarray) -> float:
+    """`top_values` of the 0/1 indicator of the pairs (rows[e], cols[e]),
+    compacted to the rows and columns they use."""
     ur = np.unique(rows)
     uc = np.unique(cols)
     m = np.zeros((len(ur), len(uc)))
     m[np.searchsorted(ur, rows), np.searchsorted(uc, cols)] = 1.0
-    return m, ur, uc
-
-
-def _pairs_norm(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
-    """Spectral norm of the 0/1 indicator of the pairs (rows[e], cols[e]),
-    at least one, with witnesses embedded into length-n vectors, and
-    whether it is exact (side <= FULL_DECOMPOSITION_MAX) or a power estimate."""
-    m, ur, uc = _pairs_compact(rows, cols)
-    sigma, u, v = top_pair(m)
-    s = np.zeros(n)
-    t = np.zeros(n)
-    s[ur] = u
-    t[uc] = v
-    return sigma, s, t, max(m.shape) <= FULL_DECOMPOSITION_MAX
+    return float(top_values(m))
 
 
 class _BudgetExhausted(Exception):
@@ -174,7 +156,6 @@ class _SubsetSearch:
         self.global_cap = math.inf
         self.nodes = 0
         self.best = 0.0
-        self.best_set: tuple = ()
         by_row: dict = {}
         by_col: dict = {}
         for e, (i, j) in enumerate(pairs):
@@ -194,7 +175,7 @@ class _SubsetSearch:
         if cheap <= self.best + 1e-12:
             return
         # compacted from the counts: on sets of <= m pairs numpy's per-call
-        # cost (`_pairs_compact`) is larger than the work (2x slower searches)
+        # cost (`_pairs_value`) is larger than the work (2x slower searches)
         rmap = {i: k for k, i in enumerate(sorted(rc))}
         cmap = {j: k for k, j in enumerate(sorted(cc))}
         m = np.zeros((len(rmap), len(cmap)))
@@ -204,7 +185,6 @@ class _SubsetSearch:
         val = float(top_values(m))
         if val > self.best + 1e-12:
             self.best = val
-            self.best_set = tuple(subset)
             if val >= self.global_cap - 1e-12:
                 raise _CapReached
 
@@ -242,39 +222,33 @@ def r_exact_01(E: EdgeSet, p: float, budget_cap: int = 200_000) -> RBracket:
     or column and stopped as soon as the best value reaches the cheap cap
     (sqrt(m), the capped row and column degrees, and the whole-set norm
     when it is cheap to get).  A search that exhausts `budget_cap` nodes
-    returns the best value found with certified=False and the cap as upper,
-    as does a best set beyond the exact kernel's side.  Runs as `_exact_01`
-    on the pairs as row and column index arrays.
+    returns the best value found with certified=False and the cap as upper.
+    Runs as `_exact_01` on the pairs as row and column index arrays.
     """
     edges = np.array(E.pairs, dtype=np.intp).reshape(-1, 2)
-    return _exact_01(edges[:, 0], edges[:, 1], E.n, p, budget_cap)
+    return _exact_01(edges[:, 0], edges[:, 1], p, budget_cap)
 
 
-def _exact_01(rows: np.ndarray, cols: np.ndarray, n: int, p: float,
-              budget_cap: int) -> RBracket:
-    """`r_exact_01` on the pairs (rows[e], cols[e]), in row-major order with
-    indices below n, which only sizes the witnesses.  Only the order of the
-    indices matters, so a support masked out of a larger one gives the
-    bracket of its extracted submatrix.  The search is `_search_01`; the
-    bracket takes its best set's norm and witnesses from `_pairs_norm`."""
+def _exact_01(rows: np.ndarray, cols: np.ndarray, p: float, budget_cap: int) -> RBracket:
+    """`r_exact_01` on the pairs (rows[e], cols[e]), in row-major order.
+    Only the order of the indices matters, so a support masked out of a
+    larger one gives the bracket of its extracted submatrix.  lower is
+    `_search_01`'s value, certified when the search completed."""
     if math.floor(p) < 1:
         raise ValueError("p must satisfy floor(p) >= 1")
     m = min(int(math.floor(p)), rows.size)
     if m == 0:
-        z = np.zeros(n)
-        return RBracket(float(p), 0.0, 0.0, z, z, "exact01")
-    _, best_set, complete, cap = _search_01(rows, cols, m, budget_cap)
-    val, s, t, exact = _pairs_norm(rows[best_set], cols[best_set], n)
-    certified = complete and exact
-    return RBracket(float(p), val, val if certified else cap, s, t, "exact01",
-                    certified=certified)
+        return RBracket(float(p), 0.0, 0.0, "exact01")
+    val, complete, cap = _search_01(rows, cols, m, budget_cap)
+    return RBracket(float(p), val, val if complete else cap, "exact01",
+                    certified=complete)
 
 
 def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> tuple:
-    """(value, best_set, complete, cap) of the search over subsets of at
-    most m >= 1 of the pairs (rows[e], cols[e]): the best value found, the
-    pair indices that attain it, whether the search ran to completion or
-    reached the cap, and the cap searched against.
+    """(value, complete, cap) of the search over subsets of at most m >= 1
+    of the pairs (rows[e], cols[e]): the best value found, whether the
+    search ran to completion or reached the cap, and the cap searched
+    against.
 
     The value is sqrt(size) for the star seed, `top_values` of a searched
     set, and `top_values` of the whole set when m covers it (then the cap
@@ -284,33 +258,25 @@ def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> t
     rmax = int(row_deg.max())
     cmax = int(col_deg.max())
     if m >= rows.size:
-        value = float(top_values(_pairs_compact(rows, cols)[0]))
-        return value, np.arange(rows.size), True, math.sqrt(rmax * cmax)
+        return _pairs_value(rows, cols), True, math.sqrt(rmax * cmax)
     global_cap = min(math.sqrt(m), math.sqrt(min(rmax, m) * min(cmax, m)))
 
-    # star seed: the densest row or column (the lowest index among ties)
-    # already achieves sqrt(size)
-    if rmax >= cmax:
-        star = np.flatnonzero(rows == row_deg.argmax())[:m]
-    else:
-        star = np.flatnonzero(cols == col_deg.argmax())[:m]
-    best_val = math.sqrt(len(star))
+    # star seed: m pairs of the densest row or column achieve sqrt(size)
+    best_val = math.sqrt(min(max(rmax, cmax), m))
     complete = best_val >= global_cap - 1e-12
 
     # the whole-set norm tightens the cap when it is cheap to get
     if (not complete and np.count_nonzero(row_deg) <= FULL_DECOMPOSITION_MAX
             and np.count_nonzero(col_deg) <= FULL_DECOMPOSITION_MAX):
-        global_cap = min(global_cap, float(top_values(_pairs_compact(rows, cols)[0])))
+        global_cap = min(global_cap, _pairs_value(rows, cols))
         complete = best_val >= global_cap - 1e-12
     if complete:
-        return best_val, star, True, global_cap
+        return best_val, True, global_cap
 
     search = _SubsetSearch(list(zip(rows.tolist(), cols.tolist())), m, budget_cap)
     search.best = best_val
-    search.best_set = tuple(star.tolist())
     complete = search.run(global_cap)
-    return (search.best, np.array(search.best_set, dtype=np.intp), complete,
-            global_cap)
+    return search.best, complete, global_cap
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +357,7 @@ def _surrogate_stack(stack: np.ndarray, s: np.ndarray, t: np.ndarray, p: float) 
 
 
 def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
-            max_iters: int = 20) -> tuple:
+            max_iters: int = 20) -> np.ndarray:
     """Alternating surrogate ascent on every matrix of an (S, r, c) stack.
 
     Every matrix must have a nonzero entry.  From each start pair of
@@ -401,21 +367,16 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
     matrix is exactly symmetric), for at most `max_iters` steps, and stops
     a matrix's run once its objective s^T (a o b) t stops rising.  Seeds
     run one after the other; within a seed every step is one batched call
-    over the matrices still improving.  Returns (values, s, t): each
-    matrix's best surrogate over all pairs visited, taken on strict
-    improvement in seed-then-step order, and the unit pair that attains it.
+    over the matrices still improving.  Returns each matrix's best
+    surrogate over all pairs visited.
     """
     count, nr, nc = stack.shape
     best = np.zeros(count)
-    best_s = np.zeros((count, nr))
-    best_t = np.zeros((count, nc))
 
     def offer(idx, a, s, t):
         val = _surrogate_stack(a, s, t, p)
         up = val > best[idx]
         best[idx[up]] = val[up]
-        best_s[idx[up]] = s[up]
-        best_t[idx[up]] = t[up]
 
     # exactly symmetric inputs take the SVD pair (`_ascent_pair`)
     sym = np.zeros(count, dtype=bool)
@@ -444,7 +405,7 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
                 if not idx.size:
                     break
             obj_prev = obj
-    return best, best_s, best_t
+    return best
 
 
 def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
@@ -463,16 +424,11 @@ def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
     if restarts < 1:
         raise ValueError("restarts must be positive")
     a = A.entries
-    nr, nc = a.shape
     row, col = max_row_col_l2(A)
     upper = row + col + math.sqrt(p) * A.max_abs()
-    if not a.any():
-        z_s, z_t = np.zeros(nr), np.zeros(nc)
-        return RBracket(float(p), 0.0, 0.0, z_s, z_t, "heuristic",
-                        certified=False, loose_constants=True)
-    values, s, t = _ascent(a[None], p, restarts, seed, max_iters)
-    return RBracket(float(p), float(values[0]), upper, s[0], t[0],
-                    "heuristic", certified=False, loose_constants=True)
+    lower = float(_ascent(a[None], p, restarts, seed, max_iters)[0]) if a.any() else 0.0
+    return RBracket(float(p), lower, upper, "heuristic",
+                    certified=False, loose_constants=True)
 
 
 def _magnitude(stack: np.ndarray) -> np.ndarray:
@@ -490,7 +446,7 @@ def r_estimate(A: WeightMatrix, p: float, config: EngineConfig = EngineConfig())
     of the 0/1 support scaled by c; surrogate ascent otherwise."""
     c = float(_magnitude(A.entries[None])[0]) if A.is_square else math.nan
     if not math.isnan(c):
-        br = _exact_01(*np.nonzero(A.entries), A.n_rows, p, config.budget_cap)
+        br = _exact_01(*np.nonzero(A.entries), p, config.budget_cap)
         return replace(br, lower=c * br.lower, upper=c * br.upper)
     return r_heuristic(A, p, restarts=config.restarts, seed=config.seed)
 
@@ -509,7 +465,7 @@ def _quick_r_lower(a: np.ndarray, p: float) -> float:
 
 def _proxy_after_removal(a: np.ndarray, u: np.ndarray, v: np.ndarray, z: int,
                          p: float) -> float:
-    """Surrogate at the witness pair (u, v) with row/col z zeroed out."""
+    """Surrogate at the top pair (u, v) with row/col z zeroed out."""
     u2 = u.copy()
     v2 = v.copy()
     u2[z] = 0.0
@@ -522,16 +478,11 @@ def _proxy_after_removal(a: np.ndarray, u: np.ndarray, v: np.ndarray, z: int,
 
 def _support_lower(rows: np.ndarray, cols: np.ndarray, on: np.ndarray, p: float,
                    config: EngineConfig) -> float:
-    """Search score of a 0/1 support: the best value at moment p of the
-    search (`_search_01`, with a reduced node budget) over the pairs
-    (rows[e], cols[e]) selected by the mask `on`.  It is the exact
-    bracket's lower value to within 16 eps, without its best set's SVD and
-    witnesses."""
-    m = min(int(math.floor(p)), int(np.count_nonzero(on)))
-    if m == 0:
-        return 0.0
+    """Search score of a 0/1 support: the exact bracket's lower value at
+    moment p, with a reduced node budget, over the pairs (rows[e], cols[e])
+    selected by the mask `on`."""
     budget = max(2000, config.budget_cap // 100)
-    return _search_01(rows[on], cols[on], m, budget)[0]
+    return _exact_01(rows[on], cols[on], p, budget).lower
 
 
 def _full_estimates(A: WeightMatrix, keeps: list, p: float, config: EngineConfig) -> list:
@@ -548,12 +499,12 @@ def _full_estimates(A: WeightMatrix, keeps: list, p: float, config: EngineConfig
     mags = _magnitude(stack)
     scores = [0.0] * len(keeps)
     for i in np.flatnonzero(mags > 0.0).tolist():
-        br = _exact_01(*np.nonzero(stack[i]), idx.shape[1], p, config.budget_cap)
+        br = _exact_01(*np.nonzero(stack[i]), p, config.budget_cap)
         scores[i] = float(mags[i]) * br.lower
     general = np.flatnonzero(np.isnan(mags))
     if general.size:
-        values, _, _ = _ascent(stack[general], p, max(1, config.restarts - 1),
-                               config.seed, max_iters=8)
+        values = _ascent(stack[general], p, max(1, config.restarts - 1),
+                         config.seed, max_iters=8)
         for i, v in zip(general.tolist(), values.tolist()):
             scores[i] = v
     return scores

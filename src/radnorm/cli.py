@@ -214,10 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="evaluate every bound term for a matrix")
     p.add_argument("--input", required=True)
-    p.add_argument("--exact-threshold", type=int, default=2000)
-    p.add_argument("--budget-cap", type=int, default=200_000)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    engine = EngineConfig()
+    p.add_argument("--exact-threshold", type=int, default=engine.exact_threshold)
+    p.add_argument("--budget-cap", type=int, default=engine.budget_cap)
+    p.add_argument("--restarts", type=int, default=engine.restarts)
+    p.add_argument("--seed", type=int, default=engine.seed)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_profile)
 

@@ -177,7 +177,7 @@ def scenario_block_counterexample(samples=2000, seed=1, threads=1, n=2048) -> Sc
         est = mc_norm(A, "rademacher_iid", samples, seed, threads)
         row = math.sqrt(d)
         rows, cols = np.nonzero(A.entries)
-        subgraph = _exact_01(rows, cols, n, log_n, config.budget_cap)
+        subgraph = _exact_01(rows, cols, log_n, config.budget_cap)
         rhs_one_sided = row + row + subgraph.lower
         # k-sweep surrogate via the canonical removals (block rows first,
         # then singletons); each term upper-bounds the true inner min, and
@@ -189,7 +189,7 @@ def scenario_block_counterexample(samples=2000, seed=1, threads=1, n=2048) -> Sc
             kept[d:d + k - min(k, d)] = False
             on = kept[rows] & kept[cols]
             if on.any():
-                term = _exact_01(rows[on], cols[on], n, log_clamped(k), config.budget_cap)
+                term = _exact_01(rows[on], cols[on], log_clamped(k), config.budget_cap)
                 ksweep = max(ksweep, term.lower)
         rhs_two_sided = row + row + ksweep
         points.append(_record(

@@ -72,7 +72,9 @@ the Gram pair's last bits are not the SVD's, so the ascent took other
 paths (ungated, 15 goldens moved beyond 1e-12, `sym_gauss_n64`
 `r_logn.lower` by -0.47% and one k-sweep `removed` set changed).  A
 label-free ascent on |A|, whose weighted matrices have a nonnegative
-Perron pair, would remove that cause.
+Perron pair, would remove that cause.  That symmetric gate is the SVD
+pair's only user: the exact 0/1 bracket is a value (`top_values`) and the
+k-sweep's cheap pairs take power steps.
 Only `top_pair` takes power steps (`_power_pair`); `spectral_norm` is
 `top_values` at every side.  Choosing a different method per shape is a
 change to this module only.
@@ -229,7 +231,7 @@ def top_value_max(stack: np.ndarray, floor: np.ndarray) -> np.ndarray:
 
 
 def top_pair(a: np.ndarray, steps: int | None = None, gram: bool = False) -> tuple:
-    """(sigma, u, v): top singular value of `a` with unit witnesses.
+    """(sigma, u, v): top singular value of `a` and its unit singular vectors.
 
     `a` is one (r, c) matrix, giving a float sigma and vectors u (r,) and
     v (c,), or an (S, r, c) stack, giving sigma (S,), u (S, r) and v (S, c)
@@ -243,7 +245,9 @@ def top_pair(a: np.ndarray, steps: int | None = None, gram: bool = False) -> tup
     is given, it takes `steps` power steps (40 by default) on each matrix
     with no convergence test (`_power_pair`): sigma is then a lower
     estimate, never a certified value.  sigma is 0 only for a zero matrix,
-    and every route gives it u = 0 and v = `_start_vector`.
+    and every route gives it u = 0 and v = `_start_vector`.  The SVD route
+    serves only the surrogate ascent's exactly symmetric inputs
+    (`bounds._ascent_pair`).
     """
     if a.ndim == 2:
         sigma, u, v = top_pair(a[None], steps, gram)

@@ -19,7 +19,6 @@ from radnorm.bounds import (
 from radnorm.core import EdgeSet, WeightMatrix, log_clamped
 from radnorm.corpus import corpus_mixed
 from radnorm.families import block_plus_singletons, union_complete
-from radnorm.moments import hitczenko_surrogate
 from radnorm.oracles import subgraph_norm_enum
 from radnorm.sampler import mc_norm
 
@@ -93,15 +92,6 @@ class TestRExact01:
         br = r_exact_01(EdgeSet(3, ()), 2)
         assert br.lower == 0.0 and br.upper == 0.0
 
-    def test_witnesses_achieve_value(self):
-        E = EdgeSet(5, ((0, 1), (0, 2), (1, 2), (3, 4), (2, 2)))
-        br = r_exact_01(E, 3)
-        A = E.indicator().entries
-        mask = np.zeros_like(A)
-        # the witness bilinear form over the best subset equals the value;
-        # over the full set it can only be larger
-        assert float(br.witness_s @ A @ br.witness_t) >= br.lower - 1e-9
-
     def test_monotone_in_p(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
@@ -143,21 +133,20 @@ class TestRExact01:
         want = float(np.linalg.svd(E.indicator().entries, compute_uv=False)[0])
         assert r_exact_01(E, 10).lower == pytest.approx(want)
 
-    def test_beyond_exact_side_is_not_certified(self):
+    def test_whole_set_beyond_full_decomposition_is_certified(self):
         # K_{20,20} + K_{18,20} + 500 diagonal singletons: side 540 is past
-        # the full decomposition, and the gap 20 vs sqrt(360) is too small
-        # for the fixed power steps to reach 20 exactly
+        # FULL_DECOMPOSITION_MAX, where fixed power steps would not reach
+        # 20 exactly (the gap to sqrt(360) is small); the whole-set value
+        # is the kernel's exact one, so the bracket is certified
         pairs = [(i, j) for i in range(20) for j in range(20)]
         pairs += [(20 + i, 20 + j) for i in range(18) for j in range(20)]
         pairs += [(i, i) for i in range(40, 540)]
         E = EdgeSet(540, tuple(pairs))
         want = float(np.linalg.svd(E.indicator().entries, compute_uv=False)[0])
         br = r_exact_01(E, len(pairs))
-        assert br.lower <= want
-        if br.certified:
-            assert br.lower == pytest.approx(want, rel=0, abs=1e-12)
-        else:
-            assert br.upper >= want
+        assert br.certified and br.upper == br.lower
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(br.lower, want, rtol=16 * eps, atol=0)
 
     def test_branch_and_bound_equals_enumeration(self):
         # exercise the connected-subset search itself against the dumb
@@ -213,14 +202,6 @@ class TestRHeuristic:
         for name, A in corpus_mixed()[:12]:
             br = r_heuristic(A, log_clamped(A.n_rows), seed=2)
             assert br.lower <= br.upper + 1e-9, name
-
-    def test_witnesses_are_unit(self):
-        A = WeightMatrix(np.random.default_rng(5).standard_normal((6, 6)))
-        br = r_heuristic(A, 3, seed=3)
-        assert np.linalg.norm(br.witness_s) <= 1 + 1e-12
-        assert np.linalg.norm(br.witness_t) <= 1 + 1e-12
-        c = A.entries * np.outer(br.witness_s, br.witness_t)
-        assert hitczenko_surrogate(c.ravel(), 3).total == pytest.approx(br.lower)
 
     def test_restart_validation(self):
         with pytest.raises(ValueError):

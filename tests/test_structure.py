@@ -37,10 +37,11 @@ RULES = {
 }
 
 
-#: Public names deleted because only their own tests used them.
+#: Names deleted because no result used them.
 DELETED = ("trace_power_norm", "neighborhood_sets", "LevelSets", "level_sets",
            "dual_surrogate", "empirical_lp", "rearrange_desc", "greedy_cover",
-           "sign_bilinear_max", "SignBilinearResult", "SIGN_SIDE_CAP")
+           "sign_bilinear_max", "SignBilinearResult", "SIGN_SIDE_CAP",
+           "witness_s", "witness_t", "_pairs_norm", "best_set")
 
 
 def code_only(path: pathlib.Path) -> str:
@@ -84,9 +85,12 @@ def test_rules_see_the_kernel():
 def test_engine_config_knobs_are_profile_flags():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in sub.choices["profile"]._actions}
-    unset = [f.name for f in dataclasses.fields(EngineConfig) if f.name not in dests]
+    defaults = {a.dest: a.default for a in sub.choices["profile"]._actions}
+    unset = [f.name for f in dataclasses.fields(EngineConfig) if f.name not in defaults]
     assert not unset, f"EngineConfig fields without a profile flag: {unset}"
+    drifted = [f.name for f in dataclasses.fields(EngineConfig)
+               if defaults[f.name] != f.default]
+    assert not drifted, f"profile flag defaults differ from EngineConfig: {drifted}"
 
 
 @pytest.mark.parametrize("name", DELETED)
