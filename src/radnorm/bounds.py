@@ -463,17 +463,42 @@ def _quick_r_lower(a: np.ndarray, p: float) -> float:
     return _surrogate_at(a, u, v, p)
 
 
-def _proxy_after_removal(a: np.ndarray, u: np.ndarray, v: np.ndarray, z: int,
-                         p: float) -> float:
-    """Surrogate at the top pair (u, v) with row/col z zeroed out."""
-    u2 = u.copy()
-    v2 = v.copy()
-    u2[z] = 0.0
-    v2[z] = 0.0
-    nu, nv = np.linalg.norm(u2), np.linalg.norm(v2)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return _surrogate_at(a, u2 / nu, v2 / nv, p)
+def _shortlist_scores(a: np.ndarray, u: np.ndarray, v: np.ndarray, zs: list,
+                      p: float) -> list:
+    """For each z in `zs`, the surrogate of the square matrix `a` at its
+    top pair (u, v) with coordinate z of u and of v zeroed and both
+    renormalized, from one base c = |a o u v^T|.
+
+    Removing z leaves the entries of c outside row z and column z, scaled
+    by 1 / (||u_z|| ||v_z||) (u_z, v_z: u and v with coordinate z zeroed;
+    a zero norm scores 0).  A row and a column hold 2n - 1 entries, so the
+    top floor(p) entries that survive lie among the top floor(p) + 2n - 1
+    of c, sorted once: the head is the first floor(p) of those outside row
+    and column z.  The tail's squares are the rest of that sorted prefix
+    outside row and column z plus the squares beyond it outside row and
+    column z, each a sum of nonnegative terms, so no subtraction cancels.
+    """
+    n = len(a)
+    zs = np.asarray(zs)
+    out = np.ones((len(zs), n))
+    out[np.arange(len(zs)), zs] = 0.0
+    nu, nv = np.sqrt(out @ (u * u)), np.sqrt(out @ (v * v))
+    flat = np.abs(a * np.outer(u, v)).ravel()
+    m = min(int(math.floor(p)), flat.size)
+    size = min(m + 2 * n - 1, flat.size)
+    top = np.argpartition(-flat, size - 1)[:size]
+    top = top[np.argsort(-flat[top], kind="stable")]
+    vals = flat[top]
+    ok = (top // n != zs[:, None]) & (top % n != zs[:, None])
+    rank = np.cumsum(ok, axis=1)
+    head = np.where(ok & (rank <= m), vals, 0.0).sum(axis=1)
+    beyond = flat * flat
+    beyond[top] = 0.0
+    beyond = beyond.reshape(n, n)
+    tail_sq = (np.where(ok & (rank > m), vals * vals, 0.0).sum(axis=1)
+               + ((out @ beyond) * out).sum(axis=1))
+    return np.divide(head + math.sqrt(p) * np.sqrt(tail_sq), nu * nv, out=np.zeros(len(zs)),
+                     where=(nu > 0.0) & (nv > 0.0)).tolist()
 
 
 def _support_lower(rows: np.ndarray, cols: np.ndarray, on: np.ndarray, p: float,
@@ -519,7 +544,10 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
     index: with `on_support` (every nonzero |a_ij| equal) the subgraph
     search on the step's support index arrays with row and column z masked
     out, otherwise the surrogate at the step's 6-power-step top pair with
-    coordinate z zeroed.  Returns the removal order (length <= steps).
+    coordinate z zeroed and the pair renormalized, every shortlisted z
+    scored from one base |a o u v^T| and one partial sort of it
+    (`_shortlist_scores`, within a few eps of scoring each zeroed pair on
+    its own).  Returns the removal order (length <= steps).
     """
     n = A.n_rows
     keep = list(range(n))
@@ -543,13 +571,16 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
             shortlist_local = sorted(int(z) for z in shortlist_local)
         else:
             shortlist_local = list(range(len(keep)))
+        if on_support:
+            scores = [_support_lower(rows, cols, (rows != z) & (cols != z), p, config)
+                      for z in shortlist_local]
+        elif sigma != 0.0:
+            scores = _shortlist_scores(sub, u, v, shortlist_local, p)
+        else:
+            scores = [0.0] * len(shortlist_local)
         best_score = math.inf
         best_local = shortlist_local[0]
-        for z in shortlist_local:
-            if on_support:
-                score = _support_lower(rows, cols, (rows != z) & (cols != z), p, config)
-            else:
-                score = _proxy_after_removal(sub, u, v, z, p) if sigma != 0.0 else 0.0
+        for z, score in zip(shortlist_local, scores):
             if score < best_score - 1e-12:
                 best_score = score
                 best_local = z

@@ -49,7 +49,7 @@ reach the kernel.
 
 `top_pair` returns (sigma, u, v) for one matrix or for each matrix of a
 stack.  Up to side FULL_DECOMPOSITION_MAX it is the full SVD's pair, or
-with `gram=True` the Gram route's: the top `eigh` eigenvector of the same
+with `gram=True` the Gram route's: the top eigenvector of the same
 power-of-two scaled Gram matrix `top_values` uses, and the other side from
 one product with the scaled matrix.  The Gram pair agrees with the SVD
 pair up to a joint sign and rounding (sigma within 16 eps, each vector
@@ -58,11 +58,44 @@ of 20,000 measured).  Beyond FULL_DECOMPOSITION_MAX, or when the caller
 asks for a cheap pair, both take a fixed number of power steps on A^T A
 from a fixed ramped start, so the pair is then a lower estimate, never a
 certified value.  Measured on a 2-core box with OPENBLAS_NUM_THREADS=1,
-best of 21 interleaved calls on Gaussian matrices, SVD pair -> Gram pair:
+best of 21 interleaved calls on Gaussian matrices, SVD pair -> Gram pair
+with `eigh` at every side:
 
     120 of 15x15   7.59 -> 4.92 ms        1 of 128x128   3.11 -> 1.82 ms
       1 of 16x16   0.09 -> 0.10 ms        1 of 256x256  14.96 -> 8.04 ms
       1 of 64x64   0.91 -> 0.66 ms
+
+The surrogate ascent's weighted Gram matrices are nearly rank one (over
+the 477 of the `sparse_gauss_n128` profile, lambda_2 / lambda_1 had median
+5.1e-5, upper quartile 0.091 and 90th percentile 0.21), so from Gram side
+POWER_PAIR_MIN the Gram route first takes power steps (`_certified_top`)
+and keeps the vector only when a Davis-Kahan bound certifies it: sin(angle to the top eigenvector) <=
+||G x - rho x|| / (rho - lambda_2^+) <= 64 eps, with rho = x^T G x and
+lambda_2^+ = sqrt(||G||_F^2 - rho^2 + slack) >= lambda_2.  A matrix that
+does not certify within _CERTIFY_STEPS steps, or whose bound shows it
+cannot, is solved by `eigh`; a zero matrix or a tied top never certifies.
+Each matrix of a stack takes its own route, so its pair keeps the bits of
+a call on it alone.  On the ascent's Gram matrices from nine general-
+weight corpus profiles (n = 16 to 128), best of 5 runs per side on the
+same box, per matrix, `eigh` -> certified steps with the `eigh` fallback:
+
+    side      matrices  certified   eigh      route
+      8          103       92%     0.014   0.054 ms   (0.26x)
+     14-16       381       91%     0.031   0.058 ms   (0.53x)
+     20-24       400       86%     0.058   0.067 ms   (0.87x)
+     28-31       306       76%     0.076   0.067 ms   (1.13x)
+     32          400       86%     0.099   0.103 ms   (0.96x)
+     36-40       329       79%     0.159   0.079 ms   (2.0x)
+     44-48       398       92%     0.192   0.062 ms   (3.1x)
+     56-64       400       84%     0.272   0.136 ms   (2.0x)
+     96           51       88%     1.018   0.251 ms   (4.1x)
+    112-128      387       93%     1.874   0.220 ms   (8.5x)
+
+Below side 28 a few power steps in Python cost more than LAPACK's whole
+eigensolve, and sides 28-32 break even (0.96-1.22x over two runs), so
+POWER_PAIR_MIN is 32: the exact k-sweep rows' stacks (sides <= 16) stay on
+`eigh`, and every side from 36 gains.  On the `sparse_gauss_n128` profile
+435 of its 477 Gram matrices certified and 42 fell back.
 
 The surrogate ascent (`bounds._ascent`) takes the Gram pair for every
 matrix that is not exactly symmetric.  Exactly symmetric matrices stay on
@@ -86,6 +119,8 @@ the kernel is tested against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import WeightMatrix
@@ -95,6 +130,16 @@ FULL_DECOMPOSITION_MAX = 512
 
 #: Power steps top_pair takes beyond FULL_DECOMPOSITION_MAX.
 _PAIR_STEPS = 40
+
+#: Smallest Gram side at which `_gram_pair` tries certified power steps
+#: before `eigh`: below it `eigh` is cheaper (see the module docstring).
+POWER_PAIR_MIN = 32
+
+#: Power steps `_certified_top` takes at most on one Gram matrix.
+_CERTIFY_STEPS = 24
+
+#: The bound on sin(angle to the top eigenvector) `_certified_top` accepts.
+_CERTIFY_SIN = 64 * np.finfo(float).eps
 
 #: Vector norms outside [1 / this, this] are recomputed with max scaling.
 _SQUARE_SAFE = 2.0 ** 500
@@ -238,10 +283,10 @@ def top_pair(a: np.ndarray, steps: int | None = None, gram: bool = False) -> tup
     with each matrix's pair bit for bit equal to a call on it alone.
     Up to side FULL_DECOMPOSITION_MAX the pair is the full SVD's, or with
     `gram` the Gram route's (`_gram_pair`: the top eigenvector of the
-    smaller side's Gram matrix and one product for the other side), which
-    is cheaper and agrees with the SVD pair up to a joint sign and
-    rounding: sigma within 16 eps, each vector within 256 eps / relative
-    gap of the top two squared values.  Beyond that side, or when `steps`
+    smaller side's Gram matrix, from certified power steps or `eigh`, and
+    one product for the other side), which is cheaper and agrees with the
+    SVD pair up to a joint sign and rounding: sigma within 16 eps, each
+    vector within 256 eps / relative gap of the top two squared values.  Beyond that side, or when `steps`
     is given, it takes `steps` power steps (40 by default) on each matrix
     with no convergence test (`_power_pair`): sigma is then a lower
     estimate, never a certified value.  sigma is 0 only for a zero matrix,
@@ -271,14 +316,24 @@ def top_pair(a: np.ndarray, steps: int | None = None, gram: bool = False) -> tup
 
 def _gram_pair(a: np.ndarray) -> tuple:
     """(sigma, u, v) of each matrix of an (S, r, c) stack: the top
-    eigenvector (`eigh`) of the power-of-two scaled Gram matrix on the
-    smaller side (`_scaled_gram`), the other side from one product with the
-    scaled matrix, and sigma the norm of that product, scaled back.  A zero
-    matrix gives sigma 0 (the caller sets its vectors)."""
+    eigenvector of the power-of-two scaled Gram matrix on the smaller side
+    (`_scaled_gram`), the other side from one product with the scaled
+    matrix, and sigma the norm of that product, scaled back.  From Gram
+    side POWER_PAIR_MIN each matrix first tries certified power steps
+    (`_certified_top`); the rest take `eigh`.  A zero matrix gives sigma 0
+    (the caller sets its vectors)."""
     r, c = a.shape[1:]
     gram, shift = _scaled_gram(a)
     with np.errstate(under="ignore"):
-        top = np.linalg.eigh(gram)[1][:, :, -1].copy()
+        top = np.empty(gram.shape[:2])
+        todo = np.ones(len(gram), dtype=bool)
+        if gram.shape[1] >= POWER_PAIR_MIN:
+            for k, g in enumerate(gram):
+                x = _certified_top(g)
+                if x is not None:
+                    top[k], todo[k] = x, False
+        if todo.any():
+            top[todo] = np.linalg.eigh(gram[todo])[1][:, :, -1]
         scaled = np.ldexp(a, -shift[:, None, None])
         if r < c:
             other = (top[:, None, :] @ scaled)[:, 0, :]
@@ -288,6 +343,46 @@ def _gram_pair(a: np.ndarray) -> tuple:
         other = other / np.where(norm > 0.0, norm, 1.0)[:, None]
         sigma = np.ldexp(norm, shift)
     return (sigma, top, other) if r < c else (sigma, other, top)
+
+
+def _certified_top(gram: np.ndarray):
+    """The top eigenvector of one symmetric positive semidefinite Gram
+    matrix by certified power steps, or None when they cannot certify it.
+
+    From the heaviest column x of G, normalized, each step takes y = G x,
+    rho = x^T y <= lambda_1 and the residual r = ||y - rho x||.  Since
+    lambda_1^2 + lambda_2^2 <= ||G||_F^2, lambda_2 <= lam2 =
+    sqrt(||G||_F^2 - rho^2 + slack), the slack covering the rounding of
+    both sums, and by Davis-Kahan sin(x, top eigenvector) <= r / (rho -
+    lam2).  x is accepted once that bound is at most _CERTIFY_SIN.  The
+    run gives up, returning None, as soon as the bound times
+    (lam2 / rho)^(steps left) still exceeds it: lam2 / rho bounds the
+    contraction per step, so the bound cannot fall far enough within
+    _CERTIFY_STEPS.  A zero matrix, or one whose top eigenvalue is tied
+    or not separated from lam2, never certifies.
+    """
+    col2 = (gram * gram).sum(axis=0)
+    j = int(np.argmax(col2))
+    if col2[j] == 0.0:
+        return None
+    fro2 = float(col2.sum())
+    slack = 2 * len(gram) * np.finfo(float).eps * fro2
+    x = gram[:, j] / math.sqrt(col2[j])
+    for left in range(_CERTIFY_STEPS - 1, -1, -1):
+        y = gram @ x
+        rho = float(x @ y)
+        res = y - rho * x
+        r = math.sqrt(float(res @ res))
+        lam2 = math.sqrt(max(fro2 - rho * rho, 0.0) + slack)
+        gap = rho - lam2
+        if gap <= 0.0:
+            return None
+        if r <= _CERTIFY_SIN * gap:
+            return x
+        if r / gap * (lam2 / rho) ** left > _CERTIFY_SIN:
+            return None
+        x = y / math.sqrt(float(y @ y))
+    return None
 
 
 def _power_pair(a: np.ndarray, steps: int) -> tuple:

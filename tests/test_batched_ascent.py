@@ -1,14 +1,20 @@
-"""The batched forms behind the exact k-sweep rows equal their one-matrix
-forms bit for bit, checked with hypothesis.
+"""The batched forms behind the k-sweep equal their one-matrix forms,
+checked with hypothesis.
 
 A stacked `top_pair` gives each matrix the pair a call on it alone gives,
-on the SVD, Gram and power routes; row-wise `water_fill` gives each row
-the result of the scalar clip-count loop it replaced (kept below as the
-reference); and `_ascent` over a stack gives each matrix the value
-`r_heuristic` finds for it, also when the stack mixes exactly
-symmetric matrices, which take the SVD pair, with matrices that take the
-Gram pair.  All comparisons use exact equality: the batched code performs
-the same floating-point operations in the same order.
+on the SVD, Gram and power routes, also when a stack above the Gram
+route's gate mixes matrices that certify their power steps with matrices
+that fall back to `eigh`; row-wise `water_fill` gives each row the result
+of the scalar clip-count loop it replaced (kept below as the reference);
+and `_ascent` over a stack gives each matrix the value `r_heuristic`
+finds for it, also when the stack mixes exactly symmetric matrices, which
+take the SVD pair, with matrices that take the Gram pair.  These
+comparisons use exact equality: the batched code performs the same
+floating-point operations in the same order.  The greedy chain's shared
+shortlist scores (`_shortlist_scores`) sum in another order, so each lies
+within a few eps of the surrogate of its own zeroed pair, and the chain
+removes in the order of the per-candidate loop they replaced (kept below
+as the reference).
 """
 
 import math
@@ -18,13 +24,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radnorm.bounds import _ascent, r_heuristic
+from radnorm.bounds import (SHORTLIST_SIZE, EngineConfig, _ascent, _greedy_chain,
+                            _magnitude, _shortlist_scores, r_heuristic)
 from radnorm.core import WeightMatrix
 from radnorm.moments import hitczenko_surrogate, surrogate_rows, water_fill
-from radnorm.spectral import top_pair
+from radnorm.spectral import POWER_PAIR_MIN, _certified_top, _scaled_gram, top_pair
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
@@ -79,10 +86,33 @@ def water_fill_loop(star, p):
         m += 1
 
 
+def _above_gate_stack():
+    """Four matrices of Gram side POWER_PAIR_MIN + 8: a rank-one spike over
+    noise and a rank-one matrix, which certify their power steps, then two
+    equal blocks (a tied top) and a zero matrix, which fall back to eigh."""
+    n = POWER_PAIR_MIN + 8
+    rng = np.random.default_rng(31)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    spike = 3.0 * np.outer(x, y) / (np.linalg.norm(x) * np.linalg.norm(y))
+    return np.stack([spike + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n),
+                     np.outer(x, y), np.kron(np.eye(2), rng.standard_normal((n // 2, n // 2))),
+                     np.zeros((n, n))])
+
+
+_ABOVE_GATE = _above_gate_stack()
+
+
+def test_above_gate_stack_mixes_certified_and_fallback_matrices():
+    grams = _scaled_gram(_ABOVE_GATE)[0]
+    assert [_certified_top(g) is not None for g in grams] == [True, True, False, False]
+
+
 @PROPERTY_SETTINGS
 @given(a=stacks(max_side=8), steps=st.sampled_from([None, 1, 6]), gram=st.booleans())
 @example(a=np.stack([np.zeros((3, 5)), np.ones((3, 5))]), steps=None, gram=True)
 @example(a=np.stack([np.ones((5, 3)), np.zeros((5, 3))]), steps=None, gram=False)
+@example(a=_ABOVE_GATE, steps=None, gram=True)
+@example(a=_ABOVE_GATE[::-1].transpose(0, 2, 1).copy(), steps=None, gram=True)
 def test_stacked_top_pair_equals_per_matrix(a, steps, gram):
     # the SVD, Gram and power routes alike, zero matrices included
     sigma, u, v = top_pair(a, steps, gram)
@@ -144,3 +174,95 @@ def test_ascent_equals_per_matrix_r_heuristic(a, p, restarts, seed, max_iters):
     for m in range(len(a)):
         br = r_heuristic(WeightMatrix(a[m]), p, restarts, seed, max_iters)
         assert values[m] == br.lower
+
+
+def greedy_chain_loop(a, p, steps):
+    """The general-weight greedy chain before `_shortlist_scores`: each
+    shortlisted z scored on its own, by the surrogate of a o u v^T with
+    coordinate z of u and v zeroed and both renormalized."""
+    keep = list(range(len(a)))
+    removed = []
+    for _ in range(steps):
+        if not keep:
+            break
+        sub = a[np.ix_(keep, keep)]
+        if not sub.any():
+            removed.extend(keep)
+            break
+        sigma, u, v = top_pair(sub, steps=6)
+        mass = (sub * sub).sum(axis=1) + (sub * sub).sum(axis=0)
+        if len(keep) > SHORTLIST_SIZE:
+            shortlist = sorted(int(z) for z in
+                               np.argsort(-mass, kind="stable")[:SHORTLIST_SIZE])
+        else:
+            shortlist = list(range(len(keep)))
+        best_score = math.inf
+        best_local = shortlist[0]
+        for z in shortlist:
+            score = one_removal_score(sub, u, v, z, p) if sigma != 0.0 else 0.0
+            if score < best_score - 1e-12:
+                best_score = score
+                best_local = z
+        removed.append(keep[best_local])
+        del keep[best_local]
+    return removed
+
+
+def one_removal_score(a, u, v, z, p):
+    """The surrogate at (u, v) with coordinate z zeroed, scored on its own."""
+    u2, v2 = u.copy(), v.copy()
+    u2[z] = v2[z] = 0.0
+    nu, nv = np.linalg.norm(u2), np.linalg.norm(v2)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return hitczenko_surrogate(a * np.outer(u2 / nu, v2 / nv), p).total
+
+
+@st.composite
+def shortlist_cases(draw):
+    """(a, u, v, p): general weights of side 2 to 48 (Gaussian, few tied
+    values, a circulant, or a block and its permuted copy), the 6-step top
+    pair or a pair whose u or v is a signed basis vector, and p."""
+    n = draw(st.integers(2, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gauss", "ties", "circulant", "copies"]))
+    if kind == "gauss":
+        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.6)
+    elif kind == "ties":
+        a = rng.choice(TIE_VALUES, size=(n, n))
+    elif kind == "circulant":
+        row = rng.choice(TIE_VALUES, size=n)
+        a = np.stack([np.roll(row, i) for i in range(n)])
+    else:
+        h = n // 2
+        block = rng.choice(TIE_VALUES, size=(h, h))
+        perm = rng.permutation(h)
+        a = np.zeros((n, n))
+        a[:h, :h] = block
+        a[h:2 * h, h:2 * h] = block[perm][:, perm]
+    assume(np.isnan(_magnitude(a[None])[0]))
+    _, u, v = top_pair(a, steps=6)
+    pick = draw(st.sampled_from(["pair", "u", "v"]))
+    if pick != "pair":
+        e = np.zeros(n)
+        e[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, -1.0]))
+        u, v = (e, v) if pick == "u" else (u, e)
+    return a, u, v, draw(MOMENTS)
+
+
+@PROPERTY_SETTINGS
+@given(case=shortlist_cases())
+def test_shortlist_scores_within_eps_of_each_removal(case):
+    a, u, v, p = case
+    zs = list(range(len(a)))
+    for z, score in zip(zs, _shortlist_scores(a, u, v, zs, p)):
+        want = one_removal_score(a, u, v, z, p)
+        assert score == pytest.approx(want, rel=8 * np.finfo(float).eps, abs=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(case=shortlist_cases(), steps=st.integers(1, 48))
+def test_greedy_chain_removes_in_the_per_candidate_order(case, steps):
+    a, _, _, p = case
+    chain = _greedy_chain(WeightMatrix(a), p, steps, False, EngineConfig())
+    assert chain == greedy_chain_loop(a, p, steps)
