@@ -16,22 +16,23 @@ key, list length, anything under `flags`, `mode` or `removed`, or an exit
 code differs.  Run `diff` before re-recording a change that moves low-order
 bits, to show every command is within the stated tolerance.  `--jobs N`
 runs the commands in N worker processes.
-tests/test_golden.py checks the 84 commands marked fast, each well under
-a second: inputs of side <= 16, plus the n = 128 one-magnitude profile
+tests/test_golden.py checks the 85 commands marked fast, each about a
+second or less: inputs of side <= 16, plus the n = 128 one-magnitude profile
 `bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
 enumerated and greedy rows on its 0/1 support, the general-weight
 profiles in POWER_ROUTE_FAST, whose surrogate ascent reaches the
 certified power steps of the Gram top pair, `verify
-union_complete_regimes --n-cap 64`, whose many same-shape Monte Carlo
-blocks take the pruned block maximum, `verify block_counterexample
+union_complete_regimes` at --n-cap 64 and at the benchmark's --n-cap
+1024 (`bench.mc_blocks`), whose many same-shape Monte Carlo blocks take
+the pruned block maximum, `verify block_counterexample
 --n-cap 64`, whose k-sweep masks the support's index arrays, and the
 `family` and `oracle` commands.
 
-The 202 commands cover every square input of side <= 64 in the three
+The 205 commands cover every square input of side <= 64 in the three
 corpora (default flags, --exact-threshold 150 and --restarts 1), the
-benchmark's profile operations, --budget-cap, --exact-threshold and
---seed variants, scaled and one-magnitude inputs, the path P3 and the
-cycle C4, `mc` in all three modes, every `verify` scenario, one small
+benchmark's profile and Monte Carlo operations, --budget-cap,
+--exact-threshold and --seed variants, scaled and one-magnitude inputs,
+the path P3 and the cycle C4, `mc` in all three modes, every `verify` scenario, one small
 `family` instance per generator, the three `oracle` quantities, and the
 error exits.
 
@@ -170,6 +171,14 @@ def commands() -> list:
         add(f"bench.profile_search.{name}",
             ["profile", "--input", _path(f"mixed.{name}"), "--seed", "1"],
             name.startswith("block_singletons"))
+    # the benchmark's Monte Carlo operations at its reference seed
+    add("bench.mc_blocks.union_complete_regimes",
+        ["verify", "--scenario", "union_complete_regimes", "--samples", "200",
+         "--n-cap", "1024", "--threads", "1", "--seed", "1"], True)
+    for name in ("dense_gauss_n128", "sparse_gauss_n256"):
+        add(f"bench.mc_dense.{name}",
+            ["mc", "--input", _path(f"mixed.{name}"), "--mode", "gaussian",
+             "--p", "2,8,40", "--samples", "300", "--threads", "2", "--seed", "1"], False)
 
     for name, cap in (("01.random_regular_n32_d3", "50"), ("01.bernoulli_n48", "50"),
                       ("01.block_singletons_n64_d4", "2000"), ("sym.union_k4x4", "10"),

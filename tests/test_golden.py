@@ -1,8 +1,9 @@
-"""The fast part of the golden command set, 84 of its 202 commands: CLI
+"""The fast part of the golden command set, 85 of its 205 commands: CLI
 stdout and exit codes on inputs of side <= 16, on one n = 128 profile of
 a 0/1 support, on two general-weight profiles of sides 40 and 64 whose
-surrogate ascent takes certified power steps, of `verify union_complete_regimes` at --n-cap 64 (the
-pruned Monte Carlo block maximum), of `verify block_counterexample` at
+surrogate ascent takes certified power steps, of `verify
+union_complete_regimes` at --n-cap 64 and at the benchmark's --n-cap 1024
+(the pruned Monte Carlo block maximum), of `verify block_counterexample` at
 --n-cap 64 (the masked k-sweep) and of the small `family` and `oracle`
 commands, equal the recorded outputs in tests/golden/, byte for byte.
 The whole set runs with `python3 scripts/golden.py check`; the tolerance
