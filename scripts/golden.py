@@ -32,9 +32,9 @@ The 205 commands cover every square input of side <= 64 in the three
 corpora (default flags, --exact-threshold 150 and --restarts 1), the
 benchmark's profile and Monte Carlo operations, --budget-cap,
 --exact-threshold and --seed variants, scaled and one-magnitude inputs,
-the path P3 and the cycle C4, `mc` in all three modes, every `verify` scenario, one small
-`family` instance per generator, the three `oracle` quantities, and the
-error exits.
+the path P3 and the cycle C4, `mc` in all three modes, every `verify`
+scenario, one small `family` instance per generator, the three `oracle`
+quantities, and the error exits.
 
 Commands run in-process through `radnorm.cli.main`, with input files
 written to `inputs/` under a scratch working directory (default

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EdgeSet, WeightMatrix, derive_graph, log_clamped
+from .core import EdgeSet, WeightMatrix, log_clamped, max_support_degree
 from .moments import hitczenko_surrogate, surrogate_rows, water_fill
 from .spectral import FULL_DECOMPOSITION_MAX, max_row_col_l2, top_pair, top_values
 from . import streams
@@ -112,7 +112,7 @@ def trivial_degree_bound(A: WeightMatrix) -> float:
     """d_A times the largest off-diagonal |a_ij| (support degree bound)."""
     if not A.is_square:
         raise ValueError("bound defined for square matrices")
-    d = derive_graph(A).max_degree
+    d = max_support_degree(A)
     return d * A.off_diagonal_max_abs()
 
 
@@ -757,7 +757,7 @@ def bound_profile(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> Bou
 
     n = A.n_rows
     row, col = map(up, max_row_col_l2(A))
-    degree = derive_graph(A).max_degree
+    degree = max_support_degree(A)
     r_logn = r_estimate(A, log_clamped(n), config)
     r_logn = replace(r_logn, lower=up(r_logn.lower), upper=up(r_logn.upper))
     ks_value, ks_table = ksweep_term(A, config)

@@ -237,6 +237,16 @@ def derive_graph(A: WeightMatrix) -> GraphView:
     return GraphView(n, adj)
 
 
+def max_support_degree(A: WeightMatrix) -> int:
+    """Largest degree of the support graph G_A, counted in numpy: equal to
+    `derive_graph(A).max_degree`, without building the adjacency."""
+    if not A.is_square:
+        raise ValueError("support graph requires a square matrix")
+    support = (A.entries != 0.0) | (A.entries.T != 0.0)
+    np.fill_diagonal(support, False)
+    return int(support.sum(axis=1).max(initial=0))
+
+
 def bfs_distances(adjacency, source: int, cutoff: int | None = None) -> dict:
     """BFS distances from source over `adjacency` (the neighbours of each
     vertex); vertices beyond cutoff are omitted."""

@@ -15,6 +15,18 @@ and the components are labelled in numpy.  In symmetric mode the two
 mirrored cells (i, j) and (j, i) read one shared sign column, whether or
 not they land in the same block.
 
+The plan lays every group of same-shape blocks out in full, r x c cells a
+block, with a source column and a weight for each cell; a cell the block
+does not hold reads one zero column appended to the sampled values, with
+weight 0.  A group's stack is then one gather (`take`) times the padded
+weights.  In the Rademacher modes a block's largest |w_ij eps_ij| is its
+largest |w_ij|, so the plan stores the weights of every block with both
+sides >= 2 already scaled by its power of two (max |w_ij| in [1/2, 1))
+and hands the shifts to `spectral.top_value_max`, which then neither
+scans nor scales a sample: the norms keep the bits of scaling each
+sampled block.  Gaussian blocks keep their weights and are scaled per
+sample.
+
 Uniform blocks are drawn lazily, one at a time.  Each block is cut into
 equal row chunks, as many as a multiple of the thread count, and worker
 threads take the chunks; the realization budget is shared by all workers,
@@ -106,8 +118,12 @@ def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
     fall in two blocks.  Blocks of one shape form one group (ascending
     shape, blocks in order of first cell) and share one
     `spectral.top_value_max` call, which eigensolves only the blocks that
-    can hold a sample's maximum; `slot` is a cell's block in the group,
-    `flat` its place in the block.
+    can hold a sample's maximum.  A group holds, for each of its g r c
+    cells in block layout, `src`, the sign column it reads (k, the
+    appended zero column, for a cell no block holds), and `w`, its weight
+    (0 there); in the Rademacher modes, when both sides are at least 2,
+    `w` is scaled per block by 2^-shift to a max |w| in [1/2, 1) and
+    `shift` holds the g exponents, else it is None.
     """
     a = A.entries
     nr, nc = a.shape
@@ -147,31 +163,40 @@ def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
         r, c = divmod(key, nc + 1)
         sel = cells[lo:hi]
         blocks, slot = np.unique(comp[sel], return_inverse=True)
-        plan.append({"shape": (r, c), "count": blocks.size, "slot": slot,
-                     "pos": pos[sel], "flat": li[sel] * c + lj[sel],
-                     "w": a[ii[sel], jj[sel]]})
+        at = slot * (r * c) + li[sel] * c + lj[sel]
+        src = np.full(blocks.size * r * c, k)
+        src[at] = pos[sel]
+        w = np.zeros(blocks.size * r * c)
+        w[at] = a[ii[sel], jj[sel]]
+        shift = None
+        if mode != "gaussian" and r > 1 and c > 1:
+            shift = np.frexp(np.abs(w).reshape(blocks.size, -1).max(axis=1))[1]
+            w = np.ldexp(w.reshape(blocks.size, -1), -shift[:, None]).ravel()
+        plan.append({"shape": (r, c), "count": blocks.size, "src": src, "w": w,
+                     "shift": shift})
     return k, plan
 
 
 def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
     """Per-sample spectral norms given sampled values (m, n_positions):
     the largest block norm of each sample, carried from group to group as
-    the floor below which `top_value_max` skips a block."""
+    the floor below which `top_value_max` skips a block.
+
+    Each group's (m, g, r, c) stack is one gather from the values with a
+    zero column appended, times the plan's padded weights."""
     m = values.shape[0]
+    ext = np.concatenate((values, np.zeros((m, 1))), axis=1)
     out = np.zeros(m)
     for group in plan:
         r, c = group["shape"]
-        g = group["count"]
-        vals = values[:, group["pos"]]
-        vals *= group["w"]
+        # `take`, not ext[:, src]: the fancy index is not C-contiguous, and
+        # its Gram products took another BLAS route that moved low bits
+        block = ext.take(group["src"], axis=1)
+        block *= group["w"]
         if r == 1 and c == 1:
-            block = np.zeros((m, g))
-            block[:, group["slot"]] = vals
             np.maximum(out, np.abs(block).max(axis=1), out=out)
             continue
-        block = np.zeros((m, g, r * c))
-        block[:, group["slot"], group["flat"]] = vals
-        out = top_value_max(block.reshape(m, g, r, c), out)
+        out = top_value_max(block.reshape(m, group["count"], r, c), out, group["shift"])
     return out
 
 

@@ -31,21 +31,35 @@ _REALIZE_BUDGET of 2^24 elements (128 MB) per block.  Measured on a
 
 The Gram route wins at every side, so there is no size switch.
 
-`top_value_max(stack, floor)` is the Monte Carlo sampler's entry: the
-largest value in each row of an (m, g, r, c) stack of same-shape blocks,
-at least `floor`, bit for bit equal to taking `top_values` of the whole
-stack.  It eigensolves only the blocks that can hold a row's maximum.
-Each block's sigma is bracketed from its scaled Gram matrix G by
-sqrt(tr G^5 / tr G^4) <= sigma <= (tr G^8)^(1/16), and a block whose
-upper bound falls below max(floor, best lower bound in its row) by more
-than _PRUNE_MARGIN (1e-9 relative) is skipped; the kept ones go through
-the same eigensolve as `top_values`.  Groups of one block per row (dense
-inputs) and vector shapes skip the bracket.  On `verify
+`top_value_max(stack, floor, shift=None)` is the Monte Carlo sampler's
+entry: the largest value in each row of an (m, g, r, c) stack of
+same-shape blocks, at least `floor`, bit for bit equal to taking
+`top_values` of the whole stack.  It eigensolves only the blocks that can
+hold a row's maximum.  Each block's sigma is bracketed from its scaled
+Gram matrix G by sqrt(tr G^5 / tr G^4) <= sigma <= (tr G^8)^(1/16), and a
+block whose upper bound falls below max(floor, best lower bound in its
+row) by more than _PRUNE_MARGIN (1e-9 relative) is skipped; the kept ones
+go through the same eigensolve as `top_values`.  Groups of one block per
+row (dense inputs) and vector shapes skip the bracket.  On `verify
 union_complete_regimes` (--n-cap 1024, 200 samples) the share of blocks
 eigensolved is 50% of the 3x3 blocks of d = 2 (half of their sign
 patterns have norm 2, every row's maximum, and ties are kept), 3.4% at
 d = 3 and 0.8-1.9% at d = 4 to 8; the d = 1 blocks are 1x1 and never
-reach the kernel.
+reach the kernel.  In the Rademacher modes a block's largest
+|w_ij eps_ij| is its largest |w_ij|, so its power-of-two shift is known
+before any sample is drawn: the sampler's plan scales the weights once
+and passes the shifts, and `top_value_max` skips the per-matrix max/min
+scan and the scaled copy.  Multiplying by +-1 is exact and ldexp rounds
+w and -w alike, so every Gram matrix keeps its bits, subnormal corners
+included.  Gaussian blocks are scaled here, per sample.
+
+Every Gram product (`_gram`) multiplies by a contiguous copy of the
+transpose while both sides are at most CONTIGUOUS_T_MAX = 11, and by the
+transposed view beyond: on the view numpy takes another product routine,
+about twice as slow on tiny matrices (68,200 3x3 matrices: 19.5 ->
+9.7 ms, 2-core box, OPENBLAS_NUM_THREADS=1, best of 7).  Up to side 11
+the copy gave the same bits at every shape; at sides 12 to 16 it moved
+low bits of some products, and a gate at 16 changed 10 golden outputs.
 
 `top_pair` returns (sigma, u, v) for one matrix or for each matrix of a
 stack.  Up to side FULL_DECOMPOSITION_MAX it is the full SVD's pair, or
@@ -141,6 +155,11 @@ _CERTIFY_STEPS = 24
 #: The bound on sin(angle to the top eigenvector) `_certified_top` accepts.
 _CERTIFY_SIN = 64 * np.finfo(float).eps
 
+#: Largest side at which `_gram` multiplies by a contiguous copy of the
+#: transpose, not the transposed view: up to it the copy is faster and
+#: keeps the bits (see the module docstring).
+CONTIGUOUS_T_MAX = 11
+
 #: Vector norms outside [1 / this, this] are recomputed with max scaling.
 _SQUARE_SAFE = 2.0 ** 500
 
@@ -204,7 +223,7 @@ def _gram_top(stack: np.ndarray) -> np.ndarray:
 def _scaled_gram(a: np.ndarray) -> tuple:
     """(gram, shift) of an (S, r, c) stack: each matrix scaled by 2^-shift
     so that its max |a_ij| lies in [1/2, 1) (a zero matrix keeps shift 0),
-    and the Gram matrix of the scaled matrix on its smaller side.
+    and the Gram matrix of the scaled matrix on its smaller side (`_gram`).
 
     The scaling is exact, so the squares neither overflow nor lose bits and
     a matrix and its power-of-two multiples give eigvalsh the same Gram
@@ -214,9 +233,17 @@ def _scaled_gram(a: np.ndarray) -> tuple:
     """
     flat = a.reshape(a.shape[0], -1)
     shift = np.frexp(np.maximum(flat.max(axis=1), -flat.min(axis=1)))[1]
-    a = np.ldexp(a, -shift[:, None, None])
+    return _gram(np.ldexp(a, -shift[:, None, None])), shift
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """The Gram matrix on the smaller side of each matrix of an (S, r, c)
+    stack, by a contiguous copy of the transpose while both sides are at
+    most CONTIGUOUS_T_MAX (faster, same bits; see the module docstring)."""
     at = a.transpose(0, 2, 1)
-    return (a @ at if a.shape[1] < a.shape[2] else at @ a), shift
+    if max(a.shape[1:]) <= CONTIGUOUS_T_MAX:
+        at = np.ascontiguousarray(at)
+    return a @ at if a.shape[1] < a.shape[2] else at @ a
 
 
 def _gram_eig_top(gram: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -236,13 +263,18 @@ def _bracket(gram: np.ndarray, shift: np.ndarray) -> tuple:
     return np.ldexp(lower, shift), np.ldexp(upper, shift)
 
 
-def top_value_max(stack: np.ndarray, floor: np.ndarray) -> np.ndarray:
+def top_value_max(stack: np.ndarray, floor: np.ndarray, shift=None) -> np.ndarray:
     """max(floor, top_values(stack).max(axis=1)) of an (m, g, r, c) stack,
     bit for bit, eigensolving only the matrices that can reach the maximum.
 
-    `floor` (m,) is each row's running maximum.  Per _GRAM_SLICE elements,
-    each matrix's sigma = sqrt(lambda_max(G)) is bracketed from its scaled
-    Gram matrix G (`_scaled_gram`) by
+    `floor` (m,) is each row's running maximum.  With `shift` (g,) given,
+    the sides are both at least 2 and the stack is pre-scaled: block j of
+    every row is its matrix times 2^-shift[j], with max |a_ij| in
+    [1/2, 1), and the result is that of the unscaled stack (the Monte
+    Carlo sampler folds the shifts of its Rademacher blocks into their
+    weights, `sampler._norm_plan`).  Without it each matrix is scaled here
+    (`_scaled_gram`).  Per _GRAM_SLICE elements, each matrix's sigma =
+    sqrt(lambda_max(G)) is bracketed from its scaled Gram matrix G by
 
         sqrt(<G^4, G> / <G^2, G^2>)  <=  sigma  <=  <G^4, G^4>^(1/16),
 
@@ -252,24 +284,31 @@ def top_value_max(stack: np.ndarray, floor: np.ndarray) -> np.ndarray:
     whose upper bound reaches threshold * (1 - _PRUNE_MARGIN) are
     eigensolved, by the same `_gram_eig_top` as `top_values`, so every
     value that can be the maximum has the bits it has there.  Groups of one
-    matrix per row, and vector shapes, go straight to `top_values`.
+    matrix per row solve every matrix without the bracket, and vector
+    shapes go straight to `top_values`.
     """
     m, g, r, c = stack.shape
-    if g == 1 or r == 1 or c == 1:
+    if r == 1 or c == 1:
         return np.maximum(floor, top_values(stack).max(axis=1))
     out = np.empty(m)
     step = max(1, _GRAM_SLICE // (g * r * c))
     with np.errstate(under="ignore"):
         for lo in range(0, m, step):
-            a = stack[lo:lo + step]
-            rows = a.shape[0]
-            gram, shift = _scaled_gram(a.reshape(-1, r, c))
-            lower, upper = (b.reshape(rows, g) for b in _bracket(gram, shift))
-            cut = np.maximum(floor[lo:lo + step], lower.max(axis=1))
-            # NaN in a bound or threshold keeps the matrix
-            keep = ~(upper < (cut * (1.0 - _PRUNE_MARGIN))[:, None]).ravel()
-            vals = np.zeros(rows * g)
-            vals[keep] = _gram_eig_top(gram[keep], shift[keep])
+            a = stack[lo:lo + step].reshape(-1, r, c)
+            rows = a.shape[0] // g
+            if shift is None:
+                gram, sh = _scaled_gram(a)
+            else:
+                gram, sh = _gram(a), np.tile(shift, rows)
+            if g == 1:
+                vals = _gram_eig_top(gram, sh)
+            else:
+                lower, upper = (b.reshape(rows, g) for b in _bracket(gram, sh))
+                cut = np.maximum(floor[lo:lo + step], lower.max(axis=1))
+                # NaN in a bound or threshold keeps the matrix
+                keep = ~(upper < (cut * (1.0 - _PRUNE_MARGIN))[:, None]).ravel()
+                vals = np.zeros(rows * g)
+                vals[keep] = _gram_eig_top(gram[keep], sh[keep])
             out[lo:lo + step] = np.maximum(floor[lo:lo + step],
                                            vals.reshape(rows, g).max(axis=1))
     return out
@@ -425,6 +464,5 @@ def max_row_col_l2(A: WeightMatrix) -> tuple:
     a = A.entries
     if a.size == 0:
         return 0.0, 0.0
-    row = float(np.sqrt((a * a).sum(axis=1).max()))
-    col = float(np.sqrt((a * a).sum(axis=0).max()))
-    return row, col
+    sq = a * a
+    return float(np.sqrt(sq.sum(axis=1).max())), float(np.sqrt(sq.sum(axis=0).max()))

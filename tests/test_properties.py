@@ -16,7 +16,8 @@ cap, must hold the exhaustive oracle's value, and a certified one must
 equal it.  The spectral kernel's top values must lie within its stated
 16 eps of the oracles' plain SVD at any weight scale, and its Gram pair,
 from eigh or from certified power steps, within a gap-scaled bound of the
-SVD pair.
+SVD pair.  The vectorized support degree must equal the degree of the
+support graph built vertex by vertex.
 """
 
 from unittest import mock
@@ -32,7 +33,7 @@ from hypothesis.extra.numpy import arrays
 from radnorm import sampler, streams
 from radnorm.bounds import (EngineConfig, _exact_01, _search_01, _support_lower,
                             r_exact_01)
-from radnorm.core import EdgeSet, WeightMatrix
+from radnorm.core import EdgeSet, WeightMatrix, derive_graph, max_support_degree
 from radnorm.oracles import subgraph_norm_enum, top_singular_value
 from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation
 from radnorm.spectral import top_pair, top_value_max, top_values
@@ -366,3 +367,22 @@ def test_top_value_max_equals_unpruned_maximum(case):
     stack, floor = case
     want = np.maximum(floor, top_values(stack).max(axis=1))
     assert np.array_equal(top_value_max(stack, floor), want)
+
+
+@st.composite
+def square_supports(draw):
+    """A square matrix of side <= 10 with a random, usually asymmetric
+    support, diagonal entries and empty rows included."""
+    n = draw(st.integers(0, 10))
+    return draw(arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.0, 1.0, -2.5])))
+
+
+@PROPERTY_SETTINGS
+@given(a=square_supports())
+@example(a=np.zeros((5, 5)))  # all zero
+@example(a=np.diag([1.0, 0.0, 3.0]))  # diagonal only
+@example(a=np.triu(np.ones((5, 5)), 1))  # asymmetric, last row empty
+@example(a=np.eye(4) + np.eye(4, k=1))  # a path with its diagonal
+def test_max_support_degree_equals_the_support_graph(a):
+    A = WeightMatrix(a)
+    assert max_support_degree(A) == derive_graph(A).max_degree

@@ -1,11 +1,12 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from radnorm import sampler, streams
-from radnorm.core import CapExceededError, WeightMatrix
+from radnorm import sampler, spectral, streams
+from radnorm.core import CapExceededError, WeightMatrix, sign_patterns
 from radnorm.corpus import corpus_symmetric
 from radnorm.sampler import (
     MODES,
@@ -16,6 +17,7 @@ from radnorm.sampler import (
     mc_norm,
     mc_norm_moments,
 )
+from radnorm.spectral import top_value_max, top_values
 
 ALL_ONES_2 = WeightMatrix(np.ones((2, 2)))
 # exhaustive 16-pattern enumeration: 8 singular patterns give norm 2,
@@ -214,6 +216,122 @@ class TestComponentRoots:
     def test_no_edges(self):
         empty = np.zeros(0, dtype=np.intp)
         assert np.array_equal(_component_roots(5, empty, empty), np.arange(5))
+
+
+def _reference_norms(a, mode, values):
+    """Norms of the realizations A o X for sampled values (m, k), by plain
+    scatter into zeros: X holds one value per nonzero cell in row-major
+    order, or in symmetric mode one per lower-triangle cell of the
+    symmetrized support, mirrored.  Each block on a component of the
+    bipartite support (rows and columns in ascending order) gets
+    `top_values` of its unscaled matrices; a sample's norm is the largest."""
+    nr, nc = a.shape
+    if mode == "rademacher_symmetric":
+        ii, jj = np.nonzero(np.tril((a != 0) | (a.T != 0)))
+    else:
+        ii, jj = np.nonzero(a)
+    x = np.zeros((values.shape[0], nr, nc))
+    x[:, ii, jj] = values
+    if mode == "rademacher_symmetric":
+        x[:, jj, ii] = values
+    cells_i, cells_j = np.nonzero(a)
+    roots = _bfs_roots(nr + nc, cells_i, nr + cells_j)
+    out = np.zeros(values.shape[0])
+    for root in np.unique(roots[cells_i]):
+        rows = np.flatnonzero(roots[:nr] == root)
+        cols = np.flatnonzero(roots[nr:] == root)
+        block = np.zeros((values.shape[0], rows.size, cols.size))
+        block[:] = a[np.ix_(rows, cols)] * x[:, rows][:, :, cols]
+        out = np.maximum(out, top_values(block))
+    return out
+
+
+def _mixed_blocks(seed, exponents):
+    """A square matrix of 1x1, 1xk, kx1 and several same-shape blocks and
+    two lone larger ones (sides 4x5 and 12x12, above the contiguous
+    transpose gate), rows and columns permuted, with entries m 2^e, m in
+    [1, 2) and e drawn from `exponents`; every cell is nonzero but one of
+    each 3x3 block, which stays connected."""
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 1), (1, 1), (1, 3), (2, 1), (4, 5), (12, 12)] + [(3, 3)] * 6 + [(2, 4)] * 3
+    n = max(sum(r for r, _ in shapes), sum(c for _, c in shapes))
+    a = np.zeros((n, n))
+    r0 = c0 = 0
+    for r, c in shapes:
+        e = rng.integers(exponents[0], exponents[1] + 1, size=(r, c))
+        block = np.ldexp(rng.uniform(1.0, 2.0, size=(r, c)), e)
+        block *= rng.choice([-1.0, 1.0], size=(r, c))
+        if (r, c) == (3, 3):
+            block[0, 2] = 0.0
+        a[r0:r0 + r, c0:c0 + c] = block
+        r0, c0 = r0 + r, c0 + c
+    return a[rng.permutation(n)][:, rng.permutation(n)]
+
+
+#: Entry exponent ranges: the smallest subnormal to near the largest
+#: finite, separately and within one block.
+EXPONENTS = [(-1074, -1000), (-1074, -1040), (-20, 20), (900, 1000), (-1074, 1000)]
+
+
+class TestPrescaledPlan:
+    """The Rademacher plan folds each block's power-of-two shift into its
+    weights; every norm keeps the bits of the unscaled route."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("exponents", EXPONENTS)
+    def test_sampled_norms_equal_the_scatter_reference(self, mode, exponents):
+        for seed in range(3):
+            a = _mixed_blocks(seed, exponents)
+            k, plan = sampler._norm_plan(WeightMatrix(a), mode)
+            assert {g["shape"] for g in plan} >= {(1, 1), (1, 3), (2, 1), (4, 5), (3, 3)}
+            u = np.concatenate([b for _, b in streams.uniform_blocks(seed, k, 300)])
+            values = (streams.gaussians_from_uniform(u) if mode == "gaussian"
+                      else streams.signs_from_uniform(u))
+            want = _reference_norms(a, mode, values)
+            with np.errstate(all="raise", under="ignore"):
+                got = _sample_norms(WeightMatrix(a), mode, 300, seed)
+            assert np.array_equal(got, want), (seed, mode, exponents)
+
+    @pytest.mark.parametrize("mode", ["rademacher_iid", "rademacher_symmetric"])
+    @pytest.mark.parametrize("exponents", [(-1074, -1060), (-3, 3), (980, 1000)])
+    def test_exact_expectation_equals_the_scatter_reference(self, mode, exponents):
+        rng = np.random.default_rng(7)
+        for trial in range(4):
+            e = rng.integers(exponents[0], exponents[1] + 1, size=(4, 4))
+            a = np.ldexp(rng.uniform(1.0, 2.0, size=(4, 4)), e)
+            a *= rng.random((4, 4)) < 0.6
+            if trial == 0:
+                a[:2, 2:] = a[2:, :2] = 0.0  # two blocks
+            k = sampler._norm_plan(WeightMatrix(a), mode)[0]
+            if k == 0:
+                continue
+            total = sum(float(_reference_norms(a, mode, signs).sum())
+                        for signs in sign_patterns(k))
+            want = total / (1 << (k - 1))
+            assert exact_small_norm_expectation(WeightMatrix(a), mode) == want
+
+    @pytest.mark.parametrize("exponents", EXPONENTS)
+    @pytest.mark.parametrize("g", [1, 9])
+    def test_prescaled_stack_equals_the_unscaled_stack(self, exponents, g):
+        rng = np.random.default_rng(g)
+        for r, c in ((2, 2), (3, 5), (6, 4), (12, 12)):
+            w = np.ldexp(rng.uniform(1.0, 2.0, size=(g, r, c)),
+                         rng.integers(exponents[0], exponents[1] + 1, size=(g, r, c)))
+            w *= rng.random((g, r, c)) < 0.7
+            w[:, 0, 0] = 1.5  # no block all zero
+            shift = np.frexp(np.abs(w).reshape(g, -1).max(axis=1))[1]
+            signs = rng.choice([-1.0, 1.0], size=(40, g, r, c))
+            prescaled = signs * np.ldexp(w, -shift[:, None, None])
+            for floor in (np.zeros(40), np.ldexp(rng.uniform(0, 3, size=40), shift.max())):
+                want = top_value_max(signs * w, floor)
+                assert np.array_equal(top_value_max(prescaled, floor, shift), want)
+
+    def test_single_block_group_skips_the_bracket(self):
+        a = np.random.default_rng(8).standard_normal((5, 4))
+        with mock.patch.object(spectral, "_bracket", side_effect=AssertionError):
+            for mode in ("rademacher_iid", "gaussian"):
+                _sample_norms(WeightMatrix(a), mode, 200, 1)
+            _sample_norms(WeightMatrix(a[:4]), "rademacher_symmetric", 200, 1)
 
 
 class TestChunkedSampling:

@@ -12,10 +12,12 @@ from radnorm.sampler import _sample_norms
 from radnorm.spectral import (
     _GRAM_SLICE,
     _PRUNE_MARGIN,
+    CONTIGUOUS_T_MAX,
     FULL_DECOMPOSITION_MAX,
     POWER_PAIR_MIN,
     _bracket,
     _certified_top,
+    _gram,
     _power_pair,
     _scaled_gram,
     _start_vector,
@@ -181,6 +183,25 @@ class TestTopValues:
             got = top_values(stack)
         want = np.array([top_singular_value(m) for m in stack])
         np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "signs"])
+def test_contiguous_transpose_keeps_the_view_product_bits(kind):
+    # `_gram` copies the transpose up to CONTIGUOUS_T_MAX on the strength of
+    # this equality; on a BLAS where the copy moves bits this fails, rather
+    # than the goldens moving silently
+    rng = np.random.default_rng(["dense", "sparse", "signs"].index(kind))
+    for r in range(2, CONTIGUOUS_T_MAX + 1):
+        for c in range(2, CONTIGUOUS_T_MAX + 1):
+            if kind == "signs":
+                a = rng.choice([-1.0, 0.0, 1.0], size=(60, r, c)) * 0.75
+            else:
+                a = rng.uniform(-1.0, 1.0, size=(60, r, c))
+                if kind == "sparse":
+                    a *= rng.random((60, r, c)) < 0.3
+            view = a.transpose(0, 2, 1)
+            want = a @ view if r < c else view @ a
+            assert np.array_equal(_gram(a), want), (r, c)
 
 
 def eigensolved(call):
