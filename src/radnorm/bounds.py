@@ -92,19 +92,21 @@ class RBracket:
         }
 
 
-def seginer_bound(A: WeightMatrix) -> float:
-    """(Log n)^{1/4} (max row L2 + max col L2)."""
+def seginer_bound(A: WeightMatrix, row_col: tuple | None = None) -> float:
+    """(Log n)^{1/4} (max row L2 + max col L2); `row_col` is
+    `max_row_col_l2(A)` when the caller already has it."""
     if not A.is_square:
         raise ValueError("bound defined for square matrices")
-    row, col = max_row_col_l2(A)
+    row, col = row_col or max_row_col_l2(A)
     return log_clamped(A.n_rows) ** 0.25 * (row + col)
 
 
-def bvh_bound(A: WeightMatrix) -> float:
-    """max row L2 + max col L2 + sqrt(Log n) max |a_ij|."""
+def bvh_bound(A: WeightMatrix, row_col: tuple | None = None) -> float:
+    """max row L2 + max col L2 + sqrt(Log n) max |a_ij|; `row_col` as in
+    `seginer_bound`."""
     if not A.is_square:
         raise ValueError("bound defined for square matrices")
-    row, col = max_row_col_l2(A)
+    row, col = row_col or max_row_col_l2(A)
     return row + col + math.sqrt(log_clamped(A.n_rows)) * A.max_abs()
 
 
@@ -225,8 +227,7 @@ def r_exact_01(E: EdgeSet, p: float, budget_cap: int = 200_000) -> RBracket:
     returns the best value found with certified=False and the cap as upper.
     Runs as `_exact_01` on the pairs as row and column index arrays.
     """
-    edges = np.array(E.pairs, dtype=np.intp).reshape(-1, 2)
-    return _exact_01(edges[:, 0], edges[:, 1], p, budget_cap)
+    return _exact_01(*E.index_arrays(), p, budget_cap)
 
 
 def _exact_01(rows: np.ndarray, cols: np.ndarray, p: float, budget_cap: int) -> RBracket:
@@ -756,7 +757,8 @@ def bound_profile(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> Bou
         return float(np.ldexp(x, e))
 
     n = A.n_rows
-    row, col = map(up, max_row_col_l2(A))
+    row_col = max_row_col_l2(A)
+    row, col = map(up, row_col)
     degree = max_support_degree(A)
     r_logn = r_estimate(A, log_clamped(n), config)
     r_logn = replace(r_logn, lower=up(r_logn.lower), upper=up(r_logn.upper))
@@ -773,8 +775,8 @@ def bound_profile(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> Bou
         col_max=col,
         max_abs=up(A.max_abs()),
         degree=degree,
-        seginer=up(seginer_bound(A)),
-        bvh=up(bvh_bound(A)),
+        seginer=up(seginer_bound(A, row_col)),
+        bvh=up(bvh_bound(A, row_col)),
         trivial_degree=up(trivial_degree_bound(A)),
         r_logn=r_logn,
         ksweep_value=ks_value,

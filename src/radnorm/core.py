@@ -126,7 +126,8 @@ class WeightMatrix:
 class EdgeSet:
     """A set E of ordered index pairs inside [n] x [n], i.e. a 0/1 matrix.
 
-    Pairs are stored 0-based, sorted lexicographically, deduplicated.
+    Pairs (a sequence of (i, j), or a (k, 2) index array) are stored
+    0-based as a tuple of int pairs, sorted lexicographically, deduplicated.
     Diagonal pairs (i, i) are allowed; this is a set of matrix positions,
     not a simple graph.
     """
@@ -139,11 +140,19 @@ class EdgeSet:
             raise ValueError("n must be a positive integer")
         if self.n > MAX_SIZE:
             raise CapExceededError(f"n={self.n} exceeds the hard cap {MAX_SIZE}")
-        seen = sorted(set((int(i), int(j)) for i, j in self.pairs))
-        for i, j in seen:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"pair ({i}, {j}) out of range for n={self.n}")
-        object.__setattr__(self, "pairs", tuple(seen))
+        pairs = self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs)
+        try:
+            ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # an index beyond int64 is out of range
+            ij = None
+        if ij is not None and ij.shape[0] != len(pairs):
+            raise ValueError("pairs must be (i, j) index pairs")
+        if ij is None or not ((ij >= 0) & (ij < self.n)).all():
+            i, j = min((int(i), int(j)) for i, j in pairs
+                       if not (0 <= int(i) < self.n and 0 <= int(j) < self.n))
+            raise ValueError(f"pair ({i}, {j}) out of range for n={self.n}")
+        rows, cols = np.divmod(np.unique(ij[:, 0] * self.n + ij[:, 1]), self.n)
+        object.__setattr__(self, "pairs", tuple(zip(rows.tolist(), cols.tolist())))
 
     @classmethod
     def from_one_based(cls, n: int, pairs) -> "EdgeSet":
@@ -152,16 +161,21 @@ class EdgeSet:
     def to_one_based(self) -> list:
         return [[i + 1, j + 1] for i, j in self.pairs]
 
+    def index_arrays(self) -> tuple:
+        """(rows, cols): the stored pairs as two index arrays."""
+        ij = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
+        return ij[:, 0], ij[:, 1]
+
     def indicator(self) -> WeightMatrix:
         """The 0/1 matrix with ones exactly on the stored pairs."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.pairs:
-            a[i, j] = 1.0
+        a[self.index_arrays()] = 1.0
         return WeightMatrix(a, symmetric=self.is_symmetric())
 
     def is_symmetric(self) -> bool:
-        s = set(self.pairs)
-        return all((j, i) in s for i, j in s)
+        rows, cols = self.index_arrays()
+        # the pairs are stored in the order of rows * n + cols
+        return bool(np.array_equal(np.sort(cols * self.n + rows), rows * self.n + cols))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -242,7 +256,9 @@ def max_support_degree(A: WeightMatrix) -> int:
     `derive_graph(A).max_degree`, without building the adjacency."""
     if not A.is_square:
         raise ValueError("support graph requires a square matrix")
-    support = (A.entries != 0.0) | (A.entries.T != 0.0)
+    support = A.entries != 0.0
+    if not A.symmetric:  # the flag already guarantees a == a.T
+        support |= A.entries.T != 0.0
     np.fill_diagonal(support, False)
     return int(support.sum(axis=1).max(initial=0))
 

@@ -74,19 +74,14 @@ class FamilyInstance:
 
 
 def _graph_edge_set(n: int, undirected_edges) -> EdgeSet:
-    pairs = []
-    for v, w in undirected_edges:
-        pairs.append((v, w))
-        pairs.append((w, v))
-    return EdgeSet(n, tuple(pairs))
+    """Both orientations of each edge of a list or (k, 2) array of (v, w)."""
+    vw = np.asarray(undirected_edges, dtype=np.int64).reshape(-1, 2)
+    return EdgeSet(n, np.concatenate((vw, vw[:, ::-1])))
 
 
 def _degrees(E: EdgeSet) -> np.ndarray:
-    deg = np.zeros(E.n, dtype=int)
-    for i, j in E.pairs:
-        if i != j:
-            deg[i] += 1
-    return deg
+    rows, cols = E.index_arrays()
+    return np.bincount(rows[rows != cols], minlength=E.n)
 
 
 def union_complete(m: int, d: int) -> FamilyInstance:
@@ -96,13 +91,9 @@ def union_complete(m: int, d: int) -> FamilyInstance:
     n = m * (d + 1)
     if n > MAX_SIZE:
         raise CapExceededError(f"n={n} exceeds the size cap")
-    edges = []
-    for b in range(m):
-        base = b * (d + 1)
-        for i in range(d + 1):
-            for j in range(i + 1, d + 1):
-                edges.append((base + i, base + j))
-    E = _graph_edge_set(n, edges)
+    i, j = np.triu_indices(d + 1, 1)
+    base = np.arange(0, n, d + 1)[:, None]
+    E = _graph_edge_set(n, np.stack(((base + i).ravel(), (base + j).ravel()), axis=1))
     deg = _degrees(E)
     if not np.all(deg == d):
         raise GenerationError("complete-union block structure check failed")
@@ -138,7 +129,7 @@ def random_regular(n: int, d: int, seed: int) -> FamilyInstance:
                 break
             edges.add((min(v, w), max(v, w)))
         if ok:
-            E = _graph_edge_set(n, edges)
+            E = _graph_edge_set(n, list(edges))
             if not np.all(_degrees(E) == d):
                 raise GenerationError("pairing produced a non-regular graph")
             return FamilyInstance(

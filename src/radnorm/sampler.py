@@ -30,8 +30,10 @@ sample.
 Uniform blocks are drawn lazily, one at a time.  Each block is cut into
 equal row chunks, as many as a multiple of the thread count, and worker
 threads take the chunks; the realization budget is shared by all workers,
-so peak memory does not grow with `threads`.  Output is byte-identical
-for any thread count.
+so peak memory does not grow with `threads`.  The transform is picked
+(`streams.transform`) on the calling thread before any worker starts, so
+the one import it may make, scipy.special for Gaussian mode, never runs
+on a worker.  Output is byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -240,8 +242,7 @@ def _sample_norms(A: WeightMatrix, mode: str, samples: int, seed: int,
     if k == 0:
         return np.zeros(samples)
     dense = sum(g["count"] * g["shape"][0] * g["shape"][1] for g in plan)
-    transform = (streams.gaussians_from_uniform if mode == "gaussian"
-                 else streams.signs_from_uniform)
+    transform = streams.transform(mode)
 
     def run(chunk):
         return _batch_norms(transform(chunk), plan)

@@ -39,6 +39,7 @@ from .families import (
     union_complete,
 )
 from .sampler import mc_norm, mc_norm_moments
+from .spectral import max_row_col_l2
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,10 @@ class ScenarioReport:
 
 
 def _cheap_bounds(A: WeightMatrix) -> dict:
+    row_col = max_row_col_l2(A)
     return {
-        "seginer": seginer_bound(A),
-        "bvh": bvh_bound(A),
+        "seginer": seginer_bound(A, row_col),
+        "bvh": bvh_bound(A, row_col),
         "trivial_degree": trivial_degree_bound(A),
     }
 

@@ -239,7 +239,10 @@ def _scaled_gram(a: np.ndarray) -> tuple:
 def _gram(a: np.ndarray) -> np.ndarray:
     """The Gram matrix on the smaller side of each matrix of an (S, r, c)
     stack, by a contiguous copy of the transpose while both sides are at
-    most CONTIGUOUS_T_MAX (faster, same bits; see the module docstring)."""
+    most CONTIGUOUS_T_MAX (faster, same bits; see the module docstring).
+    The product runs on a C-contiguous `a` (a copy only of a strided or
+    F-ordered stack), so its bits never depend on the input's layout."""
+    a = np.ascontiguousarray(a)
     at = a.transpose(0, 2, 1)
     if max(a.shape[1:]) <= CONTIGUOUS_T_MAX:
         at = np.ascontiguousarray(at)

@@ -11,12 +11,18 @@ All randomness is derived from uniforms in [0, 1):
   * gaussians: inverse normal CDF of u (scipy.special.ndtri)
 Using the same uniforms for both transforms pairs the Rademacher and
 Gaussian modes sample by sample (common random numbers).
+
+scipy is imported here only, and only for the Gaussian transform: the
+first Gaussian draw loads `scipy.special`, so everything else in the
+package runs on numpy alone.  `transform(mode)` makes that import on the
+calling thread, before any worker thread applies the map.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,6 +61,23 @@ def uniform_blocks(seed: int, entries_per_sample: int, n_samples: int):
         yield start, u[:, :entries_per_sample]
 
 
+def transform(mode: str):
+    """The map from uniforms to a sampling mode's values: Gaussian mode
+    gets `gaussians_from_uniform`, with `scipy.special` loaded by this
+    call, and every other mode `signs_from_uniform`."""
+    if mode == "gaussian":
+        _ndtri()
+        return gaussians_from_uniform
+    return signs_from_uniform
+
+
+@functools.cache
+def _ndtri():
+    """scipy.special.ndtri, imported on first use."""
+    from scipy.special import ndtri
+    return ndtri
+
+
 def signs_from_uniform(u: np.ndarray) -> np.ndarray:
     """Rademacher +-1 values; u = 1/2 maps to +1."""
     return np.where(u < 0.5, -1.0, 1.0)
@@ -63,7 +86,7 @@ def signs_from_uniform(u: np.ndarray) -> np.ndarray:
 def gaussians_from_uniform(u: np.ndarray) -> np.ndarray:
     """Standard normals via the inverse CDF, clipped away from 0 and 1."""
     v = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return ndtri(v, out=v)
+    return _ndtri()(v, out=v)
 
 
 def unit_vector(seed: int, n: int, stream: int = 0) -> np.ndarray:

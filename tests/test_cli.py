@@ -362,6 +362,36 @@ class TestDeterminism:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and '"mean"' in outs[0]
 
+    def test_gaussian_pool_in_a_fresh_process(self, tmp_path, capsys):
+        # the fresh process loads scipy.special for its first Gaussian draw,
+        # just before the two-thread pool starts; its output is the
+        # in-process single-thread output, byte for byte
+        import os
+        import subprocess
+        import sys
+
+        import radnorm
+
+        A = WeightMatrix(np.random.default_rng(3).standard_normal((12, 12)))
+        path = tmp_path / "dense.json"
+        dump_json(A, path)
+        args = ["mc", "--input", str(path), "--mode", "gaussian",
+                "--samples", "300", "--seed", "9"]
+        assert main(args + ["--threads", "1"]) == 0
+        want = capsys.readouterr().out
+        script = ("import sys\n"
+                  "from radnorm.cli import main\n"
+                  "assert 'scipy' not in sys.modules\n"
+                  f"code = main({args + ['--threads', '2']!r})\n"
+                  "assert 'scipy.special' in sys.modules\n"
+                  "sys.exit(code)\n")
+        src = str(Path(radnorm.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == want and '"mean"' in want
+
     def test_byte_identical_repeat_runs(self, k3_file, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

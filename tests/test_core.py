@@ -99,6 +99,33 @@ class TestEdgeSet:
         with pytest.raises(ValueError):
             EdgeSet(2, ((0, 2),))
 
+    @pytest.mark.parametrize("pairs, first", [
+        (((5, 0), (1, 3), (-1, 9), (0, 0)), (-1, 9)),
+        (((2, 2), (2, 3), (0, 7)), (0, 7)),
+        (((2 ** 70, 0), (1, 5)), (1, 5)),
+        (((2 ** 70, 0), (0, 1)), (2 ** 70, 0)),
+    ])
+    def test_range_check_reports_the_first_bad_pair(self, pairs, first):
+        # the lexicographically first pair out of range, even past int64
+        with pytest.raises(ValueError, match=rf"^pair \({first[0]}, {first[1]}\) out of range"):
+            EdgeSet(3, pairs)
+
+    @pytest.mark.parametrize("pairs", [((0, 1, 2),), ((0, 1, 2), (1, 2, 0)), ((0,), (1,))])
+    def test_rejects_non_pairs(self, pairs):
+        with pytest.raises(ValueError):
+            EdgeSet(3, pairs)
+
+    def test_numpy_indices_stored_as_python_ints(self):
+        E = EdgeSet(4, [np.array([3, 1]), (np.int32(0), 2), [3, 1]])
+        assert E.pairs == ((0, 2), (3, 1))
+        assert all(type(x) is int for pair in E.pairs for x in pair)
+        assert EdgeSet(4, ()).pairs == ()
+
+    def test_indicator_symmetry_flag(self):
+        assert EdgeSet(3, ((0, 1), (1, 0), (2, 2))).indicator().symmetric
+        assert not EdgeSet(3, ((0, 1), (2, 2))).indicator().symmetric
+        assert EdgeSet(3, ()).indicator().symmetric
+
     def test_one_based_round_trip(self):
         E = EdgeSet.from_one_based(4, [[1, 2], [3, 4]])
         assert E.pairs == ((0, 1), (2, 3))

@@ -51,6 +51,20 @@ class TestUnionComplete:
         with pytest.raises(ValueError):
             union_complete(0, 3)
 
+    @pytest.mark.parametrize("m, d", [(1, 1), (5, 1), (1, 7), (3, 4), (113, 8)])
+    def test_equals_the_block_loop(self, m, d):
+        # the pairs of every block, both orientations, built one by one
+        want = sorted((b * (d + 1) + i, b * (d + 1) + j)
+                      for b in range(m) for i in range(d + 1) for j in range(d + 1)
+                      if i != j)
+        E = union_complete(m, d).matrix
+        assert E.pairs == tuple(want)
+        a = np.zeros((E.n, E.n))
+        for i, j in want:
+            a[i, j] = 1.0
+        A = E.indicator()
+        assert np.array_equal(A.entries, a) and A.symmetric
+
 
 class TestRandomRegular:
     def test_n4_d3_is_k4(self):

@@ -386,3 +386,7 @@ def square_supports(draw):
 def test_max_support_degree_equals_the_support_graph(a):
     A = WeightMatrix(a)
     assert max_support_degree(A) == derive_graph(A).max_degree
+    # with the symmetry flag set the transpose is not read again
+    S = WeightMatrix(a + a.T, symmetric=True)
+    assert max_support_degree(S) == derive_graph(S).max_degree
+    assert max_support_degree(S) == max_support_degree(WeightMatrix(a + a.T))

@@ -204,6 +204,49 @@ def test_contiguous_transpose_keeps_the_view_product_bits(kind):
             assert np.array_equal(_gram(a), want), (r, c)
 
 
+def _fancy_indexed(s):
+    # x[:, idx] on a 2-D array is F-ordered: the Monte Carlo gather that
+    # once moved low bits of a lone 12x12 block
+    flat = s.reshape(s.shape[0], -1)
+    return flat[:, np.arange(flat.shape[1])].reshape(s.shape)
+
+
+def _strided(s):
+    wide = np.zeros(s.shape[:-1] + (2 * s.shape[-1],))
+    wide[..., ::2] = s
+    return wide[..., ::2]
+
+
+LAYOUTS = {
+    "fancy index": _fancy_indexed,
+    "fortran": np.asfortranarray,
+    "strided": _strided,
+    "transposed storage": lambda s: np.ascontiguousarray(s.swapaxes(-1, -2)).swapaxes(-1, -2),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("shape", [(1, 3, 3), (1, 11, 11), (1, 12, 12), (3, 12, 12),
+                                   (1, 4, 14), (2, 16, 13), (1, 11, 12)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_gram_bits_do_not_depend_on_layout(layout, shape):
+    # sides on both sides of CONTIGUOUS_T_MAX; every layout of the same
+    # values gets the bits of the C-contiguous stack
+    g, r, c = shape
+    rng = np.random.default_rng(g * 1000 + r * 100 + c)
+    stack = rng.standard_normal((40, g, r, c)) * (rng.random((40, g, r, c)) < 0.6)
+    stack[0] = 0.0
+    shift = np.frexp(np.abs(stack).reshape(40, g, -1).max(axis=(0, 2)))[1]
+    prescaled = np.ldexp(stack, -shift[None, :, None, None])
+    floor = np.zeros(40)
+    other = LAYOUTS[layout](stack)
+    assert np.array_equal(other, stack) and not other.flags["C_CONTIGUOUS"]
+    assert np.array_equal(top_values(other), top_values(stack))
+    assert np.array_equal(top_value_max(other, floor), top_value_max(stack, floor))
+    assert np.array_equal(top_value_max(LAYOUTS[layout](prescaled), floor, shift),
+                          top_value_max(prescaled, floor, shift))
+
+
 def eigensolved(call):
     """(result of call(), matrices `top_value_max` eigensolved in it)."""
     seen = []

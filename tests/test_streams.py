@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import radnorm
 from radnorm import streams
 
 
@@ -54,3 +60,19 @@ def test_unit_vector_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+
+
+def test_transform_loads_scipy_for_gaussians_only():
+    # in a fresh interpreter: only asking for the Gaussian map imports
+    # scipy.special, on the calling thread
+    script = ("import sys\n"
+              "from radnorm import streams\n"
+              "assert streams.transform('rademacher_iid') is streams.signs_from_uniform\n"
+              "assert streams.transform('rademacher_symmetric') is streams.signs_from_uniform\n"
+              "assert 'scipy' not in sys.modules\n"
+              "assert streams.transform('gaussian') is streams.gaussians_from_uniform\n"
+              "assert 'scipy.special' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(radnorm.__file__).parent.parent))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr

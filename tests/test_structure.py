@@ -7,6 +7,8 @@ patterns come from `core.sign_patterns`, and breadth-first search from
 fails here, so a change of method stays a one-file change.  Edge sets are
 built only where a support enters or leaves the program (input, families,
 output); the bound engine and the scenarios carry supports as index arrays.
+scipy is named only in `streams`, which loads it for Gaussian draws alone,
+so every other command runs on numpy and the standard library.
 Comments and string literals are ignored.  Every `EngineConfig` knob is
 also a `profile` flag, so no knob is left that no caller sets, and
 library surface deleted because no result used it stays deleted.
@@ -16,7 +18,10 @@ import argparse
 import dataclasses
 import io
 import pathlib
+import os
 import re
+import subprocess
+import sys
 import tokenize
 
 import pytest
@@ -34,6 +39,7 @@ RULES = {
     "BFS frontier loop": (re.compile(r"frontier\s*=\s*nxt"), {"core.py"}),
     "edge-set construction": (re.compile(r"\bEdgeSet(\(|\.from_)"),
                               {"core.py", "families.py", "cli.py", "matio.py"}),
+    "scipy import": (re.compile(r"\bscipy\b"), {"streams.py"}),
 }
 
 
@@ -101,3 +107,37 @@ def test_deleted_surface_stays_deleted(name):
     offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if pattern.search(code_only(path))]
     assert not offenders, f"{name} is back in {offenders}"
+
+
+#: Tiny runs of every command that never draws a Gaussian, in one fresh
+#: interpreter; none of them may load scipy.
+NO_SCIPY_SCRIPT = """
+import json, sys, tempfile, pathlib
+import radnorm.cli
+from radnorm.cli import main
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, f"import radnorm.cli loaded {loaded}"
+tmp = pathlib.Path(tempfile.mkdtemp())
+(tmp / "m.json").write_text(json.dumps(
+    {"n": 3, "entries": [[0, 1, 2], [1, 0, -1], [2, -1, 0]], "symmetric": True}))
+(tmp / "e.json").write_text(json.dumps({"n": 3, "pairs": [[1, 2], [2, 1], [2, 3]]}))
+m, e, out = str(tmp / "m.json"), str(tmp / "e.json"), str(tmp / "out")
+runs = [
+    ["profile", "--input", m],
+    ["mc", "--input", m, "--mode", "rademacher_iid", "--samples", "100"],
+    ["verify", "--scenario", "union_complete_regimes", "--n-cap", "64", "--samples", "100"],
+    ["family", "--family", "union_complete", "--m", "2", "--d", "2"],
+    ["oracle", "--input", e, "--quantity", "subgraph_norm", "--p", "2"],
+]
+for argv in runs:
+    assert main(argv + ["--out", out]) == 0, argv
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, f"the commands loaded {loaded}"
+"""
+
+
+def test_commands_without_gaussians_never_load_scipy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    res = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
