@@ -16,7 +16,7 @@ key, list length, anything under `flags`, `mode` or `removed`, or an exit
 code differs.  Run `diff` before re-recording a change that moves low-order
 bits, to show every command is within the stated tolerance.  `--jobs N`
 runs the commands in N worker processes.
-tests/test_golden.py checks the 85 commands marked fast, each about a
+tests/test_golden.py checks the 86 commands marked fast, each about a
 second or less: inputs of side <= 16, plus the n = 128 one-magnitude profile
 `bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
 enumerated and greedy rows on its 0/1 support, the general-weight
@@ -28,11 +28,12 @@ the pruned block maximum, `verify block_counterexample
 --n-cap 64`, whose k-sweep masks the support's index arrays, and the
 `family` and `oracle` commands.
 
-The 205 commands cover every square input of side <= 64 in the three
+The 206 commands cover every square input of side <= 64 in the three
 corpora (default flags, --exact-threshold 150 and --restarts 1), the
 benchmark's profile and Monte Carlo operations, --budget-cap,
 --exact-threshold and --seed variants, scaled and one-magnitude inputs,
-the path P3 and the cycle C4, `mc` in all three modes, every `verify`
+the path P3 and the cycle C4, `mc` in all three modes, `mc` in
+symmetric mode on a directed edge list with diagonal pairs, every `verify`
 scenario, one small `family` instance per generator, the three `oracle`
 quantities, and the error exits.
 
@@ -111,6 +112,11 @@ def _inputs() -> dict:
                            symmetric=True),
         "C4": EdgeSet.from_one_based(4, [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3),
                                          (4, 1), (1, 4)]),
+        # a directed edge list with diagonal pairs: in symmetric mode a pair
+        # (i, j) without (j, i) still reads the sign of its lower position
+        "directed_diag_n5": EdgeSet.from_one_based(5, [(1, 2), (1, 3), (2, 2), (2, 3),
+                                                       (3, 1), (3, 4), (4, 4), (4, 3),
+                                                       (5, 1), (5, 2), (2, 5)]),
         "rect_2x3": WeightMatrix(np.ones((2, 3))),
     }
     for name, obj in extra.items():
@@ -216,6 +222,9 @@ def commands() -> list:
         add(f"mc.{mode}.p.mixed.dense_gauss_n16",
             ["mc", "--input", _path("mixed.dense_gauss_n16"), "--mode", mode,
              "--samples", "300", "--p", "2,8,40", "--threads", "2"], True)
+    add("mc.rademacher_symmetric.directed_diag_n5",
+        ["mc", "--input", _path("directed_diag_n5"), "--mode", "rademacher_symmetric",
+         "--samples", "400", "--seed", "3"], True)
     add("mc.csv.P3", ["mc", "--input", _path("P3"), "--format", "csv",
                       "--matrix-id", "p3", "--samples", "200"], True)
 

@@ -1,4 +1,4 @@
-"""The fast part of the golden command set, 85 of its 205 commands: CLI
+"""The fast part of the golden command set, 86 of its 206 commands: CLI
 stdout and exit codes on inputs of side <= 16, on one n = 128 profile of
 a 0/1 support, on two general-weight profiles of sides 40 and 64 whose
 surrogate ascent takes certified power steps, of `verify
