@@ -13,7 +13,8 @@ relative and absolute differences over the numeric fields of stdout (JSON
 values, or the numbers of a CSV line); it exits 1 when a number is off by
 more than both R relative and A absolute, or when a string, boolean, null,
 key, list length, anything under `flags`, `mode` or `removed`, or an exit
-code differs.  Run `diff` before re-recording a change that moves low-order
+code differs; a new or missing key is named, and the keys both sides hold
+are still compared.  Run `diff` before re-recording a change that moves low-order
 bits, to show every command is within the stated tolerance.  `--jobs N`
 runs the commands in N worker processes.
 tests/test_golden.py checks the 86 commands marked fast, each about a
@@ -358,17 +359,26 @@ def _parse(stdout: str):
 
 def _leaf_pairs(ref, out, path="", exact=False):
     """(path, ref, out, exact) for every leaf of two parsed outputs, or
-    (path, None, None, None) where their shapes differ."""
+    (path, what, None, None) where their shapes differ.  Two objects with
+    different keys name the keys each lacks, and their shared keys are
+    still compared."""
     if isinstance(ref, dict) or isinstance(out, dict):
-        if not (isinstance(ref, dict) and isinstance(out, dict)) or set(ref) != set(out):
-            yield path, None, None, None
+        if not (isinstance(ref, dict) and isinstance(out, dict)):
+            yield path, "keys or lengths differ", None, None
             return
+        added = [key for key in out if key not in ref]
+        missing = [key for key in ref if key not in out]
+        if added:
+            yield path, f"new keys {added}", None, None
+        if missing:
+            yield path, f"missing keys {missing}", None, None
         for key in ref:
-            yield from _leaf_pairs(ref[key], out[key], f"{path}.{key}",
-                                   exact or key in EXACT_KEYS)
+            if key in out:
+                yield from _leaf_pairs(ref[key], out[key], f"{path}.{key}",
+                                       exact or key in EXACT_KEYS)
     elif isinstance(ref, list) or isinstance(out, list):
         if not (isinstance(ref, list) and isinstance(out, list)) or len(ref) != len(out):
-            yield path, None, None, None
+            yield path, "keys or lengths differ", None, None
             return
         for k, (r, o) in enumerate(zip(ref, out)):
             yield from _leaf_pairs(r, o, f"{path}[{k}]", exact)
@@ -387,7 +397,7 @@ def compare_outputs(ref: str, out: str, rtol: float, atol: float) -> tuple:
     problems = []
     for path, r, o, exact in _leaf_pairs(_parse(ref), _parse(out)):
         if exact is None:
-            problems.append(f"{path}: keys or lengths differ")
+            problems.append(f"{path}: {r}")
         elif _is_number(r) and _is_number(o) and not exact:
             if r == o or (math.isnan(r) and math.isnan(o)):
                 continue

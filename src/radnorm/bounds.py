@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import EdgeSet, WeightMatrix, log_clamped, max_support_degree
+from .core import EdgeSet, WeightMatrix, log_clamped, max_support_degree, off_diagonal
 from .moments import hitczenko_surrogate, surrogate_rows, water_fill
 from .spectral import FULL_DECOMPOSITION_MAX, max_row_col_l2, top_pair, top_values
 from . import streams
@@ -92,30 +93,62 @@ class RBracket:
         }
 
 
-def seginer_bound(A: WeightMatrix, row_col: tuple | None = None) -> float:
-    """(Log n)^{1/4} (max row L2 + max col L2); `row_col` is
-    `max_row_col_l2(A)` when the caller already has it."""
+class BoundInputs(NamedTuple):
+    """What the closed-form bounds read of a square matrix."""
+
+    n: int
+    row: float      # max row L2 norm
+    col: float      # max column L2 norm
+    max_abs: float
+    off_max: float  # largest off-diagonal |a_ij|
+    degree: int     # max degree of the support graph
+
+
+def bound_inputs(A: WeightMatrix | EdgeSet) -> BoundInputs:
+    """The closed-form bounds' inputs of a square WeightMatrix, or of the
+    0/1 matrix of an EdgeSet.
+
+    An edge set's inputs are counts of its pairs (row and column L2 norms
+    are square roots of `bincount` maxima, max |a| and the off-diagonal
+    maximum are 1 or 0, the degree counts the symmetrized off-diagonal
+    pairs), so they equal its indicator's bit for bit without building it.
+    A dense matrix's two maxima share one |a| pass."""
+    if isinstance(A, EdgeSet):
+        n = A.n
+        rows, cols = A.index_arrays()
+        off = rows != cols
+        r, c = rows[off], cols[off]
+        sym = np.unique(np.concatenate((r * n + c, c * n + r)))
+        return BoundInputs(n, math.sqrt(np.bincount(rows, minlength=n).max()),
+                           math.sqrt(np.bincount(cols, minlength=n).max()),
+                           float(rows.size > 0), float(r.size > 0),
+                           int(np.bincount(sym // n, minlength=n).max()))
     if not A.is_square:
         raise ValueError("bound defined for square matrices")
-    row, col = row_col or max_row_col_l2(A)
-    return log_clamped(A.n_rows) ** 0.25 * (row + col)
+    mag = np.abs(A.entries)
+    return BoundInputs(A.n_rows, *max_row_col_l2(A), float(mag.max(initial=0.0)),
+                       float(off_diagonal(mag).max(initial=0.0)), max_support_degree(A))
 
 
-def bvh_bound(A: WeightMatrix, row_col: tuple | None = None) -> float:
-    """max row L2 + max col L2 + sqrt(Log n) max |a_ij|; `row_col` as in
+def seginer_bound(A: WeightMatrix | EdgeSet, inputs: BoundInputs | None = None) -> float:
+    """(Log n)^{1/4} (max row L2 + max col L2); `inputs` is
+    `bound_inputs(A)` when the caller already has it."""
+    x = bound_inputs(A) if inputs is None else inputs
+    return log_clamped(x.n) ** 0.25 * (x.row + x.col)
+
+
+def bvh_bound(A: WeightMatrix | EdgeSet, inputs: BoundInputs | None = None) -> float:
+    """max row L2 + max col L2 + sqrt(Log n) max |a_ij|; `inputs` as in
     `seginer_bound`."""
-    if not A.is_square:
-        raise ValueError("bound defined for square matrices")
-    row, col = row_col or max_row_col_l2(A)
-    return row + col + math.sqrt(log_clamped(A.n_rows)) * A.max_abs()
+    x = bound_inputs(A) if inputs is None else inputs
+    return x.row + x.col + math.sqrt(log_clamped(x.n)) * x.max_abs
 
 
-def trivial_degree_bound(A: WeightMatrix) -> float:
-    """d_A times the largest off-diagonal |a_ij| (support degree bound)."""
-    if not A.is_square:
-        raise ValueError("bound defined for square matrices")
-    d = max_support_degree(A)
-    return d * A.off_diagonal_max_abs()
+def trivial_degree_bound(A: WeightMatrix | EdgeSet, inputs: BoundInputs | None = None) -> float:
+    """d_A times the largest off-diagonal |a_ij| (support degree bound);
+    `inputs` as in `seginer_bound`."""
+    x = bound_inputs(A) if inputs is None else inputs
+    return x.degree * x.off_max
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +790,9 @@ def bound_profile(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> Bou
         return float(np.ldexp(x, e))
 
     n = A.n_rows
-    row_col = max_row_col_l2(A)
-    row, col = map(up, row_col)
-    degree = max_support_degree(A)
+    inputs = bound_inputs(A)
+    row, col = up(inputs.row), up(inputs.col)
+    degree = inputs.degree
     r_logn = r_estimate(A, log_clamped(n), config)
     r_logn = replace(r_logn, lower=up(r_logn.lower), upper=up(r_logn.upper))
     ks_value, ks_table = ksweep_term(A, config)
@@ -773,11 +806,11 @@ def bound_profile(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> Bou
         n=n,
         row_max=row,
         col_max=col,
-        max_abs=up(A.max_abs()),
+        max_abs=up(inputs.max_abs),
         degree=degree,
-        seginer=up(seginer_bound(A, row_col)),
-        bvh=up(bvh_bound(A, row_col)),
-        trivial_degree=up(trivial_degree_bound(A)),
+        seginer=up(seginer_bound(A, inputs)),
+        bvh=up(bvh_bound(A, inputs)),
+        trivial_degree=up(trivial_degree_bound(A, inputs)),
         r_logn=r_logn,
         ksweep_value=ks_value,
         ksweep_table=ks_table,

@@ -87,7 +87,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    A = _load_matrix(args.input)
+    A = load_input(args.input)  # the sampler reads an edge set's pairs as they are
     p_list = [float(x) for x in args.p.split(",")] if args.p else []
     if p_list:
         est = mc_norm_moments(A, p_list, args.samples, args.seed,

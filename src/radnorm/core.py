@@ -54,6 +54,15 @@ def sign_patterns(k: int):
         )
 
 
+def off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a square array as an (n - 1, n) view.
+
+    Past its first entry, a C-contiguous n x n array holds n off-diagonal
+    entries before each further diagonal entry, so no copy is made."""
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :-1]
+
+
 def _as_float_matrix(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 2:
@@ -109,9 +118,7 @@ class WeightMatrix:
     def off_diagonal_max_abs(self) -> float:
         if not self.is_square:
             raise ValueError("off-diagonal maximum requires a square matrix")
-        a = np.abs(self.entries.copy())
-        np.fill_diagonal(a, 0.0)
-        return float(a.max()) if a.size else 0.0
+        return float(off_diagonal(np.abs(self.entries)).max(initial=0.0))
 
     def is_zero_one(self) -> bool:
         """True iff every entry is exactly 0 or 1."""
@@ -129,7 +136,8 @@ class EdgeSet:
     Pairs (a sequence of (i, j), or a (k, 2) index array) are stored
     0-based as a tuple of int pairs, sorted lexicographically, deduplicated.
     Diagonal pairs (i, i) are allowed; this is a set of matrix positions,
-    not a simple graph.
+    not a simple graph.  The same pairs are kept once as two read-only
+    index arrays (`index_arrays`).
     """
 
     n: int
@@ -153,6 +161,10 @@ class EdgeSet:
             raise ValueError(f"pair ({i}, {j}) out of range for n={self.n}")
         rows, cols = np.divmod(np.unique(ij[:, 0] * self.n + ij[:, 1]), self.n)
         object.__setattr__(self, "pairs", tuple(zip(rows.tolist(), cols.tolist())))
+        rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        object.__setattr__(self, "_index", (rows, cols))
 
     @classmethod
     def from_one_based(cls, n: int, pairs) -> "EdgeSet":
@@ -162,9 +174,9 @@ class EdgeSet:
         return [[i + 1, j + 1] for i, j in self.pairs]
 
     def index_arrays(self) -> tuple:
-        """(rows, cols): the stored pairs as two index arrays."""
-        ij = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
-        return ij[:, 0], ij[:, 1]
+        """(rows, cols): the stored pairs as two read-only index arrays, in
+        row-major order."""
+        return self._index
 
     def indicator(self) -> WeightMatrix:
         """The 0/1 matrix with ones exactly on the stored pairs."""

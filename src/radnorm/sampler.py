@@ -10,8 +10,10 @@ The per-sample norm exploits block structure: the spectral norm of a
 matrix is the largest norm of the blocks on the connected components of
 its bipartite support, and a block whose bracketed norm cannot reach its
 sample's maximum is never decomposed (`spectral.top_value_max`).  The
-blocks are built from cells: each nonzero (i, j) joins row i to column j,
-and the components are labelled in numpy.  In symmetric mode the two
+blocks are built from cells, in row-major order: a WeightMatrix's nonzero
+entries, or an EdgeSet's pairs with value 1, read from its index arrays
+without building the dense 0/1 matrix.  Each cell (i, j) joins row i to
+column j, and the components are labelled in numpy.  In symmetric mode the two
 mirrored cells (i, j) and (j, i) read one shared sign column, whether or
 not they land in the same block.
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .core import CapExceededError, WeightMatrix, sign_patterns
+from .core import CapExceededError, EdgeSet, WeightMatrix, sign_patterns
 from .moments import power_mean_estimate
 from .spectral import top_value_max
 
@@ -109,15 +111,29 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             parent = jumped
 
 
-def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
-    """(k, plan): the number of free signs and the scatter plan.
+def _cells(A: WeightMatrix | EdgeSet) -> tuple:
+    """(shape, rows, cols, values) of the nonzero cells of A, in row-major
+    order: `np.nonzero` of a WeightMatrix, or an EdgeSet's index arrays
+    with every value 1."""
+    if isinstance(A, EdgeSet):
+        rows, cols = A.index_arrays()
+        return (A.n, A.n), rows, cols, np.ones(rows.size)
+    a = A.entries
+    rows, cols = np.nonzero(a)
+    return a.shape, rows, cols, a[rows, cols]
 
-    Each nonzero cell (i, j), in row-major order, joins row i to column j;
-    the components of that bipartite graph are the blocks.  A cell reads
-    sign column `pos`: its own index in iid and Gaussian mode, and in
-    symmetric mode the index of its lower-triangle position
-    (max(i, j), min(i, j)), so mirrored cells share a sign even when they
-    fall in two blocks.  Blocks of one shape form one group (ascending
+
+def _norm_plan(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+               mode: str) -> tuple:
+    """(k, plan): the number of free signs and the scatter plan of the
+    cells (rows[e], cols[e]) of weight values[e] in a matrix of `shape`,
+    in row-major order (`_cells`).
+
+    Each cell (i, j) joins row i to column j; the components of that
+    bipartite graph are the blocks.  A cell reads sign column `pos`: its
+    own index in iid and Gaussian mode, and in symmetric mode the index
+    of its lower-triangle position (max(i, j), min(i, j)), so mirrored
+    cells share a sign even when they fall in two blocks.  Blocks of one shape form one group (ascending
     shape, blocks in order of first cell) and share one
     `spectral.top_value_max` call, which eigensolves only the blocks that
     can hold a sample's maximum.  A group holds, for each of its g r c
@@ -127,16 +143,14 @@ def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
     `w` is scaled per block by 2^-shift to a max |w| in [1/2, 1) and
     `shift` holds the g exponents, else it is None.
     """
-    a = A.entries
-    nr, nc = a.shape
-    ii, jj = np.nonzero(a)
+    nr, nc = shape
     if mode in ("rademacher_iid", "gaussian"):
-        pos = np.arange(ii.size)
-        k = ii.size
+        pos = np.arange(rows.size)
+        k = rows.size
     elif mode == "rademacher_symmetric":
-        if not A.is_square:
+        if nr != nc:
             raise ValueError("symmetric mode requires a square matrix")
-        lower = np.maximum(ii, jj) * nr + np.minimum(ii, jj)
+        lower = np.maximum(rows, cols) * nr + np.minimum(rows, cols)
         free = np.unique(lower)
         pos = np.searchsorted(free, lower)
         k = free.size
@@ -145,7 +159,8 @@ def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
     if k == 0:
         return 0, []
     # a block's root is its smallest row, so roots order blocks by first cell
-    _, comp = np.unique(_component_roots(nr + nc, ii, nr + jj)[ii], return_inverse=True)
+    _, comp = np.unique(_component_roots(nr + nc, rows, nr + cols)[rows],
+                        return_inverse=True)
     n_comp = int(comp.max()) + 1
 
     def local(index, size):
@@ -154,11 +169,11 @@ def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
         first = np.searchsorted(used, np.arange(n_comp) * size)
         return at - first[comp], np.diff(first, append=used.size)
 
-    li, rows = local(ii, nr)
-    lj, cols = local(jj, nc)
-    shape = (rows * (nc + 1) + cols)[comp]
-    cells = np.lexsort((comp, shape))
-    keys, starts = np.unique(shape[cells], return_index=True)
+    li, heights = local(rows, nr)
+    lj, widths = local(cols, nc)
+    sizes = (heights * (nc + 1) + widths)[comp]
+    cells = np.lexsort((comp, sizes))
+    keys, starts = np.unique(sizes[cells], return_index=True)
     plan = []
     for key, lo, hi in zip(keys.tolist(), starts.tolist(),
                            starts[1:].tolist() + [cells.size]):
@@ -169,7 +184,7 @@ def _norm_plan(A: WeightMatrix, mode: str) -> tuple:
         src = np.full(blocks.size * r * c, k)
         src[at] = pos[sel]
         w = np.zeros(blocks.size * r * c)
-        w[at] = a[ii[sel], jj[sel]]
+        w[at] = values[sel]
         shift = None
         if mode != "gaussian" and r > 1 and c > 1:
             shift = np.frexp(np.abs(w).reshape(blocks.size, -1).max(axis=1))[1]
@@ -227,7 +242,7 @@ def _chunk_plan(rows: int, dense: int, threads: int) -> tuple:
     return edges, min(threads, n_chunks)
 
 
-def _sample_norms(A: WeightMatrix, mode: str, samples: int, seed: int,
+def _sample_norms(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
                   threads: int = 1) -> np.ndarray:
     """Norms of `samples` realizations, one stream block in memory at a time.
 
@@ -238,7 +253,7 @@ def _sample_norms(A: WeightMatrix, mode: str, samples: int, seed: int,
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    k, plan = _norm_plan(A, mode)
+    k, plan = _norm_plan(*_cells(A), mode)
     if k == 0:
         return np.zeros(samples)
     dense = sum(g["count"] * g["shape"][0] * g["shape"][1] for g in plan)
@@ -272,9 +287,10 @@ def _stderr(norms: np.ndarray) -> float:
     return float(np.ldexp(scaled.std(ddof=1) / math.sqrt(norms.size), e))
 
 
-def mc_norm(A: WeightMatrix, mode: str, samples: int, seed: int,
+def mc_norm(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
             threads: int = 1) -> McEstimate:
-    """Monte Carlo mean and standard error of ||A o X|| in the given mode."""
+    """Monte Carlo mean and standard error of ||A o X|| in the given mode;
+    an EdgeSet stands for its 0/1 matrix."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if samples < 16:
@@ -283,7 +299,7 @@ def mc_norm(A: WeightMatrix, mode: str, samples: int, seed: int,
     return McEstimate(float(norms.mean()), _stderr(norms), samples, seed, mode)
 
 
-def mc_norm_moments(A: WeightMatrix, p_list, samples: int, seed: int,
+def mc_norm_moments(A: WeightMatrix | EdgeSet, p_list, samples: int, seed: int,
                     mode: str = "rademacher_iid", threads: int = 1) -> McEstimate:
     """mc_norm plus (E ||A o X||^p)^{1/p} estimates for each requested p.
 
@@ -304,7 +320,7 @@ def mc_norm_moments(A: WeightMatrix, p_list, samples: int, seed: int,
                       moments)
 
 
-def exact_small_norm_expectation(A: WeightMatrix, mode: str) -> float:
+def exact_small_norm_expectation(A: WeightMatrix | EdgeSet, mode: str) -> float:
     """Exact E ||A o eps|| by exhausting every sign pattern.
 
     Only Rademacher modes enumerate; the cap is 24 independent signs.  The
@@ -312,7 +328,7 @@ def exact_small_norm_expectation(A: WeightMatrix, mode: str) -> float:
     """
     if mode not in ("rademacher_iid", "rademacher_symmetric"):
         raise ValueError("exact enumeration supports the Rademacher modes only")
-    k, plan = _norm_plan(A, mode)
+    k, plan = _norm_plan(*_cells(A), mode)
     if k == 0:
         return 0.0
     if k > EXACT_SIGNS_CAP:

@@ -8,6 +8,12 @@ cheap bound terms, and the ratio of the Monte Carlo mean to the predicted
 scale; the summary is the min, max, and spread (max over min) of those
 ratios.  All predicted scales are constant-free, so only the spread is
 meaningful, never the absolute level.
+
+A family point hands the instance's own matrix to the sampler and to the
+cheap bounds.  A 0/1 family is an EdgeSet, and both read its index
+arrays (`sampler._cells`, `bounds.bound_inputs`), so no dense n x n
+matrix is built for it.  `block_counterexample` marks each exact search
+behind its published terms as certified or not.
 """
 
 from __future__ import annotations
@@ -21,13 +27,14 @@ import numpy as np
 from .bounds import (
     EngineConfig,
     _exact_01,
+    bound_inputs,
     bvh_bound,
     k_grid,
     r_estimate,
     seginer_bound,
     trivial_degree_bound,
 )
-from .core import WeightMatrix, log_clamped
+from .core import log_clamped
 from .corpus import corpus_symmetric, corpus_zero_one
 from .families import (
     block_plus_singletons,
@@ -39,7 +46,6 @@ from .families import (
     union_complete,
 )
 from .sampler import mc_norm, mc_norm_moments
-from .spectral import max_row_col_l2
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,13 @@ class ScenarioReport:
         }
 
 
-def _cheap_bounds(A: WeightMatrix) -> dict:
-    row_col = max_row_col_l2(A)
+def _cheap_bounds(M) -> dict:
+    """The closed-form bounds of a WeightMatrix or an EdgeSet."""
+    inputs = bound_inputs(M)
     return {
-        "seginer": seginer_bound(A, row_col),
-        "bvh": bvh_bound(A, row_col),
-        "trivial_degree": trivial_degree_bound(A),
+        "seginer": seginer_bound(M, inputs),
+        "bvh": bvh_bound(M, inputs),
+        "trivial_degree": trivial_degree_bound(M, inputs),
     }
 
 
@@ -83,7 +90,7 @@ def _summarize(points: list, ratio_key: str = "ratio") -> dict:
     }
 
 
-def _record(inst, est, A: WeightMatrix, **fields) -> dict:
+def _record(inst, est, **fields) -> dict:
     """A family grid point: the keys every family record shares, then the
     scenario's own `fields` in the order given."""
     return {
@@ -95,7 +102,7 @@ def _record(inst, est, A: WeightMatrix, **fields) -> dict:
         "mc_stderr": est.stderr,
         "samples": est.samples,
         "seed": est.seed,
-        "bounds": _cheap_bounds(A),
+        "bounds": _cheap_bounds(inst.matrix),
         **fields,
     }
 
@@ -106,10 +113,9 @@ def _report(name: str, samples: int, seed: int, points: list) -> ScenarioReport:
 
 
 def _family_point(inst, samples: int, seed: int, threads: int) -> dict:
-    A = inst.weight_matrix()
-    est = mc_norm(A, "rademacher_iid", samples, seed, threads)
+    est = mc_norm(inst.matrix, "rademacher_iid", samples, seed, threads)
     ratio = est.mean / inst.predicted if inst.predicted > 0 else None
-    return _record(inst, est, A, ratio=ratio)
+    return _record(inst, est, ratio=ratio)
 
 
 def _grid_scenario(name: str, instances, samples, seed, threads) -> ScenarioReport:
@@ -166,7 +172,10 @@ def scenario_block_counterexample(samples=2000, seed=1, threads=1, n=2048) -> Sc
     Reports both the one-sided right-hand side (row + col + subgraph term
     at Log n) and the two-sided style right-hand side (row + col + the
     k-sweep surrogate, which for this family settles at the singleton
-    norm), so the gap is visible point by point.
+    norm), so the gap is visible point by point.  `subgraph_certified`
+    says whether the subgraph term's exact search completed, and
+    `ksweep_certified` whether every search of the k-sweep did; a search
+    that hits `budget_cap` reports the best value it found.
     """
     log_n = log_clamped(n)
     d_lo = max(1, int(math.isqrt(int(log_n))))
@@ -175,16 +184,16 @@ def scenario_block_counterexample(samples=2000, seed=1, threads=1, n=2048) -> Sc
     config = EngineConfig()
     for d in range(d_lo, d_hi + 1):
         inst = block_plus_singletons(n, d)
-        A = inst.weight_matrix()
-        est = mc_norm(A, "rademacher_iid", samples, seed, threads)
+        est = mc_norm(inst.matrix, "rademacher_iid", samples, seed, threads)
         row = math.sqrt(d)
-        rows, cols = np.nonzero(A.entries)
+        rows, cols = inst.matrix.index_arrays()
         subgraph = _exact_01(rows, cols, log_n, config.budget_cap)
         rhs_one_sided = row + row + subgraph.lower
         # k-sweep surrogate via the canonical removals (block rows first,
         # then singletons); each term upper-bounds the true inner min, and
         # the last grid point n removes everything
         ksweep = 0.0
+        ksweep_certified = True
         for k in k_grid(n)[:-1]:
             kept = np.ones(n, dtype=bool)
             kept[:min(k, d)] = False
@@ -193,12 +202,15 @@ def scenario_block_counterexample(samples=2000, seed=1, threads=1, n=2048) -> Sc
             if on.any():
                 term = _exact_01(rows[on], cols[on], log_clamped(k), config.budget_cap)
                 ksweep = max(ksweep, term.lower)
+                ksweep_certified &= term.certified
         rhs_two_sided = row + row + ksweep
         points.append(_record(
-            inst, est, A,
+            inst, est,
             rhs_one_sided=rhs_one_sided,
             rhs_two_sided=rhs_two_sided,
             subgraph_term=subgraph.lower,
+            subgraph_certified=subgraph.certified,
+            ksweep_certified=ksweep_certified,
             ratio=rhs_one_sided / est.mean if est.mean > 0 else None,
             ratio_two_sided=rhs_two_sided / est.mean if est.mean > 0 else None,
         ))
@@ -220,13 +232,12 @@ def scenario_circulant_chain(samples=600, seed=1, threads=1) -> ScenarioReport:
         b[k] = 1.0
         inst = circulant(b)
         inst = dataclasses.replace(inst, params={"n": inst.params["n"], "index": k})
-        A = inst.weight_matrix()
-        est = mc_norm(A, "rademacher_iid", samples, seed, threads)
-        r = r_estimate(A, log_n, config)
+        est = mc_norm(inst.matrix, "rademacher_iid", samples, seed, threads)
+        r = r_estimate(inst.matrix, log_n, config)
         chain_low = inst.predicted + r.lower
         chain_high = lll * (inst.predicted + r.lower)
         points.append(_record(
-            inst, est, A,
+            inst, est,
             chain_low=chain_low,
             chain_high=chain_high,
             r_mode=r.mode,

@@ -132,10 +132,14 @@ def test_criterion_06_block_counterexample_gap():
     end = rep.points[-1]
     assert end["params"]["d"] == int(log_clamped(2048))
     gap_ok = end["ratio"] > 1.5
+    # the d = 5 and d = 6 subgraph searches hit the 200,000-node budget and
+    # must say so; every other exact term of the grid is certified
+    uncertified = [pt["params"]["d"] for pt in rep.points if not pt["subgraph_certified"]]
+    flags_ok = uncertified == [5, 6] and all(pt["ksweep_certified"] for pt in rep.points)
     report(6, "one-sided upper overshoots truth by >1.5x at d ~ Log n",
-           tracking_ok and gap_ok, time.time() - t0, 300,
+           tracking_ok and gap_ok and flags_ok, time.time() - t0, 300,
            f"end ratio={end['ratio']:.2f}; mc/sqrt(d) in "
-           f"[{min(track):.2f}, {max(track):.2f}]")
+           f"[{min(track):.2f}, {max(track):.2f}]; uncertified subgraph d={uncertified}")
 
 
 def test_criterion_07_two_sided_sandwich_corpus():

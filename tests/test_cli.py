@@ -246,6 +246,19 @@ class TestVerifyCommand:
         assert payload["report"]["scenario"] == "circulant_chain"
         assert len(payload["report"]["points"]) == 8
 
+    def test_block_counterexample_carries_certified_flags(self, tmp_path):
+        code, payload = run_json(
+            ["verify", "--scenario", "block_counterexample", "--samples", "16",
+             "--n-cap", "64"], tmp_path
+        )
+        assert code == 0
+        jsonschema.validate(payload, schema("scenario_report.schema.json"))
+        for pt in payload["report"]["points"]:
+            assert pt["subgraph_certified"] is True and pt["ksweep_certified"] is True
+            del pt["ksweep_certified"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema("scenario_report.schema.json"))
+
     @pytest.mark.parametrize("scenario, n_cap", [
         ("union_complete_regimes", "0"), ("block_counterexample", "0"),
         ("union_complete_regimes", "-5"), ("block_counterexample", "-5"),

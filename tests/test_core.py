@@ -15,6 +15,7 @@ from radnorm.core import (
     girth,
     is_tangle_free,
     log_clamped,
+    off_diagonal,
     power_graph,
     sign_patterns,
 )
@@ -89,6 +90,23 @@ class TestWeightMatrix:
         assert WeightMatrix([[0, 1], [1, 0]]).is_zero_one()
         assert not WeightMatrix([[0, 0.5], [1, 0]]).is_zero_one()
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_off_diagonal_max_abs_skips_the_diagonal(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        a[np.diag_indices(n)] = 9.0
+        want = float(np.abs(a[~np.eye(n, dtype=bool)]).max(initial=0.0))
+        assert WeightMatrix(a).off_diagonal_max_abs() == want
+        assert WeightMatrix(a.T).off_diagonal_max_abs() == want
+        with pytest.raises(ValueError):
+            WeightMatrix(np.ones((2, 3))).off_diagonal_max_abs()
+
+    def test_off_diagonal_is_a_view(self):
+        a = np.arange(16.0).reshape(4, 4)
+        view = off_diagonal(a)
+        assert view.shape == (3, 4) and np.shares_memory(view, a)
+        assert sorted(view.ravel()) == sorted(a[~np.eye(4, dtype=bool)])
+
 
 class TestEdgeSet:
     def test_dedup_and_sort(self):
@@ -120,6 +138,18 @@ class TestEdgeSet:
         assert E.pairs == ((0, 2), (3, 1))
         assert all(type(x) is int for pair in E.pairs for x in pair)
         assert EdgeSet(4, ()).pairs == ()
+
+    def test_index_arrays_built_once_and_read_only(self):
+        E = EdgeSet(4, ((3, 1), (0, 2), (0, 0)))
+        rows, cols = E.index_arrays()
+        assert rows.tolist() == [0, 0, 3] and cols.tolist() == [0, 2, 1]
+        assert E.index_arrays()[0] is rows and E.index_arrays()[1] is cols
+        for arr in (rows, cols):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert E.pairs == ((0, 0), (0, 2), (3, 1))
+        assert E == EdgeSet(4, ((0, 0), (0, 2), (3, 1)))
+        assert [a.size for a in EdgeSet(2, ()).index_arrays()] == [0, 0]
 
     def test_indicator_symmetry_flag(self):
         assert EdgeSet(3, ((0, 1), (1, 0), (2, 2))).indicator().symmetric

@@ -54,6 +54,12 @@ def test_diff_tolerance_and_exact_fields():
     for changed in (moved.replace('"exact"', '"greedy"'), moved.replace("true", "false"),
                     moved.replace('"seed": 1', '"seed": 1.0'), moved.replace('"ok"', '"no"')):
         assert golden.compare_outputs(ref, changed, 1.0, 1.0)[2]
+    # a new key is named, and the keys both sides hold are still compared
+    added = ref.replace('"ok": true', '"ok": true, "certified": false')
+    assert golden.compare_outputs(ref, added, 0.0, 0.0)[2] == [": new keys ['certified']"]
+    assert golden.compare_outputs(added, moved.replace('"ok": true', '"ok": false'),
+                                  1.0, 1.0)[2] == [": missing keys ['certified']",
+                                                   ".ok: False recorded as True"]
     csv = "id,mean\np3,1.4142135623730956\n"
     assert golden.compare_outputs(csv, csv.replace("956", "951"), 1e-15, 0)[2] == []
     assert golden.compare_outputs(csv, csv.replace("p3", "p4"), 1.0, 1.0)[2]

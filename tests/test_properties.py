@@ -17,7 +17,9 @@ equal it.  The spectral kernel's top values must lie within its stated
 16 eps of the oracles' plain SVD at any weight scale, and its Gram pair,
 from eigh or from certified power steps, within a gap-scaled bound of the
 SVD pair.  The vectorized support degree must equal the degree of the
-support graph built vertex by vertex.
+support graph built vertex by vertex.  An edge set handed to the sampler
+and the cheap bounds as it is must give, bit for bit, what its dense
+indicator matrix gives.
 """
 
 from unittest import mock
@@ -31,11 +33,12 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radnorm import sampler, streams
+from radnorm.scenarios import _cheap_bounds
 from radnorm.bounds import (EngineConfig, _exact_01, _search_01, _support_lower,
                             r_exact_01)
 from radnorm.core import EdgeSet, WeightMatrix, derive_graph, max_support_degree
 from radnorm.oracles import subgraph_norm_enum, top_singular_value
-from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation
+from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation, mc_norm
 from radnorm.spectral import top_pair, top_value_max, top_values
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
@@ -390,3 +393,33 @@ def test_max_support_degree_equals_the_support_graph(a):
     S = WeightMatrix(a + a.T, symmetric=True)
     assert max_support_degree(S) == derive_graph(S).max_degree
     assert max_support_degree(S) == max_support_degree(WeightMatrix(a + a.T))
+
+
+@st.composite
+def edge_sets(draw):
+    """(E, seed): a square edge set of side <= 12 with random, usually
+    asymmetric pairs, diagonal pairs and empty rows included."""
+    n = draw(st.integers(1, 12))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    return EdgeSet(n, pairs), draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(case=edge_sets())
+@example(case=(EdgeSet(5, ()), 0))  # empty
+@example(case=(EdgeSet(4, ((0, 0), (2, 2), (3, 3))), 1))  # diagonal only
+@example(case=(EdgeSet(5, ((0, 1), (0, 3), (1, 2), (3, 0), (4, 4))), 2))  # asymmetric
+@example(case=(EdgeSet(6, ((4, 1),)), 3))  # a single pair, empty rows
+def test_edge_set_route_equals_the_indicator_route(case):
+    E, seed = case
+    A = E.indicator()
+    for mode in MODES:
+        for threads in (1, 2):
+            got = mc_norm(E, mode, 40, seed, threads)
+            assert repr(got) == repr(mc_norm(A, mode, 40, seed, threads))
+    if len(E) <= 12:  # at most 2^11 sign patterns
+        for mode in ("rademacher_iid", "rademacher_symmetric"):
+            got = exact_small_norm_expectation(E, mode)
+            assert repr(got) == repr(exact_small_norm_expectation(A, mode))
+    assert repr(_cheap_bounds(E)) == repr(_cheap_bounds(A))

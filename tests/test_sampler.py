@@ -282,7 +282,7 @@ class TestPrescaledPlan:
     def test_sampled_norms_equal_the_scatter_reference(self, mode, exponents):
         for seed in range(3):
             a = _mixed_blocks(seed, exponents)
-            k, plan = sampler._norm_plan(WeightMatrix(a), mode)
+            k, plan = sampler._norm_plan(*sampler._cells(WeightMatrix(a)), mode)
             assert {g["shape"] for g in plan} >= {(1, 1), (1, 3), (2, 1), (4, 5), (3, 3)}
             u = np.concatenate([b for _, b in streams.uniform_blocks(seed, k, 300)])
             values = (streams.gaussians_from_uniform(u) if mode == "gaussian"
@@ -302,7 +302,7 @@ class TestPrescaledPlan:
             a *= rng.random((4, 4)) < 0.6
             if trial == 0:
                 a[:2, 2:] = a[2:, :2] = 0.0  # two blocks
-            k = sampler._norm_plan(WeightMatrix(a), mode)[0]
+            k = sampler._norm_plan(*sampler._cells(WeightMatrix(a)), mode)[0]
             if k == 0:
                 continue
             total = sum(float(_reference_norms(a, mode, signs).sum())

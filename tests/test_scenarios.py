@@ -1,7 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
+from radnorm import scenarios
+from radnorm.bounds import EngineConfig
+from radnorm.cli import main
+from radnorm.core import EdgeSet
 from radnorm.scenarios import SCENARIOS, run_scenario
 
 
@@ -60,6 +65,30 @@ def test_block_counterexample_gap():
     last = rep.points[-1]
     assert last["rhs_one_sided"] > last["rhs_two_sided"]
     assert last["ratio"] > last["ratio_two_sided"]
+
+
+def test_union_complete_regimes_builds_no_dense_indicator(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("a family point built its dense indicator")
+
+    monkeypatch.setattr(EdgeSet, "indicator", refuse)
+    out = tmp_path / "out.json"
+    assert main(["verify", "--scenario", "union_complete_regimes", "--samples", "16",
+                 "--n-cap", "128", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_block_counterexample_certified_flags(monkeypatch):
+    rep = run_scenario("block_counterexample", samples=16, seed=1, n=64)
+    assert all(pt["subgraph_certified"] and pt["ksweep_certified"] for pt in rep.points)
+    # a one-node budget cuts the d = 2 subgraph search short: the point keeps
+    # its best value and says it is not certified
+    monkeypatch.setattr(scenarios, "EngineConfig",
+                        lambda: dataclasses.replace(EngineConfig(), budget_cap=1))
+    cut = run_scenario("block_counterexample", samples=16, seed=1, n=64)
+    assert not cut.points[0]["subgraph_certified"]
+    assert all(c["subgraph_term"] <= r["subgraph_term"]
+               for c, r in zip(cut.points, rep.points))
 
 
 def test_circulant_chain_flags():

@@ -6,7 +6,10 @@ patterns come from `core.sign_patterns`, and breadth-first search from
 `core.bfs_distances`.  A new copy of any of them elsewhere in the package
 fails here, so a change of method stays a one-file change.  Edge sets are
 built only where a support enters or leaves the program (input, families,
-output); the bound engine and the scenarios carry supports as index arrays.
+output).  Past that point a support travels as the edge set itself or as
+its index arrays: the sampler's plan and the cheap bounds read an edge
+set's cells without building its dense 0/1 matrix, and the bound engine
+and the scenarios' exact searches carry index arrays.
 scipy is named only in `streams`, which loads it for Gaussian draws alone,
 so every other command runs on numpy and the standard library.
 Comments and string literals are ignored.  Every `EngineConfig` knob is
