@@ -55,10 +55,11 @@ def sign_patterns(k: int):
 
 
 def off_diagonal(a: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of a square array as an (n - 1, n) view.
+    """The off-diagonal entries of a square array as an (n - 1, n) array.
 
-    Past its first entry, a C-contiguous n x n array holds n off-diagonal
-    entries before each further diagonal entry, so no copy is made."""
+    Past its first entry, an n x n array holds n off-diagonal entries
+    before each further diagonal entry in row-major order, so for a
+    C-contiguous array this is a view and no entry is copied."""
     n = a.shape[0]
     return a.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :-1]
 
@@ -114,11 +115,6 @@ class WeightMatrix:
         if self.entries.size == 0:
             return 0.0
         return float(np.max(np.abs(self.entries)))
-
-    def off_diagonal_max_abs(self) -> float:
-        if not self.is_square:
-            raise ValueError("off-diagonal maximum requires a square matrix")
-        return float(off_diagonal(np.abs(self.entries)).max(initial=0.0))
 
     def is_zero_one(self) -> bool:
         """True iff every entry is exactly 0 or 1."""

@@ -13,9 +13,9 @@ sample's maximum is never decomposed (`spectral.top_value_max`).  The
 blocks are built from cells, in row-major order: a WeightMatrix's nonzero
 entries, or an EdgeSet's pairs with value 1, read from its index arrays
 without building the dense 0/1 matrix.  Each cell (i, j) joins row i to
-column j, and the components are labelled in numpy.  In symmetric mode the two
-mirrored cells (i, j) and (j, i) read one shared sign column, whether or
-not they land in the same block.
+column j, and the components are labelled in numpy.  In symmetric mode
+the two mirrored cells (i, j) and (j, i) read one shared sign column,
+whether or not they land in the same block.
 
 The plan lays every group of same-shape blocks out in full, r x c cells a
 block, with a source column and a weight for each cell; a cell the block
@@ -133,15 +133,15 @@ def _norm_plan(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndar
     bipartite graph are the blocks.  A cell reads sign column `pos`: its
     own index in iid and Gaussian mode, and in symmetric mode the index
     of its lower-triangle position (max(i, j), min(i, j)), so mirrored
-    cells share a sign even when they fall in two blocks.  Blocks of one shape form one group (ascending
-    shape, blocks in order of first cell) and share one
-    `spectral.top_value_max` call, which eigensolves only the blocks that
-    can hold a sample's maximum.  A group holds, for each of its g r c
-    cells in block layout, `src`, the sign column it reads (k, the
-    appended zero column, for a cell no block holds), and `w`, its weight
-    (0 there); in the Rademacher modes, when both sides are at least 2,
-    `w` is scaled per block by 2^-shift to a max |w| in [1/2, 1) and
-    `shift` holds the g exponents, else it is None.
+    cells share a sign even when they fall in two blocks.  Blocks of one
+    shape form one group (ascending shape, blocks in order of first cell)
+    and share one `spectral.top_value_max` call, which eigensolves only
+    the blocks that can hold a sample's maximum.  A group holds, for each
+    of its g r c cells in block layout, `src`, the sign column it reads
+    (k, the appended zero column, for a cell no block holds), and `w`,
+    its weight (0 there); in the Rademacher modes, when both sides are at
+    least 2, `w` is scaled per block by 2^-shift to a max |w| in [1/2, 1)
+    and `shift` holds the g exponents, else it is None.
     """
     nr, nc = shape
     if mode in ("rademacher_iid", "gaussian"):

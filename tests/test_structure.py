@@ -51,7 +51,7 @@ DELETED = ("trace_power_norm", "neighborhood_sets", "LevelSets", "level_sets",
            "dual_surrogate", "empirical_lp", "rearrange_desc", "greedy_cover",
            "sign_bilinear_max", "SignBilinearResult", "SIGN_SIDE_CAP",
            "witness_s", "witness_t", "_pairs_norm", "best_set",
-           "_proxy_after_removal")
+           "_proxy_after_removal", "off_diagonal_max_abs")
 
 
 def code_only(path: pathlib.Path) -> str:
