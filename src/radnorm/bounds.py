@@ -23,7 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import EdgeSet, WeightMatrix, log_clamped, max_support_degree, off_diagonal
-from .moments import hitczenko_surrogate, surrogate_rows, water_fill
+from .moments import hitczenko_surrogate, surrogate_sorted, water_fill_scale
+# the benchmark tracer (perfbench/spans.py) wraps `bounds.water_fill` as its
+# water-fill span, so the name stays bound here
+from .moments import water_fill  # noqa: F401
 from .spectral import FULL_DECOMPOSITION_MAX, max_row_col_l2, top_pair, top_values
 from . import streams
 
@@ -328,10 +331,12 @@ def _ascent_pair(stack: np.ndarray, sym: np.ndarray) -> tuple:
     elsewhere.
 
     On a symmetric input the mirrored entries of a o s t^T tie whenever
-    s = t, and the ascent's stable sort breaks those ties by the pair's
-    last bits, which the two routes do not share; so symmetric inputs keep
-    the SVD pair until the ascent is made label-free.  The gate is per
-    matrix, so each keeps the pair a call on it alone gives."""
+    s = t.  The clipped set of the water-filling (`_clipped`) takes the
+    larger entry first and equal entries lowest index first, so which of
+    two mirrored entries clips turns on the pair's last bits, which the
+    two routes do not share; so symmetric inputs keep the SVD pair until
+    the ascent is made label-free.  The gate is per matrix, so each keeps
+    the pair a call on it alone gives."""
     u = np.empty(stack.shape[:2])
     v = np.empty((len(stack), stack.shape[2]))
     for part, gram in ((sym, False), (~sym, True)):
@@ -382,12 +387,41 @@ def _stack_seeds(stack: np.ndarray, sym: np.ndarray, restarts: int, seed: int):
                np.broadcast_to(streams.unit_vector(seed, nc, 2 * r + 1), (count, nc)))
 
 
-def _surrogate_stack(stack: np.ndarray, s: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
+def _reweighted(a: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple:
+    """(c, |c|, star) for c = a o s t^T of each matrix of an (S, r, c)
+    stack, flattened to one row per matrix; star is |c| sorted
+    nonincreasing along each row."""
     # s[:, :, None] * t[:, None, :] is np.outer(s, t) per matrix; forming
     # it first keeps each product bit for bit equal to the 2-D path
-    c = stack * (s[:, :, None] * t[:, None, :])
-    head, tail = surrogate_rows(c.reshape(len(c), -1), p)
-    return head + tail
+    c = (a * (s[:, :, None] * t[:, None, :])).reshape(len(a), -1)
+    abs_c = np.abs(c)
+    return c, abs_c, np.sort(abs_c, axis=1)[:, ::-1]
+
+
+def _clipped(abs_c: np.ndarray, star: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Mask of the m[i] cells of each row of abs_c that come first in its
+    stable nonincreasing order (star is that row sorted): every cell above
+    the m-th largest value, then the cells equal to it, lowest index
+    first."""
+    cut = np.where(m > 0, star[np.arange(len(m)), np.maximum(m - 1, 0)], np.inf)
+    mask = abs_c >= cut[:, None]
+    tied = np.flatnonzero(mask.sum(axis=1) > m)
+    if tied.size:
+        above = abs_c[tied] > cut[tied, None]
+        at_cut = mask[tied] & ~above
+        room = m[tied] - above.sum(axis=1)
+        mask[tied] = above | (at_cut & (np.cumsum(at_cut, axis=1) <= room[:, None]))
+    return mask
+
+
+def _dual_weights(abs_c: np.ndarray, star: np.ndarray, p: float) -> np.ndarray:
+    """`water_fill`'s weights of each row of abs_c, in abs_c's own cell
+    order (star is each row sorted nonincreasing): scale * |c|, with the
+    clipped cells (`_clipped`) set to 1."""
+    m, scale, _ = water_fill_scale(star, p)
+    b = scale[:, None] * abs_c
+    b[_clipped(abs_c, star, m)] = 1.0
+    return b
 
 
 def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
@@ -401,14 +435,18 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
     matrix is exactly symmetric), for at most `max_iters` steps, and stops
     a matrix's run once its objective s^T (a o b) t stops rising.  Seeds
     run one after the other; within a seed every step is one batched call
-    over the matrices still improving.  Returns each matrix's best
-    surrogate over all pairs visited.
+    over the matrices still improving.  Each step sorts the reweighted
+    magnitudes of its pair once, by value, for both the surrogate of that
+    pair and the next step's water-filling, whose weights are built in
+    cell order (`_dual_weights`).  Returns each matrix's best surrogate
+    over all pairs visited.
     """
     count, nr, nc = stack.shape
     best = np.zeros(count)
 
-    def offer(idx, a, s, t):
-        val = _surrogate_stack(a, s, t, p)
+    def offer(idx, star):
+        head, tail = surrogate_sorted(star, p)
+        val = head + tail
         up = val > best[idx]
         best[idx[up]] = val[up]
 
@@ -420,22 +458,19 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
         if not idx.size:
             continue
         a = stack[idx]
-        offer(idx, a, s, t)
+        c, abs_c, star = _reweighted(a, s, t)
+        offer(idx, star)
         obj_prev = np.full(len(idx), -1.0)
         for _ in range(max_iters):
-            c = (a * (s[:, :, None] * t[:, None, :])).reshape(len(idx), -1)
-            abs_c = np.abs(c)
-            order = np.argsort(-abs_c, axis=1, kind="stable")
-            _, b_sorted = water_fill(np.take_along_axis(abs_c, order, axis=1), p)
-            b = np.empty_like(abs_c)
-            np.put_along_axis(b, order, b_sorted, axis=1)
-            weighted = a * (np.sign(c) * b).reshape(a.shape)
+            weighted = a * (np.sign(c) * _dual_weights(abs_c, star, p)).reshape(a.shape)
             s, t = _ascent_pair(weighted, sym[idx])
             obj = (s[:, None, :] @ weighted @ t[:, :, None])[:, 0, 0]
-            offer(idx, a, s, t)
+            c, abs_c, star = _reweighted(a, s, t)
+            offer(idx, star)
             going = ~(obj <= obj_prev * (1 + 1e-10) + 1e-12)
             if not going.all():
-                idx, a, s, t, obj = idx[going], a[going], s[going], t[going], obj[going]
+                idx, a, obj = idx[going], a[going], obj[going]
+                c, abs_c, star = c[going], abs_c[going], star[going]
                 if not idx.size:
                     break
             obj_prev = obj

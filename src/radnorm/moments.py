@@ -45,11 +45,47 @@ def hitczenko_surrogate(a, p: float) -> SurrogateResult:
 def surrogate_rows(rows: np.ndarray, p: float) -> tuple:
     """(head, tail) of the head-plus-tail surrogate of each row of a 2-D
     array, cut at floor(p); head + tail is the surrogate total.  p >= 1."""
-    star = np.sort(np.abs(rows), axis=-1)[:, ::-1]
+    return surrogate_sorted(np.sort(np.abs(rows), axis=-1)[:, ::-1], p)
+
+
+def surrogate_sorted(star: np.ndarray, p: float) -> tuple:
+    """`surrogate_rows` of a 2-D stack whose rows are already nonnegative
+    and nonincreasing."""
     m = min(int(math.floor(p)), star.shape[1])
     head = star[:, :m].sum(axis=1)
     tail = math.sqrt(p) * np.sqrt((star[:, m:] ** 2).sum(axis=1))
     return head, tail
+
+
+def water_fill_scale(star: np.ndarray, p: float) -> tuple:
+    """The clip count of water-filling each row of a 2-D stack.
+
+    star's rows must be nonnegative and nonincreasing.  Returns (m, scale,
+    spread): row i's optimal weights are 1 on its first m[i] coordinates
+    and scale[i] * star[i] on the rest, and spread[i] is what the rest
+    adds to <star[i], b> (0 where nothing spreads).  m is the smallest
+    count whose spread fits inside the box; the budget runs out at
+    m = ceil(p), so m is found among 0..min(n, ceil(p)) at once.  With
+    n <= p every coordinate clips.
+    """
+    rows, n = star.shape
+    if n <= p:
+        return np.full(rows, n), np.zeros(rows), np.zeros(rows)
+    top = min(n, math.ceil(p))
+    suffix_sq = np.cumsum((star ** 2)[:, ::-1], axis=1)[:, ::-1]
+    # t[:, m] is the L2 mass of the unclipped part when m coordinates clip
+    zero = np.zeros((rows, 1))
+    t = np.sqrt(np.concatenate((suffix_sq[:, :top + 1], zero), axis=1)[:, :top + 1])
+    nxt = np.concatenate((star[:, :top + 1], zero), axis=1)[:, :top + 1]
+    budget = p - np.arange(top + 1)
+    root = np.sqrt(np.maximum(budget, 0.0))
+    clip = (t == 0.0) | (budget <= 0.0)
+    m = (clip | (root * nxt <= t)).argmax(axis=1)
+    at = np.arange(rows)
+    spread = ~clip[at, m]
+    t_m = np.where(spread, t[at, m], 1.0)
+    return (m, np.where(spread, root[m] / t_m, 0.0),
+            np.where(spread, root[m] * t_m, 0.0))
 
 
 def water_fill(star: np.ndarray, p: float) -> tuple:
@@ -59,38 +95,19 @@ def water_fill(star: np.ndarray, p: float) -> tuple:
     1-D star returns (value, b); for a 2-D stack of rows returns (values,
     b) with one value and one row of b per row, each equal bit for bit to
     the 1-D result.  The optimum clips the m largest coordinates to 1 and
-    spreads the leftover budget p - m proportionally over the rest; m is
-    the smallest count whose spread fits inside the box.  The budget runs
-    out at m = ceil(p), so m is found among 0..min(n, ceil(p)) at once.
+    spreads the leftover budget p - m proportionally over the rest
+    (`water_fill_scale`).
     """
     star = np.asarray(star, dtype=float)
     if star.ndim == 1:
         values, b = water_fill(star[None], p)
         return float(values[0]), b[0]
-    rows, n = star.shape
-    if n == 0:
-        return np.zeros(rows), np.zeros((rows, 0))
-    if n <= p:
-        return star.sum(axis=1), np.ones((rows, n))
-    top = min(n, math.ceil(p))
-    suffix_sq = np.cumsum((star ** 2)[:, ::-1], axis=1)[:, ::-1]
-    # t[:, m] is the L2 mass of the unclipped part when m coordinates clip
-    t = np.sqrt(np.concatenate((suffix_sq, np.zeros((rows, 1))), axis=1)[:, :top + 1])
-    budget = p - np.arange(top + 1)
-    root = np.sqrt(np.maximum(budget, 0.0))
-    nxt = np.concatenate((star, np.zeros((rows, 1))), axis=1)[:, :top + 1]
-    clip = (t == 0.0) | (budget <= 0.0)
-    m = (clip | (root * nxt <= t)).argmax(axis=1)
-    at = np.arange(rows)
-    spread = ~clip[at, m]
-    t_m = np.where(spread, t[at, m], 1.0)
-    head = np.empty(rows)
+    m, scale, spread = water_fill_scale(star, p)
+    head = np.empty(len(star))
     for k in np.unique(m).tolist():
         head[m == k] = star[m == k, :k].sum(axis=1)
-    values = head + np.where(spread, root[m] * t_m, 0.0)
-    scale = np.where(spread, root[m] / t_m, 0.0)
-    b = np.where(np.arange(n) < m[:, None], 1.0, scale[:, None] * star)
-    return values, b
+    b = np.where(np.arange(star.shape[1]) < m[:, None], 1.0, scale[:, None] * star)
+    return head + spread, b
 
 
 def power_mean_estimate(values: np.ndarray, p: float) -> tuple:

@@ -113,10 +113,11 @@ POWER_PAIR_MIN is 32: the exact k-sweep rows' stacks (sides <= 16) stay on
 
 The surrogate ascent (`bounds._ascent`) takes the Gram pair for every
 matrix that is not exactly symmetric.  Exactly symmetric matrices stay on
-the SVD pair: there the mirrored entries of a o s t^T tie whenever s = t,
-the ascent's stable sort breaks those ties by the pair's last bits, and
-the Gram pair's last bits are not the SVD's, so the ascent took other
-paths (ungated, 15 goldens moved beyond 1e-12, `sym_gauss_n64`
+the SVD pair: there the mirrored entries of a o s t^T tie whenever s = t.
+Water-filling clips the m largest entries, and at the cut equal values
+clip lowest index first, so which of two mirrored entries clips turns on
+the pair's last bits; the Gram pair's last bits are not the SVD's, so the
+ascent took other paths (ungated, 15 goldens moved beyond 1e-12, `sym_gauss_n64`
 `r_logn.lower` by -0.47% and one k-sweep `removed` set changed).  A
 label-free ascent on |A|, whose weighted matrices have a nonnegative
 Perron pair, would remove that cause.  That symmetric gate is the SVD

@@ -6,7 +6,10 @@ on the SVD, Gram and power routes, also when a stack above the Gram
 route's gate mixes matrices that certify their power steps with matrices
 that fall back to `eigh`; row-wise `water_fill` gives each row the result
 of the scalar clip-count loop it replaced (kept below as the reference);
-and `_ascent` over a stack gives each matrix the value `r_heuristic`
+the ascent's weights, built in cell order from one value sort, equal the
+route they replaced, a stable argsort, a gather, `water_fill` and a
+scatter back (kept below as the reference), also where mirrored entries
+of a symmetric matrix tie at the clip cut; and `_ascent` over a stack gives each matrix the value `r_heuristic`
 finds for it, also when the stack mixes exactly symmetric matrices, which
 take the SVD pair, with matrices that take the Gram pair.  These
 comparisons use exact equality: the batched code performs the same
@@ -27,8 +30,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radnorm.bounds import (SHORTLIST_SIZE, EngineConfig, _ascent, _greedy_chain,
-                            _magnitude, _shortlist_scores, r_heuristic)
+from radnorm.bounds import (SHORTLIST_SIZE, EngineConfig, _ascent, _clipped, _dual_weights,
+                            _greedy_chain, _magnitude, _shortlist_scores, r_heuristic)
 from radnorm.core import WeightMatrix
 from radnorm.moments import hitczenko_surrogate, surrogate_rows, water_fill
 from radnorm.spectral import POWER_PAIR_MIN, _certified_top, _scaled_gram, top_pair
@@ -60,6 +63,16 @@ def stacks(draw, max_side=6, max_count=5):
         if draw(st.booleans()):
             a[m, :, draw(st.integers(0, cols - 1))] = 0.0
     return a
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """`stacks` made exactly symmetric, a + a^T on a square slice, so
+    mirrored entries tie."""
+    a = draw(stacks())
+    n = min(a.shape[1:])
+    a = a[:, :n, :n]
+    return a + a.transpose(0, 2, 1)
 
 
 def water_fill_loop(star, p):
@@ -138,6 +151,50 @@ def test_row_wise_water_fill_equals_loop(a, p):
         got_value, got_b = water_fill(star, p)
         assert isinstance(got_value, float)
         assert got_value == want_value and np.array_equal(got_b, want_b)
+
+
+def sorted_route_weights(abs_c, p):
+    """The ascent's weights before `_dual_weights`: a stable argsort of
+    each row, a gather, `water_fill` in sorted order and a scatter back."""
+    order = np.argsort(-abs_c, axis=1, kind="stable")
+    _, b_sorted = water_fill(np.take_along_axis(abs_c, order, axis=1), p)
+    b = np.empty_like(abs_c)
+    np.put_along_axis(b, order, b_sorted, axis=1)
+    return b
+
+
+def value_sorted(a):
+    """(|c|, star): each matrix of a stack flattened to one row of
+    magnitudes, and that row sorted nonincreasing as the ascent sorts it."""
+    abs_c = np.abs(a.reshape(len(a), -1))
+    return abs_c, np.sort(abs_c, axis=1)[:, ::-1]
+
+
+@PROPERTY_SETTINGS
+@given(a=st.one_of(stacks(), symmetric_stacks()), p=MOMENTS)
+@example(a=np.zeros((2, 2, 3)), p=2.0)                     # all-zero rows
+@example(a=np.ones((1, 2, 2)), p=4.5)                      # n <= p
+@example(a=np.ones((1, 3, 3)), p=2.0)                      # m = 0
+@example(a=np.full((1, 2, 2), 2.0), p=4.0)                 # m = ceil(p), all tied at the cut
+@example(a=np.array([[[6e-162, 6e-162, 3e-163], [0.0, 0.0, 0.0]]]), p=2.0)  # m = ceil(p) < n
+@example(a=np.array([[[0.1, 0.05], [0.05, 0.1]]]), p=2.5)  # m = 1 inside a tie
+def test_in_place_weights_equal_sorted_route(a, p):
+    abs_c, star = value_sorted(a)
+    assert np.array_equal(_dual_weights(abs_c, star, p), sorted_route_weights(abs_c, p))
+
+
+@PROPERTY_SETTINGS
+@given(a=st.one_of(stacks(), symmetric_stacks()), data=st.data())
+def test_clipped_cells_lead_the_stable_order(a, data):
+    # any clip count, so the cut falls inside ties far more often than
+    # water-filling puts it there
+    abs_c, star = value_sorted(a)
+    n = abs_c.shape[1]
+    m = np.array(data.draw(st.lists(st.integers(0, n), min_size=len(a), max_size=len(a))))
+    order = np.argsort(-abs_c, axis=1, kind="stable")
+    want = np.arange(n) < m[:, None]
+    np.put_along_axis(want, order, want.copy(), axis=1)
+    assert np.array_equal(_clipped(abs_c, star, m), want)
 
 
 @PROPERTY_SETTINGS
