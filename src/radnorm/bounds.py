@@ -27,7 +27,8 @@ from .moments import hitczenko_surrogate, surrogate_sorted, water_fill_scale
 # the benchmark tracer (perfbench/spans.py) wraps `bounds.water_fill` as its
 # water-fill span, so the name stays bound here
 from .moments import water_fill  # noqa: F401
-from .spectral import FULL_DECOMPOSITION_MAX, max_row_col_l2, top_pair, top_values
+from .spectral import (FULL_DECOMPOSITION_MAX, max_row_col_l2, power_pair, top_pair,
+                       top_values)
 from . import streams
 
 
@@ -168,89 +169,9 @@ def _pairs_value(rows: np.ndarray, cols: np.ndarray) -> float:
     return float(top_values(m))
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _CapReached(Exception):
-    pass
-
-
-class _SubsetSearch:
-    """Branch and bound over connected edge subsets of size <= m.
-
-    The optimum is attained on a subset that is connected in the
-    edge-adjacency sense (sharing a row or a column index), since the norm
-    of a block-diagonal arrangement is the largest block norm.  Subsets
-    are enumerated once each, rooted at their smallest edge index, and
-    pruned against the best value found so far.  The search stops as soon
-    as the best value reaches the cap that no subset can beat.
-    """
-
-    def __init__(self, pairs: list, m: int, node_cap: int):
-        self.pairs = pairs
-        self.m = m
-        self.node_cap = node_cap
-        self.global_cap = math.inf
-        self.nodes = 0
-        self.best = 0.0
-        by_row: dict = {}
-        by_col: dict = {}
-        for e, (i, j) in enumerate(pairs):
-            by_row.setdefault(i, []).append(e)
-            by_col.setdefault(j, []).append(e)
-        self.nbr = [sorted((set(by_row[i]) | set(by_col[j])) - {e})
-                    for e, (i, j) in enumerate(pairs)]
-
-    def offer(self, subset: list):
-        rc: dict = {}
-        cc: dict = {}
-        for e in subset:
-            i, j = self.pairs[e]
-            rc[i] = rc.get(i, 0) + 1
-            cc[j] = cc.get(j, 0) + 1
-        cheap = math.sqrt(min(len(subset), max(rc.values()) * max(cc.values())))
-        if cheap <= self.best + 1e-12:
-            return
-        # compacted from the counts: on sets of <= m pairs numpy's per-call
-        # cost (`_pairs_value`) is larger than the work (2x slower searches)
-        rmap = {i: k for k, i in enumerate(sorted(rc))}
-        cmap = {j: k for k, j in enumerate(sorted(cc))}
-        m = np.zeros((len(rmap), len(cmap)))
-        for e in subset:
-            i, j = self.pairs[e]
-            m[rmap[i], cmap[j]] = 1.0
-        val = float(top_values(m))
-        if val > self.best + 1e-12:
-            self.best = val
-            if val >= self.global_cap - 1e-12:
-                raise _CapReached
-
-    def run(self, global_cap: float) -> bool:
-        """Explore; returns True when the search ran to completion or its
-        best value reached `global_cap`."""
-        self.global_cap = global_cap
-        try:
-            for root in range(len(self.pairs)):
-                cand = [f for f in self.nbr[root] if f > root]
-                self._rec([root], cand, set(cand) | {root})
-        except _BudgetExhausted:
-            return False
-        except _CapReached:
-            pass
-        return True
-
-    def _rec(self, cur: list, cand: list, seen: set):
-        self.nodes += 1
-        if self.nodes > self.node_cap:
-            raise _BudgetExhausted
-        if len(cur) == self.m or not cand:
-            self.offer(cur)
-            return
-        root = cur[0]
-        for idx, f in enumerate(cand):
-            fresh = [g for g in self.nbr[f] if g > root and g not in seen]
-            self._rec(cur + [f], cand[idx + 1:] + fresh, seen | set(fresh))
+class _SearchStop(Exception):
+    """Ends `_search_01` early; its one argument is True when the best
+    value reached the cap and False when the node budget ran out."""
 
 
 def r_exact_01(E: EdgeSet, p: float, budget_cap: int = 200_000) -> RBracket:
@@ -289,40 +210,97 @@ def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> t
 
     The value is sqrt(size) for the star seed, `top_values` of a searched
     set, and `top_values` of the whole set when m covers it (then the cap
-    is sqrt(max row degree * max col degree), which bounds any norm)."""
+    is sqrt(max row degree * max col degree), which bounds any norm).
+
+    The optimum is attained on a subset that is connected in the
+    edge-adjacency sense (sharing a row or a column index), since the norm
+    of a block-diagonal arrangement is the largest block norm.  The search
+    enumerates those subsets by ESU (Wernicke, Efficient detection of
+    network motifs, IEEE/ACM TCBB 2006): each subset once, grown from its
+    smallest edge index, the root, by candidates adjacent to it with a
+    larger index, children in candidate order.  A node is one recursion
+    step (one call of `grow`), and a search that takes more than
+    `budget_cap` nodes stops uncertified.  Each subset of m edges, or that
+    cannot grow, is a leaf: it is scored unless its cheap bound cannot
+    beat the best value, and the search stops as soon as the best value
+    reaches the cap that no subset can beat.
+    """
     row_deg = np.bincount(rows)
     col_deg = np.bincount(cols)
     rmax = int(row_deg.max())
     cmax = int(col_deg.max())
     if m >= rows.size:
         return _pairs_value(rows, cols), True, math.sqrt(rmax * cmax)
-    global_cap = min(math.sqrt(m), math.sqrt(min(rmax, m) * min(cmax, m)))
+    cap = min(math.sqrt(m), math.sqrt(min(rmax, m) * min(cmax, m)))
 
     # star seed: m pairs of the densest row or column achieve sqrt(size)
-    best_val = math.sqrt(min(max(rmax, cmax), m))
-    complete = best_val >= global_cap - 1e-12
+    best = math.sqrt(min(max(rmax, cmax), m))
 
     # the whole-set norm tightens the cap when it is cheap to get
-    if (not complete and np.count_nonzero(row_deg) <= FULL_DECOMPOSITION_MAX
+    if (best < cap - 1e-12 and np.count_nonzero(row_deg) <= FULL_DECOMPOSITION_MAX
             and np.count_nonzero(col_deg) <= FULL_DECOMPOSITION_MAX):
-        global_cap = min(global_cap, _pairs_value(rows, cols))
-        complete = best_val >= global_cap - 1e-12
-    if complete:
-        return best_val, True, global_cap
+        cap = min(cap, _pairs_value(rows, cols))
+    if best >= cap - 1e-12:
+        return best, True, cap
 
-    search = _SubsetSearch(list(zip(rows.tolist(), cols.tolist())), m, budget_cap)
-    search.best = best_val
-    complete = search.run(global_cap)
-    return search.best, complete, global_cap
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    by_row: dict = {}
+    by_col: dict = {}
+    for e, (i, j) in enumerate(pairs):
+        by_row.setdefault(i, []).append(e)
+        by_col.setdefault(j, []).append(e)
+    nbr = [sorted((set(by_row[i]) | set(by_col[j])) - {e}) for e, (i, j) in enumerate(pairs)]
+    nodes = 0
+
+    def offer(subset):
+        nonlocal best
+        rc: dict = {}
+        cc: dict = {}
+        for e in subset:
+            i, j = pairs[e]
+            rc[i] = rc.get(i, 0) + 1
+            cc[j] = cc.get(j, 0) + 1
+        cheap = math.sqrt(min(len(subset), max(rc.values()) * max(cc.values())))
+        if cheap <= best + 1e-12:
+            return
+        # compacted from the counts: on sets of <= m pairs numpy's per-call
+        # cost (`_pairs_value`) is larger than the work (2x slower searches)
+        rmap = {i: k for k, i in enumerate(sorted(rc))}
+        cmap = {j: k for k, j in enumerate(sorted(cc))}
+        sub = np.zeros((len(rmap), len(cmap)))
+        for e in subset:
+            i, j = pairs[e]
+            sub[rmap[i], cmap[j]] = 1.0
+        val = float(top_values(sub))
+        if val > best + 1e-12:
+            best = val
+            if val >= cap - 1e-12:
+                raise _SearchStop(True)
+
+    def grow(cur, cand, seen):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget_cap:
+            raise _SearchStop(False)
+        if len(cur) == m or not cand:
+            offer(cur)
+            return
+        root = cur[0]
+        for idx, f in enumerate(cand):
+            fresh = [g for g in nbr[f] if g > root and g not in seen]
+            grow(cur + [f], cand[idx + 1:] + fresh, seen | set(fresh))
+
+    try:
+        for root in range(len(pairs)):
+            cand = [f for f in nbr[root] if f > root]
+            grow([root], cand, set(cand) | {root})
+    except _SearchStop as stop:
+        return best, stop.args[0], cap
+    return best, True, cap
 
 
 # ---------------------------------------------------------------------------
 # heuristic bracket for general weights
-
-
-def _surrogate_at(a: np.ndarray, s: np.ndarray, t: np.ndarray, p: float) -> float:
-    c = a * np.outer(s, t)
-    return hitczenko_surrogate(c.ravel(), p).total
 
 
 def _ascent_pair(stack: np.ndarray, sym: np.ndarray) -> tuple:
@@ -525,11 +503,24 @@ def r_estimate(A: WeightMatrix, p: float, config: EngineConfig = EngineConfig())
 
 
 def _quick_r_lower(a: np.ndarray, p: float) -> float:
-    """Cheap surrogate value at an approximate top pair (for search only)."""
-    sigma, u, v = top_pair(a, steps=6)
+    """Cheap surrogate value of a o u v^T at the 6-power-step top pair
+    (u, v) of `a` (for search only)."""
+    sigma, u, v = power_pair(a, 6)
     if sigma == 0.0:
         return 0.0
-    return _surrogate_at(a, u, v, p)
+    return hitczenko_surrogate((a * np.outer(u, v)).ravel(), p).total
+
+
+def _first_min(scores: list) -> tuple:
+    """(best, index) of the smallest score, scanning in order: a score
+    replaces the best so far only when it lies more than 1e-12 below it,
+    so near-ties keep the lowest index (index 0 when every score is inf
+    or NaN)."""
+    best, at = math.inf, 0
+    for i, score in enumerate(scores):
+        if score < best - 1e-12:
+            best, at = score, i
+    return best, at
 
 
 def _shortlist_scores(a: np.ndarray, u: np.ndarray, v: np.ndarray, zs: list,
@@ -633,7 +624,7 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
         if on_support:
             rows, cols = np.nonzero(sub)
         else:
-            sigma, u, v = top_pair(sub, steps=6)
+            sigma, u, v = power_pair(sub, 6)
         mass = (sub * sub).sum(axis=1) + (sub * sub).sum(axis=0)
         if len(keep) > SHORTLIST_SIZE:
             shortlist_local = np.argsort(-mass, kind="stable")[:SHORTLIST_SIZE]
@@ -647,12 +638,7 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
             scores = _shortlist_scores(sub, u, v, shortlist_local, p)
         else:
             scores = [0.0] * len(shortlist_local)
-        best_score = math.inf
-        best_local = shortlist_local[0]
-        for z, score in zip(shortlist_local, scores):
-            if score < best_score - 1e-12:
-                best_score = score
-                best_local = z
+        best_local = shortlist_local[_first_min(scores)[1]]
         removed.append(keep[best_local])
         del keep[best_local]
     return removed
@@ -714,12 +700,8 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
                                          p, config) for combo in combos]
             else:
                 scores = [_quick_r_lower(A.entries[np.ix_(keep, keep)], p) for keep in keeps]
-            best = math.inf
-            removed = []
-            for combo, v in zip(combos, scores):
-                if v < best - 1e-12:
-                    best = v
-                    removed = list(combo)
+            best, at = _first_min(scores)
+            removed = list(combos[at])
             if n <= EXACT_FULL_N:
                 value, mode = best, "exact"
             else:

@@ -50,7 +50,7 @@ import numpy as np
 from . import streams
 from .core import CapExceededError, EdgeSet, WeightMatrix, sign_patterns
 from .moments import power_mean_estimate
-from .spectral import top_value_max
+from .spectral import pow2_scaled, top_value_max
 
 MODES = ("rademacher_iid", "rademacher_symmetric", "gaussian")
 
@@ -141,7 +141,8 @@ def _norm_plan(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndar
     (k, the appended zero column, for a cell no block holds), and `w`,
     its weight (0 there); in the Rademacher modes, when both sides are at
     least 2, `w` is scaled per block by 2^-shift to a max |w| in [1/2, 1)
-    and `shift` holds the g exponents, else it is None.
+    (`spectral.pow2_scaled`) and `shift` holds the g exponents, else it is
+    None.
     """
     nr, nc = shape
     if mode in ("rademacher_iid", "gaussian"):
@@ -187,8 +188,8 @@ def _norm_plan(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndar
         w[at] = values[sel]
         shift = None
         if mode != "gaussian" and r > 1 and c > 1:
-            shift = np.frexp(np.abs(w).reshape(blocks.size, -1).max(axis=1))[1]
-            w = np.ldexp(w.reshape(blocks.size, -1), -shift[:, None]).ravel()
+            w, shift = pow2_scaled(w.reshape(blocks.size, -1))
+            w = w.ravel()
         plan.append({"shape": (r, c), "count": blocks.size, "src": src, "w": w,
                      "shift": shift})
     return k, plan

@@ -61,17 +61,19 @@ about twice as slow on tiny matrices (68,200 3x3 matrices: 19.5 ->
 the copy gave the same bits at every shape; at sides 12 to 16 it moved
 low bits of some products, and a gate at 16 changed 10 golden outputs.
 
-`top_pair` returns (sigma, u, v) for one matrix or for each matrix of a
-stack.  Up to side FULL_DECOMPOSITION_MAX it is the full SVD's pair, or
-with `gram=True` the Gram route's: the top eigenvector of the same
+`top_pair` returns (sigma, u, v) for each matrix of an (S, r, c) stack.
+Up to side FULL_DECOMPOSITION_MAX it is the full SVD's pair, or with
+`gram=True` the Gram route's: the top eigenvector of the same
 power-of-two scaled Gram matrix `top_values` uses, and the other side from
 one product with the scaled matrix.  The Gram pair agrees with the SVD
 pair up to a joint sign and rounding (sigma within 16 eps, each vector
 within 256 eps / relative gap on gapped stacks; 43 eps / gap was the worst
-of 20,000 measured).  Beyond FULL_DECOMPOSITION_MAX, or when the caller
-asks for a cheap pair, both take a fixed number of power steps on A^T A
-from a fixed ramped start, so the pair is then a lower estimate, never a
-certified value.  Measured on a 2-core box with OPENBLAS_NUM_THREADS=1,
+of 20,000 measured).  Beyond FULL_DECOMPOSITION_MAX both take a fixed
+number of power steps on A^T A from a fixed ramped start (`power_pair`),
+so the pair is then a lower estimate, never a certified value.  A caller
+that wants a cheap pair of one matrix calls `power_pair` with its own step
+count: the k-sweep's greedy chain and enumerated rows take 6 steps.
+Measured on a 2-core box with OPENBLAS_NUM_THREADS=1,
 best of 21 interleaved calls on Gaussian matrices, SVD pair -> Gram pair
 with `eigh` at every side:
 
@@ -123,9 +125,13 @@ label-free ascent on |A|, whose weighted matrices have a nonnegative
 Perron pair, would remove that cause.  That symmetric gate is the SVD
 pair's only user: the exact 0/1 bracket is a value (`top_values`) and the
 k-sweep's cheap pairs take power steps.
-Only `top_pair` takes power steps (`_power_pair`); `spectral_norm` is
-`top_values` at every side.  Choosing a different method per shape is a
-change to this module only.
+Power steps live in `power_pair` alone; `spectral_norm` is `top_values` at
+every side.  Choosing a different method per shape is a change to this
+module only.
+
+Every power-of-two scaling of a stack, one exponent per matrix, is
+`pow2_scaled`: `top_values`, `top_value_max` and the Gram pair scale
+through it, and so does the sampler's plan for its Rademacher blocks.
 
 The brute-force oracles in `oracles` keep a plain SVD of their own on
 purpose (`oracles.top_singular_value`): they are the independent route
@@ -143,7 +149,7 @@ from .core import WeightMatrix
 #: Side length up to which the full decomposition is used.
 FULL_DECOMPOSITION_MAX = 512
 
-#: Power steps top_pair takes beyond FULL_DECOMPOSITION_MAX.
+#: Power steps `top_pair` takes beyond FULL_DECOMPOSITION_MAX.
 _PAIR_STEPS = 40
 
 #: Smallest Gram side at which `_gram_pair` tries certified power steps
@@ -221,20 +227,28 @@ def _gram_top(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scaled_gram(a: np.ndarray) -> tuple:
-    """(gram, shift) of an (S, r, c) stack: each matrix scaled by 2^-shift
-    so that its max |a_ij| lies in [1/2, 1) (a zero matrix keeps shift 0),
-    and the Gram matrix of the scaled matrix on its smaller side (`_gram`).
+def pow2_scaled(stack: np.ndarray) -> tuple:
+    """(scaled, shift) of a stack of S arrays: each array times 2^-shift,
+    shift (S,) chosen so that its max |a_ij| lies in [1/2, 1) (a zero array
+    keeps shift 0).
 
-    The scaling is exact, so the squares neither overflow nor lose bits and
-    a matrix and its power-of-two multiples give eigvalsh the same Gram
-    matrix (eigvalsh itself is not exactly power-of-two equivariant);
-    squares of entries far below a matrix's max can still underflow, which
-    changes its value by far less than an ulp.
+    The scaling is exact, so the squares of the scaled entries neither
+    overflow nor lose bits and an array and its power-of-two multiples
+    scale to the same bits; squares of entries far below an array's max
+    can still underflow, which changes its norm by far less than an ulp.
     """
-    flat = a.reshape(a.shape[0], -1)
+    flat = stack.reshape(len(stack), -1)
     shift = np.frexp(np.maximum(flat.max(axis=1), -flat.min(axis=1)))[1]
-    return _gram(np.ldexp(a, -shift[:, None, None])), shift
+    return np.ldexp(stack, -shift.reshape((-1,) + (1,) * (stack.ndim - 1))), shift
+
+
+def _scaled_gram(a: np.ndarray) -> tuple:
+    """(gram, shift) of an (S, r, c) stack: the Gram matrix on the smaller
+    side (`_gram`) of each matrix scaled by `pow2_scaled`, so a matrix and
+    its power-of-two multiples give eigvalsh the same Gram matrix (eigvalsh
+    itself is not exactly power-of-two equivariant)."""
+    scaled, shift = pow2_scaled(a)
+    return _gram(scaled), shift
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -318,55 +332,51 @@ def top_value_max(stack: np.ndarray, floor: np.ndarray, shift=None) -> np.ndarra
     return out
 
 
-def top_pair(a: np.ndarray, steps: int | None = None, gram: bool = False) -> tuple:
-    """(sigma, u, v): top singular value of `a` and its unit singular vectors.
+def top_pair(stack: np.ndarray, gram: bool = False) -> tuple:
+    """(sigma, u, v): the top singular value and unit singular vectors of
+    each matrix of an (S, r, c) stack, sigma (S,), u (S, r) and v (S, c),
+    each matrix's pair bit for bit equal to that of a stack of it alone.
 
-    `a` is one (r, c) matrix, giving a float sigma and vectors u (r,) and
-    v (c,), or an (S, r, c) stack, giving sigma (S,), u (S, r) and v (S, c)
-    with each matrix's pair bit for bit equal to a call on it alone.
     Up to side FULL_DECOMPOSITION_MAX the pair is the full SVD's, or with
     `gram` the Gram route's (`_gram_pair`: the top eigenvector of the
     smaller side's Gram matrix, from certified power steps or `eigh`, and
     one product for the other side), which is cheaper and agrees with the
     SVD pair up to a joint sign and rounding: sigma within 16 eps, each
-    vector within 256 eps / relative gap of the top two squared values.  Beyond that side, or when `steps`
-    is given, it takes `steps` power steps (40 by default) on each matrix
-    with no convergence test (`_power_pair`): sigma is then a lower
-    estimate, never a certified value.  sigma is 0 only for a zero matrix,
-    and every route gives it u = 0 and v = `_start_vector`.  The SVD route
-    serves only the surrogate ascent's exactly symmetric inputs
+    vector within 256 eps / relative gap of the top two squared values.
+    Beyond that side both take _PAIR_STEPS power steps on each matrix with
+    no convergence test (`power_pair`): sigma is then a lower estimate,
+    never a certified value.  sigma is 0 only for a zero matrix, and every
+    route gives it u = 0 and v = `_start_vector`.  The SVD route serves
+    only the surrogate ascent's exactly symmetric inputs
     (`bounds._ascent_pair`).
     """
-    if a.ndim == 2:
-        sigma, u, v = top_pair(a[None], steps, gram)
-        return float(sigma[0]), u[0], v[0]
-    if steps is None and max(a.shape[1:]) <= FULL_DECOMPOSITION_MAX:
-        if gram:
-            sigma, u, v = _gram_pair(a)
-        else:
-            u, sv, vt = np.linalg.svd(a)
-            sigma, u, v = sv[:, 0].copy(), u[:, :, 0].copy(), vt[:, 0, :].copy()
-        zero = sigma == 0.0
-        if zero.any():
-            u[zero] = 0.0
-            v[zero] = _start_vector(a.shape[2])
-        return sigma, u, v
-    # sides beyond FULL_DECOMPOSITION_MAX: one matrix at a time costs
-    # nothing next to the matrix products
-    sigma, u, v = zip(*(_power_pair(m, steps or _PAIR_STEPS) for m in a))
-    return np.array(sigma), np.stack(u), np.stack(v)
+    if max(stack.shape[1:]) > FULL_DECOMPOSITION_MAX:
+        # one matrix at a time costs nothing next to the matrix products
+        sigma, u, v = zip(*(power_pair(m, _PAIR_STEPS) for m in stack))
+        return np.array(sigma), np.stack(u), np.stack(v)
+    if gram:
+        sigma, u, v = _gram_pair(stack)
+    else:
+        u, sv, vt = np.linalg.svd(stack)
+        sigma, u, v = sv[:, 0].copy(), u[:, :, 0].copy(), vt[:, 0, :].copy()
+    zero = sigma == 0.0
+    if zero.any():
+        u[zero] = 0.0
+        v[zero] = _start_vector(stack.shape[2])
+    return sigma, u, v
 
 
 def _gram_pair(a: np.ndarray) -> tuple:
     """(sigma, u, v) of each matrix of an (S, r, c) stack: the top
-    eigenvector of the power-of-two scaled Gram matrix on the smaller side
-    (`_scaled_gram`), the other side from one product with the scaled
-    matrix, and sigma the norm of that product, scaled back.  From Gram
-    side POWER_PAIR_MIN each matrix first tries certified power steps
-    (`_certified_top`); the rest take `eigh`.  A zero matrix gives sigma 0
-    (the caller sets its vectors)."""
+    eigenvector of the Gram matrix on the smaller side of the power-of-two
+    scaled matrix (`pow2_scaled`), the other side from one product with
+    that scaled matrix, and sigma the norm of that product, scaled back.
+    From Gram side POWER_PAIR_MIN each matrix first tries certified power
+    steps (`_certified_top`); the rest take `eigh`.  A zero matrix gives
+    sigma 0 (the caller sets its vectors)."""
     r, c = a.shape[1:]
-    gram, shift = _scaled_gram(a)
+    scaled, shift = pow2_scaled(a)
+    gram = _gram(scaled)
     with np.errstate(under="ignore"):
         top = np.empty(gram.shape[:2])
         todo = np.ones(len(gram), dtype=bool)
@@ -377,7 +387,6 @@ def _gram_pair(a: np.ndarray) -> tuple:
                     top[k], todo[k] = x, False
         if todo.any():
             top[todo] = np.linalg.eigh(gram[todo])[1][:, :, -1]
-        scaled = np.ldexp(a, -shift[:, None, None])
         if r < c:
             other = (top[:, None, :] @ scaled)[:, 0, :]
         else:
@@ -428,9 +437,9 @@ def _certified_top(gram: np.ndarray):
     return None
 
 
-def _power_pair(a: np.ndarray, steps: int) -> tuple:
-    """(sigma, u, v): exactly `steps` power steps on A^T A from
-    _start_vector, then sigma = ||a v|| and u = a v / sigma.
+def power_pair(a: np.ndarray, steps: int) -> tuple:
+    """(sigma, u, v) of one (r, c) matrix: exactly `steps` power steps on
+    A^T A from _start_vector, then sigma = ||a v|| and u = a v / sigma.
 
     No convergence test: sigma is a lower estimate.  When the start vector
     of a nonzero matrix maps to zero, the first step restarts from the

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -150,11 +151,13 @@ class TestRExact01:
 
     def test_branch_and_bound_equals_enumeration(self):
         # exercise the connected-subset search itself against the dumb
-        # oracle, |E| <= 12 and p <= 6
-        from radnorm.bounds import _SubsetSearch
+        # oracle, |E| <= 12 and p <= 6; the star seed and the caps settle
+        # most sets before the recursion, so 100 sets leave it a few dozen
+        from radnorm import bounds
 
         rng = np.random.default_rng(59)
-        for _ in range(30):
+        searched = 0
+        for _ in range(100):
             n = int(rng.integers(2, 7))
             count = int(rng.integers(2, 13))
             allp = [(i, j) for i in range(n) for j in range(n)]
@@ -164,10 +167,15 @@ class TestRExact01:
             m = min(p, len(pairs))
             if m >= len(pairs):
                 continue
-            search = _SubsetSearch(pairs, m, 10 ** 8)
-            assert search.run(global_cap=math.inf)
+            rows, cols = (np.array(x) for x in zip(*pairs))
+            with mock.patch.object(bounds, "top_values", wraps=bounds.top_values) as spy:
+                value, complete, _ = bounds._search_01(rows, cols, m, 10 ** 8)
+            # more than the whole-set value: the recursion scored a leaf
+            searched += spy.call_count > 1
+            assert complete
             E = EdgeSet(n, tuple(pairs))
-            assert search.best == pytest.approx(subgraph_norm_enum(E, p), abs=1e-9)
+            assert value == pytest.approx(subgraph_norm_enum(E, p), abs=1e-9)
+        assert searched >= 10
 
     @pytest.mark.parametrize("E, p, budget", [
         (union_complete(2, 3).matrix, 4, 50),

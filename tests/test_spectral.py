@@ -18,10 +18,11 @@ from radnorm.spectral import (
     _bracket,
     _certified_top,
     _gram,
-    _power_pair,
     _scaled_gram,
     _start_vector,
     max_row_col_l2,
+    power_pair,
+    pow2_scaled,
     spectral_norm,
     top_pair,
     top_value_max,
@@ -30,6 +31,12 @@ from radnorm.spectral import (
 
 #: The stated tolerance of `top_values` against an SVD on sides >= 2.
 KERNEL_RTOL = 16 * np.finfo(float).eps
+
+
+def one_pair(a, gram=False):
+    """`top_pair` of a single matrix, as a stack of one."""
+    sigma, u, v = top_pair(a[None], gram)
+    return float(sigma[0]), u[0], v[0]
 
 
 class TestSpectralNorm:
@@ -92,8 +99,8 @@ class TestSpectralNorm:
 
     def test_deterministic(self):
         a = np.random.default_rng(5).standard_normal((40, 40))
-        sigma1, _, v1 = _power_pair(a, 6)
-        sigma2, _, v2 = _power_pair(a, 6)
+        sigma1, _, v1 = power_pair(a, 6)
+        sigma2, _, v2 = power_pair(a, 6)
         assert sigma1 == sigma2
         assert np.array_equal(v1, v2)
 
@@ -110,8 +117,9 @@ class TestZeroFirstStep:
         assert not (a @ v0).any()
         want = float(np.linalg.svd(a, compute_uv=False)[0])
         assert spectral_norm(WeightMatrix(a)) == pytest.approx(want, rel=1e-12)
-        for steps in (None, 6):
-            sigma, u, v = top_pair(a, steps)
+        # top_pair's own power steps beyond FULL_DECOMPOSITION_MAX, and the
+        # 6 steps the k-sweep takes
+        for sigma, u, v in (one_pair(a), power_pair(a, 6)):
             assert sigma == pytest.approx(want, rel=1e-12)
             assert float(u @ a @ v) == pytest.approx(sigma, rel=1e-12)
 
@@ -354,11 +362,29 @@ class TestTopValueMax:
                 assert np.array_equal(_sample_norms(A, mode, 500, 8, threads), want)
 
 
+class TestPow2Scaled:
+    @pytest.mark.parametrize("j", [-1074, -3, 0, 5, 1000])
+    def test_each_max_lands_in_half_one_exactly(self, j):
+        # one exponent per array of the stack, any trailing shape; a zero
+        # array keeps shift 0, and the scaling is undone exactly
+        rng = np.random.default_rng(abs(j))
+        for shape in ((6, 3, 4), (6, 12)):
+            stack = np.ldexp(rng.uniform(-2.0, 2.0, size=shape), j)
+            stack[1] = 0.0
+            scaled, shift = pow2_scaled(stack)
+            assert scaled.shape == stack.shape and shift.shape == (6,)
+            top = np.abs(scaled).reshape(6, -1).max(axis=1)
+            assert top[1] == 0.0 and shift[1] == 0
+            assert np.all((top[[0, 2, 3, 4, 5]] >= 0.5) & (top[[0, 2, 3, 4, 5]] < 1.0))
+            back = np.ldexp(scaled, shift.reshape((-1,) + (1,) * (stack.ndim - 1)))
+            assert np.array_equal(back, stack)
+
+
 class TestTopPair:
     def test_witnesses_achieve_value(self):
         rng = np.random.default_rng(21)
         a = rng.standard_normal((12, 9))
-        sigma, s, t = top_pair(a)
+        sigma, s, t = one_pair(a)
         assert float(s @ a @ t) == pytest.approx(sigma, rel=1e-10)
         assert sigma == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-12)
         assert np.linalg.norm(s) == pytest.approx(1.0)
@@ -375,7 +401,7 @@ class TestTopPair:
         a = 30.0 * np.outer(x, y) / (np.linalg.norm(x) * np.linalg.norm(y))
         a += rng.standard_normal((n, n)) / math.sqrt(n) * 0.85
         want = np.linalg.svd(a, compute_uv=False)[0]
-        sigma, u, v = top_pair(a)
+        sigma, u, v = one_pair(a)
         assert sigma == pytest.approx(want, rel=1e-9)
         assert float(u @ a @ v) == pytest.approx(sigma, rel=1e-12)
         assert np.linalg.norm(u) == pytest.approx(1.0)
@@ -383,14 +409,14 @@ class TestTopPair:
 
     def test_steps_force_power_path(self):
         a = np.diag([3.0, 1.0, 0.5])
-        sigma, u, v = top_pair(a, steps=6)
+        sigma, u, v = power_pair(a, 6)
         assert sigma == pytest.approx(3.0, rel=1e-4)
         assert sigma <= 3.0 + 1e-12
         assert float(u @ a @ v) == pytest.approx(sigma, rel=1e-12)
 
     def test_zero_step_reports_zero(self):
         # the ramped start vector is mapped to zero after one step
-        sigma, u, v = top_pair(np.zeros((700, 3)))
+        sigma, u, v = one_pair(np.zeros((700, 3)))
         assert sigma == 0.0 and not u.any()
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
@@ -399,11 +425,17 @@ class TestTopPair:
     def test_zero_matrix_on_every_route(self, shape, route):
         # the SVD, Gram and power routes all give sigma 0, u = 0 and the
         # start vector, alone and inside a stack
-        sigma, u, v = top_pair(np.zeros(shape), **route)
-        assert sigma == 0.0 and not u.any()
-        assert np.array_equal(v, _start_vector(shape[1]))
+        def pair(stack):
+            if "steps" in route:
+                return [np.array(x) for x in
+                        zip(*(power_pair(m, route["steps"]) for m in stack))]
+            return top_pair(stack, **route)
+
+        sigma, u, v = pair(np.zeros((1,) + shape))
+        assert sigma[0] == 0.0 and not u[0].any()
+        assert np.array_equal(v[0], _start_vector(shape[1]))
         stack = np.stack([np.ones(shape), np.zeros(shape)])
-        sigma, u, v = top_pair(stack, **route)
+        sigma, u, v = pair(stack)
         assert sigma[0] > 0.0 and sigma[1] == 0.0 and not u[1].any()
         assert np.array_equal(v[1], _start_vector(shape[1]))
 
@@ -418,9 +450,9 @@ class TestTopPair:
         tied = np.kron(np.eye(2), block)
         for a in (np.zeros((n, n)), np.eye(n), tied, tied.T):
             assert _certified_top(_scaled_gram(a[None])[0][0]) is None
-            got = top_pair(a, gram=True)
+            got = one_pair(a, gram=True)
             with mock.patch.object(spectral, "POWER_PAIR_MIN", n + 1):
-                want = top_pair(a, gram=True)
+                want = one_pair(a, gram=True)
             assert got[0] == want[0]
             assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
         for a in (np.outer(x, y), np.outer(x, y)[:, :n - 3], np.outer(x, y)[:n - 3]):
@@ -429,13 +461,13 @@ class TestTopPair:
             factor = y[:a.shape[1]] if a.shape[0] >= a.shape[1] else x[:a.shape[0]]
             factor = factor / np.linalg.norm(factor) * np.sign(factor @ top)
             np.testing.assert_allclose(top, factor, rtol=0, atol=64 * np.finfo(float).eps)
-            sigma, u, v = top_pair(a, gram=True)
+            sigma, u, v = one_pair(a, gram=True)
             assert sigma == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=KERNEL_RTOL)
 
     def test_gram_pair_beyond_full_decomposition_takes_power_steps(self):
         a = np.diag(np.linspace(1.0, 2.0, FULL_DECOMPOSITION_MAX + 1))
-        got = top_pair(a, gram=True)
-        want = top_pair(a)
+        got = one_pair(a, gram=True)
+        want = one_pair(a)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
