@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: profile, mc, family, verify, oracle.  Exit codes: 0 success,
-2 usage or parse error, 3 resource cap, 4 numeric failure.  Outputs are
+2 usage or parse error, 3 resource cap, 4 numeric failure (a non-finite
+number in the output included, which JSON cannot hold).  Outputs are
 deterministic for a fixed flag set; --threads (default from RNL_THREADS)
 only caps workers and never changes a byte of output, so it is not echoed.
 """
@@ -54,7 +55,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    """Write the payload as strict JSON; a non-finite number is a numeric
+    failure (exit 4) and writes nothing."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite number in the output ({exc})") from None
+    _emit(text + "\n", out)
 
 
 def _load_matrix(path: str) -> WeightMatrix:
@@ -95,6 +102,8 @@ def cmd_mc(args) -> int:
     else:
         est = mc_norm(A, args.mode, args.samples, args.seed, threads=args.threads)
     if args.format == "csv":
+        if not (math.isfinite(est.mean) and math.isfinite(est.stderr)):
+            raise FloatingPointError("non-finite number in the output")
         header = "matrix_id,mode,samples,seed,mean,stderr\n"
         _emit(header + est.csv_row(args.matrix_id) + "\n", args.out)
         return EXIT_OK

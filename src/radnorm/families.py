@@ -278,7 +278,12 @@ def block_plus_singletons(n: int, d: int) -> FamilyInstance:
 
 def circulant(b) -> FamilyInstance:
     """Circulant weights a_ij = b_{(i - j) mod n}; every row and column has
-    L2 norm ||b||_2."""
+    L2 norm ||b||_2.
+
+    ||b||_2 and the row and column norms of the self-check are taken of b
+    scaled by 2^-e, max |b_k| = m 2^e with m in [1/2, 1), and scaled back:
+    the squares then neither overflow nor underflow, and at ordinary
+    scales the scaling is exact, so the values keep their bits."""
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
     if n < 1:
@@ -287,11 +292,14 @@ def circulant(b) -> FamilyInstance:
         raise CapExceededError(f"n={n} exceeds the size cap")
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     A = WeightMatrix(b[idx])
-    rn = np.sqrt((A.entries ** 2).sum(axis=1))
-    cn = np.sqrt((A.entries ** 2).sum(axis=0))
-    target = float(np.linalg.norm(b))
-    if not (np.allclose(rn, target) and np.allclose(cn, target)):
+    e = int(np.frexp(np.abs(b).max())[1])
+    scaled = np.ldexp(A.entries, -e)
+    rn = np.sqrt((scaled ** 2).sum(axis=1))
+    cn = np.sqrt((scaled ** 2).sum(axis=0))
+    norm = np.linalg.norm(np.ldexp(b, -e))
+    if not (np.allclose(rn, norm) and np.allclose(cn, norm)):
         raise GenerationError("circulant row/column norm check failed")
+    target = float(np.ldexp(norm, e))
     return FamilyInstance(
         A, "circulant", {"n": n, "b": [float(x) for x in b]},
         max(target, 0.0), "||b||_2",

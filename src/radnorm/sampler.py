@@ -276,16 +276,18 @@ def _sample_norms(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
     return norms
 
 
-def _stderr(norms: np.ndarray) -> float:
-    """Standard error of the mean of `norms`.
+def _mean_stderr(norms: np.ndarray) -> tuple:
+    """Mean and standard error of the mean of `norms`.
 
     Computed on the norms scaled by a power of two that brings the maximum
     into [1/2, 1), then scaled back: exact at ordinary scales, and free of
-    overflow and underflow at extreme ones.
+    overflow and underflow at extreme ones, where the sum of finite norms
+    would pass the float range.
     """
     _, e = np.frexp(norms.max())
     scaled = np.ldexp(norms, -e)
-    return float(np.ldexp(scaled.std(ddof=1) / math.sqrt(norms.size), e))
+    return (float(np.ldexp(scaled.mean(), e)),
+            float(np.ldexp(scaled.std(ddof=1) / math.sqrt(norms.size), e)))
 
 
 def mc_norm(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
@@ -297,7 +299,7 @@ def mc_norm(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
     if samples < 16:
         raise ValueError("need at least 16 samples")
     norms = _sample_norms(A, mode, samples, seed, threads)
-    return McEstimate(float(norms.mean()), _stderr(norms), samples, seed, mode)
+    return McEstimate(*_mean_stderr(norms), samples, seed, mode)
 
 
 def mc_norm_moments(A: WeightMatrix | EdgeSet, p_list, samples: int, seed: int,
@@ -317,8 +319,7 @@ def mc_norm_moments(A: WeightMatrix | EdgeSet, p_list, samples: int, seed: int,
         raise ValueError(f"mode must be one of {MODES}")
     norms = _sample_norms(A, mode, samples, seed, threads)
     moments = {p: power_mean_estimate(norms, p) for p in p_list}
-    return McEstimate(float(norms.mean()), _stderr(norms), samples, seed, mode,
-                      moments)
+    return McEstimate(*_mean_stderr(norms), samples, seed, mode, moments)
 
 
 def exact_small_norm_expectation(A: WeightMatrix | EdgeSet, mode: str) -> float:
@@ -326,13 +327,20 @@ def exact_small_norm_expectation(A: WeightMatrix | EdgeSet, mode: str) -> float:
 
     Only Rademacher modes enumerate; the cap is 24 independent signs.  The
     global sign flip preserves the norm, so half the patterns suffice.
+    The norms are summed scaled by 2^-e, max |a_ij| = m 2^e with m in
+    [1/2, 1), and the mean is scaled back: every norm is at least max
+    |a_ij|, so no scaled norm underflows and their sum cannot overflow,
+    and both scalings are exact wherever the unscaled sum is.
     """
     if mode not in ("rademacher_iid", "rademacher_symmetric"):
         raise ValueError("exact enumeration supports the Rademacher modes only")
-    k, plan = _norm_plan(*_cells(A), mode)
+    shape, rows, cols, values = _cells(A)
+    k, plan = _norm_plan(shape, rows, cols, values, mode)
     if k == 0:
         return 0.0
     if k > EXACT_SIGNS_CAP:
         raise CapExceededError(f"{k} independent signs exceed the cap {EXACT_SIGNS_CAP}")
-    total = sum(float(_batch_norms(signs, plan).sum()) for signs in sign_patterns(k))
-    return total / (1 << (k - 1))
+    e = int(np.frexp(np.abs(values).max())[1])
+    total = sum(float(np.ldexp(_batch_norms(signs, plan), -e).sum())
+                for signs in sign_patterns(k))
+    return float(np.ldexp(total / (1 << (k - 1)), e))

@@ -6,8 +6,9 @@ Every scenario emits a ScenarioReport with one record per grid point.
 Records always carry the seed and sample count that produced them, the
 cheap bound terms, and the ratio of the Monte Carlo mean to the predicted
 scale; the summary is the min, max, and spread (max over min) of those
-ratios.  All predicted scales are constant-free, so only the spread is
-meaningful, never the absolute level.
+ratios (the spread is null when the smallest ratio is 0).  All predicted
+scales are constant-free, so only the spread is meaningful, never the
+absolute level.
 
 A family point hands the instance's own matrix to the sampler and to the
 cheap bounds.  A 0/1 family is an EdgeSet, and both read its index
@@ -86,7 +87,7 @@ def _summarize(points: list, ratio_key: str = "ratio") -> dict:
     return {
         "min_ratio": lo,
         "max_ratio": hi,
-        "spread": hi / lo if lo > 0 else math.inf,
+        "spread": hi / lo if lo > 0 else None,
     }
 
 

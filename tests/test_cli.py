@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -184,7 +185,7 @@ class TestMcCommand:
         assert main(["mc", "--input", k3_file, "--samples", "100",
                      "--threads", threads]) == 2
 
-    @pytest.mark.parametrize("scale", [1e10, 1e-12])
+    @pytest.mark.parametrize("scale", [1e10, 1e-12, 1e306])
     def test_moments_finite_at_extreme_scale(self, tmp_path, scale):
         path = tmp_path / "m.json"
         dump_json(WeightMatrix(scale * np.ones((3, 3))), path)
@@ -226,6 +227,13 @@ class TestFamilyCommand:
         )
         assert code == 0
         assert payload["instance"]["payload"]["entries"][0] == [0.0, 1.0, 1.0]
+        # ||b||_2 and the self-check's row and column norms would overflow
+        # unscaled
+        code, payload = run_json(
+            ["family", "--family", "circulant", "--b", "1e200,1e200,0"], tmp_path
+        )
+        assert code == 0
+        assert payload["instance"]["predicted"] == pytest.approx(math.sqrt(2) * 1e200)
 
     def test_infeasible_exit_2(self, tmp_path):
         assert main(["family", "--family", "large_girth", "--n", "5", "--d", "4",
@@ -298,6 +306,35 @@ class TestOracleCommand:
         )
         assert code == 0
         assert payload["value"] == pytest.approx((2 + math.sqrt(2)) / 2)
+        # 256 sign patterns whose norms, unscaled, sum past the float range
+        values = []
+        for j in (0, 1016):
+            dump_json(WeightMatrix(np.ldexp(np.ones((3, 3)), j)), mpath)
+            code, payload = run_json(
+                ["oracle", "--input", str(mpath), "--quantity", "exact_expectation"],
+                tmp_path,
+            )
+            assert code == 0
+            values.append(payload["value"])
+        assert values[1] == np.ldexp(values[0], 1016)
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--quantity", "exact_expectation"],
+        ["mc", "--format", "csv", "--samples", "64"],
+    ])
+    def test_non_finite_value_exit_4(self, k3_file, tmp_path, capsys, monkeypatch, argv):
+        # JSON has no Infinity or NaN, and a CSV line carries none either:
+        # a non-finite value is a numeric failure and prints nothing
+        est = cli.mc_norm(WeightMatrix(np.ones((3, 3))), "rademacher_iid", 64, 1)
+        monkeypatch.setattr(cli, "exact_small_norm_expectation", lambda A, mode: math.inf)
+        monkeypatch.setattr(cli, "mc_norm", lambda *a, **k: dataclasses.replace(
+            est, mean=math.inf))
+        for out in ([], ["--out", str(tmp_path / "out.txt")]):
+            assert main(argv + ["--input", k3_file] + out) == 4
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("quantity", ["subgraph_norm", "x_quantity"])
     @pytest.mark.parametrize("p", ["inf", "-inf", "nan"])

@@ -109,13 +109,15 @@ class TestMcNorm:
             assert est.mean == 2.5 and est.stderr == 0.0
 
     def test_stderr_scales_exactly_at_extreme_weights(self):
-        # the parent code gave inf at 1e200 and 0.0 at 1e-200
-        base = mc_norm(ALL_ONES_2, "rademacher_iid", 64, 1).stderr
-        base_moments = mc_norm_moments(ALL_ONES_2, [2], 128, 1).stderr
-        for j in (-700, -660, 660, 700):
+        # unscaled, the squares gave inf at 1e200 and 0.0 at 1e-200, and at
+        # 2^1015 the 1,024 norms of about 2^1016 sum past the float range
+        for j, samples in ((-700, 64), (-660, 64), (660, 64), (700, 64), (1015, 1024)):
             A = WeightMatrix(np.ldexp(np.ones((2, 2)), j))
-            assert mc_norm(A, "rademacher_iid", 64, 1).stderr == np.ldexp(base, j)
-            assert mc_norm_moments(A, [2], 128, 1).stderr == np.ldexp(base_moments, j)
+            for run in (lambda B: mc_norm(B, "rademacher_iid", samples, 1),
+                        lambda B: mc_norm_moments(B, [2], 2 * samples, 1)):
+                base, got = run(ALL_ONES_2), run(A)
+                assert got.mean == np.ldexp(base.mean, j)
+                assert got.stderr == np.ldexp(base.stderr, j)
 
     def test_symmetric_mode_requires_square(self):
         with pytest.raises(ValueError):

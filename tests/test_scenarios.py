@@ -116,3 +116,11 @@ def test_report_round_trips_to_json():
     back = json.loads(text)
     assert back["scenario"] == "circulant_chain"
     assert len(back["points"]) == len(rep.points)
+
+
+def test_summary_spread_is_null_when_the_smallest_ratio_is_zero():
+    # hi / 0 has no JSON value; a missing ratio is skipped
+    points = [{"ratio": 0.0}, {"ratio": 2.0}, {"ratio": None}]
+    assert scenarios._summarize(points) == {"min_ratio": 0.0, "max_ratio": 2.0,
+                                            "spread": None}
+    assert scenarios._summarize(points[1:])["spread"] == 1.0
