@@ -17,7 +17,7 @@ code differs; a new or missing key is named, and the keys both sides hold
 are still compared.  Run `diff` before re-recording a change that moves low-order
 bits, to show every command is within the stated tolerance.  `--jobs N`
 runs the commands in N worker processes.
-tests/test_golden.py checks the 86 commands marked fast, each about a
+tests/test_golden.py checks the 89 commands marked fast, each about a
 second or less: inputs of side <= 16, plus the n = 128 one-magnitude profile
 `bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
 enumerated and greedy rows on its 0/1 support, the general-weight
@@ -29,14 +29,17 @@ the pruned block maximum, `verify block_counterexample
 --n-cap 64`, whose k-sweep masks the support's index arrays, and the
 `family` and `oracle` commands.
 
-The 206 commands cover every square input of side <= 64 in the three
+The 209 commands cover every square input of side <= 64 in the three
 corpora (default flags, --exact-threshold 150 and --restarts 1), the
 benchmark's profile and Monte Carlo operations, --budget-cap,
 --exact-threshold and --seed variants, scaled and one-magnitude inputs,
 the path P3 and the cycle C4, `mc` in all three modes, `mc` in
 symmetric mode on a directed edge list with diagonal pairs, every `verify`
 scenario, one small `family` instance per generator, the three `oracle`
-quantities, and the error exits.
+quantities, three commands whose sums of finite values pass the float
+range unscaled (`mc` and `oracle exact_expectation` on 1e306 times the
+3x3 all-ones matrix, `family circulant --b 1e200,1e200,0`), and the error
+exits.
 
 Commands run in-process through `radnorm.cli.main`, with input files
 written to `inputs/` under a scratch working directory (default
@@ -109,6 +112,9 @@ def _inputs() -> dict:
         "scaled.sym_gauss_n12_huge":
             WeightMatrix(1e200 * sym["sym_gauss_n12"].entries, symmetric=True),
         "scaled.uc_m4_d2_huge": WeightMatrix(1e250 * uc),
+        # near the top of the float range: every norm is finite, but a sum
+        # of them is not unless it is scaled
+        "scaled.ones3_1e306": WeightMatrix(1e306 * np.ones((3, 3))),
         "P3": WeightMatrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
                            symmetric=True),
         "C4": EdgeSet.from_one_based(4, [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3),
@@ -257,6 +263,16 @@ def commands() -> list:
          "--mode", "rademacher_symmetric"], True)
     add("oracle.x_quantity.P3", ["oracle", "--input", _path("P3"),
                                  "--quantity", "x_quantity"], True)
+
+    # extreme scales: sums of finite values that would overflow unscaled
+    add("mc.rademacher_iid.scaled.ones3_1e306",
+        ["mc", "--input", _path("scaled.ones3_1e306"), "--mode", "rademacher_iid",
+         "--samples", "1000"], True)
+    add("oracle.exact_expectation.scaled.ones3_1e306",
+        ["oracle", "--input", _path("scaled.ones3_1e306"), "--quantity",
+         "exact_expectation"], True)
+    add("family.circulant.huge", ["family", "--family", "circulant",
+                                  "--b", "1e200,1e200,0"], True)
 
     # error exits: parse and usage errors (2) and resource caps (3)
     add("error.missing_input", ["profile", "--input", "inputs/missing.json"], True)
