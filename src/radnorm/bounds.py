@@ -8,6 +8,15 @@ magnitude c is solved on its support and scaled by c), a surrogate-ascent
 heuristic bracket for general weights, and the k-sweep term
 max_k min_{|I| <= k} R(Log k) of the two-sided profile.
 
+Every term is positively homogeneous of degree one.  `bound_profile`,
+`r_heuristic` and `ksweep_term` each scale their input by a power of two
+to max |a_ij| in [1/2, 1), with the exponent from `spectral.pow2_scaled`
+(the library's one exponent chooser), and scale their values back.  So
+every absolute tie band (the 1e-12 of the k-sweep's minimum, the exact
+search and the ascent's stopping test) compares unit-scale numbers, no
+square overflows or underflows, and a power-of-two multiple of the input
+gives the same multiple of every value, bit for bit.
+
 Values that are only correct up to universal constants carry
 loose_constants=True; nothing here silently presents a surrogate as
 sharp.
@@ -27,8 +36,8 @@ from .moments import hitczenko_surrogate, surrogate_sorted, water_fill_scale
 # the benchmark tracer (perfbench/spans.py) wraps `bounds.water_fill` as its
 # water-fill span, so the name stays bound here
 from .moments import water_fill  # noqa: F401
-from .spectral import (FULL_DECOMPOSITION_MAX, max_row_col_l2, power_pair, top_pair,
-                       top_values)
+from .spectral import (FULL_DECOMPOSITION_MAX, max_row_col_l2, pow2_scaled, power_pair,
+                       top_pair, top_values)
 from . import streams
 
 
@@ -57,9 +66,6 @@ class EngineConfig:
 EXACT_FULL_N = 16       # full estimator on every enumerated subset up to this n
 GREEDY_STEP_CAP = 256   # greedy removal chain length cap
 SHORTLIST_SIZE = 32     # candidate removals scored per greedy step
-# beyond 2^(+-400), bound_profile rescales: every square and sum of squares
-# then stays normal up to side 8192 (2^800 * 2^26 < 2^1023, 2^-802 > 2^-1022)
-PROFILE_EXPONENT_MAX = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +112,16 @@ class BoundInputs(NamedTuple):
     max_abs: float
     off_max: float  # largest off-diagonal |a_ij|
     degree: int     # max degree of the support graph
+
+
+def _unit_scaled(A: WeightMatrix) -> tuple:
+    """(B, e) with A = 2^e B and max |b_ij| in [1/2, 1) (`pow2_scaled`; a
+    zero matrix keeps e = 0).  Every estimator of the profile is positively
+    homogeneous of degree one, so each runs on B, where its absolute tie
+    bands compare unit-scale numbers and no square overflows or
+    underflows, and scales its values back by 2^e, exactly."""
+    scaled, shift = pow2_scaled(A.entries[None])
+    return WeightMatrix(scaled[0], symmetric=A.symmetric), int(shift[0])
 
 
 def bound_inputs(A: WeightMatrix | EdgeSet) -> BoundInputs:
@@ -463,19 +479,21 @@ def r_heuristic(A: WeightMatrix, p: float, restarts: int = 3, seed: int = 0,
     alternating ascent (`_ascent` on a stack of one: optimal dual weights
     by water-filling, then the top singular pair of the reweighted
     matrix, from the Gram route unless A is exactly symmetric).  upper:
-    the crude cap row_max + col_max + sqrt(p) max|a|.
+    the crude cap row_max + col_max + sqrt(p) max|a|.  Both are taken of A
+    at unit scale (`_unit_scaled`) and scaled back.
     Both are constant-level values; loose_constants is always set.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     if restarts < 1:
         raise ValueError("restarts must be positive")
+    A, e = _unit_scaled(A)
     a = A.entries
     row, col = max_row_col_l2(A)
     upper = row + col + math.sqrt(p) * A.max_abs()
     lower = float(_ascent(a[None], p, restarts, seed, max_iters)[0]) if a.any() else 0.0
-    return RBracket(float(p), lower, upper, "heuristic",
-                    certified=False, loose_constants=True)
+    return RBracket(float(p), float(np.ldexp(lower, e)), float(np.ldexp(upper, e)),
+                    "heuristic", certified=False, loose_constants=True)
 
 
 def _magnitude(stack: np.ndarray) -> np.ndarray:
@@ -607,7 +625,9 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
     coordinate z zeroed and the pair renormalized, every shortlisted z
     scored from one base |a o u v^T| and one partial sort of it
     (`_shortlist_scores`, within a few eps of scoring each zeroed pair on
-    its own).  Returns the removal order (length <= steps).
+    its own).  Returns the removal order: at most `steps` removals, except
+    that once the remaining submatrix is zero every remaining index is
+    appended.
     """
     n = A.n_rows
     keep = list(range(n))
@@ -674,15 +694,16 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
     beyond, only the winner of the cheap search score does.  On a
     one-magnitude support that score is the best value of the exact search
     on the support's index arrays with the removed rows and columns masked
-    out (`_support_lower`).
+    out (`_support_lower`).  The sweep runs on A at unit scale
+    (`_unit_scaled`), and each published min is scaled back.
     """
     if not A.is_square:
         raise ValueError("k-sweep needs a square matrix")
+    A, e = _unit_scaled(A)
     n = A.n_rows
     on_support = not np.isnan(_magnitude(A.entries[None])[0])
     rows, cols = np.nonzero(A.entries)
     table = []
-    chains: dict = {}
     published: dict = {}  # p -> best (smallest) value so far at that moment
     for k in k_grid(n):
         p = log_clamped(k)
@@ -709,11 +730,7 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
                 mode = "enumerated"
         else:
             steps = min(k, GREEDY_STEP_CAP)
-            chain = chains.get(p)
-            if chain is None or len(chain) < steps:
-                chain = _greedy_chain(A, p, steps, on_support, config)
-                chains[p] = chain
-            removed = chain[:steps]
+            removed = _greedy_chain(A, p, steps, on_support, config)[:steps]
             keep = _complement(n, removed)
             value = _full_estimates(A, [keep], p, config)[0]
             mode = "greedy" if steps >= k else "greedy_truncated"
@@ -725,7 +742,7 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
                 "k": k,
                 "moment": p,
                 "removed": [i + 1 for i in removed],
-                "value": value,
+                "value": float(np.ldexp(value, e)),
                 "mode": mode,
             }
         )
@@ -792,16 +809,15 @@ class BoundProfile:
 def bound_profile(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> BoundProfile:
     """Evaluate every named bound and the two-sided profile for A.
 
-    When max|a_ij| = m 2^e with m in [1/2, 1) and |e| > PROFILE_EXPONENT_MAX,
-    the bounds are taken of 2^-e A and every magnitude is scaled back by 2^e.
+    The bounds are taken of A at unit scale, A = 2^e B with max |b_ij| in
+    [1/2, 1) (`_unit_scaled`), and every magnitude is scaled back by 2^e,
+    so the profile of 2^j A is 2^j times that of A, field by field, for
+    every j that keeps each nonzero entry a normal float and every value
+    finite.
     """
     if not A.is_square:
         raise ValueError("bound profiles are defined for square matrices")
-    e = math.frexp(A.max_abs())[1]
-    if abs(e) > PROFILE_EXPONENT_MAX:
-        A = WeightMatrix(np.ldexp(A.entries, -e), symmetric=A.symmetric)
-    else:
-        e = 0
+    A, e = _unit_scaled(A)
 
     def up(x):
         return float(np.ldexp(x, e))

@@ -194,7 +194,8 @@ def cmd_oracle(args) -> int:
         # |F| <= floor(p), as in r_exact_01
         value = subgraph_norm_enum(obj, math.floor(args.p))
     elif args.quantity == "exact_expectation":
-        value = exact_small_norm_expectation(_load_matrix(args.input), args.mode)
+        # an edge list's pairs are the cells, as in `mc`
+        value = exact_small_norm_expectation(load_input(args.input), args.mode)
     elif args.quantity == "x_quantity":
         value = x_quantity(_load_matrix(args.input))
     else:

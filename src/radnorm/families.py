@@ -27,6 +27,7 @@ from .core import (
     is_tangle_free,
     log_clamped,
 )
+from .spectral import pow2_scaled
 
 
 #: Pairing-model restarts in random_regular; draws per n * d in _random_insertion.
@@ -281,9 +282,9 @@ def circulant(b) -> FamilyInstance:
     L2 norm ||b||_2.
 
     ||b||_2 and the row and column norms of the self-check are taken of b
-    scaled by 2^-e, max |b_k| = m 2^e with m in [1/2, 1), and scaled back:
-    the squares then neither overflow nor underflow, and at ordinary
-    scales the scaling is exact, so the values keep their bits."""
+    scaled by a power of two to max |b_k| in [1/2, 1) (`pow2_scaled`), and
+    scaled back: the squares then neither overflow nor underflow, and at
+    ordinary scales the scaling is exact, so the values keep their bits."""
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
     if n < 1:
@@ -292,11 +293,11 @@ def circulant(b) -> FamilyInstance:
         raise CapExceededError(f"n={n} exceeds the size cap")
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     A = WeightMatrix(b[idx])
-    e = int(np.frexp(np.abs(b).max())[1])
-    scaled = np.ldexp(A.entries, -e)
+    unit, (e,) = pow2_scaled(b[None])
+    scaled = unit[0][idx]
     rn = np.sqrt((scaled ** 2).sum(axis=1))
     cn = np.sqrt((scaled ** 2).sum(axis=0))
-    norm = np.linalg.norm(np.ldexp(b, -e))
+    norm = np.linalg.norm(unit[0])
     if not (np.allclose(rn, norm) and np.allclose(cn, norm)):
         raise GenerationError("circulant row/column norm check failed")
     target = float(np.ldexp(norm, e))

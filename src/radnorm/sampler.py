@@ -280,12 +280,11 @@ def _mean_stderr(norms: np.ndarray) -> tuple:
     """Mean and standard error of the mean of `norms`.
 
     Computed on the norms scaled by a power of two that brings the maximum
-    into [1/2, 1), then scaled back: exact at ordinary scales, and free of
-    overflow and underflow at extreme ones, where the sum of finite norms
-    would pass the float range.
+    into [1/2, 1) (`pow2_scaled`), then scaled back: exact at ordinary
+    scales, and free of overflow and underflow at extreme ones, where the
+    sum of finite norms would pass the float range.
     """
-    _, e = np.frexp(norms.max())
-    scaled = np.ldexp(norms, -e)
+    scaled, (e,) = pow2_scaled(norms[None])
     return (float(np.ldexp(scaled.mean(), e)),
             float(np.ldexp(scaled.std(ddof=1) / math.sqrt(norms.size), e)))
 
@@ -327,10 +326,11 @@ def exact_small_norm_expectation(A: WeightMatrix | EdgeSet, mode: str) -> float:
 
     Only Rademacher modes enumerate; the cap is 24 independent signs.  The
     global sign flip preserves the norm, so half the patterns suffice.
-    The norms are summed scaled by 2^-e, max |a_ij| = m 2^e with m in
-    [1/2, 1), and the mean is scaled back: every norm is at least max
-    |a_ij|, so no scaled norm underflows and their sum cannot overflow,
-    and both scalings are exact wherever the unscaled sum is.
+    The norms are summed scaled by 2^-e, the exponent `pow2_scaled` takes
+    to bring max |a_ij| into [1/2, 1), and the mean is scaled back: every
+    norm is at least max |a_ij|, so no scaled norm underflows and their sum
+    cannot overflow, and both scalings are exact wherever the unscaled sum
+    is.  An EdgeSet's cells are its pairs, each of weight 1, as in `mc`.
     """
     if mode not in ("rademacher_iid", "rademacher_symmetric"):
         raise ValueError("exact enumeration supports the Rademacher modes only")
@@ -340,7 +340,7 @@ def exact_small_norm_expectation(A: WeightMatrix | EdgeSet, mode: str) -> float:
         return 0.0
     if k > EXACT_SIGNS_CAP:
         raise CapExceededError(f"{k} independent signs exceed the cap {EXACT_SIGNS_CAP}")
-    e = int(np.frexp(np.abs(values).max())[1])
+    _, (e,) = pow2_scaled(values[None])
     total = sum(float(np.ldexp(_batch_norms(signs, plan), -e).sum())
                 for signs in sign_patterns(k))
     return float(np.ldexp(total / (1 << (k - 1)), e))

@@ -3,11 +3,11 @@ of a stack, and singular pairs.
 
 Every top singular value or pair the library needs comes from here.
 `top_values` takes a (..., r, c) stack and returns each matrix's largest
-singular value: a vector 2-norm when a side is 1 (max-scaled where the
-squares would overflow or underflow), and otherwise the square root of
-the top eigenvalue of the Gram matrix on the smaller side (numpy's
-`eigvalsh`).  Every matrix is first scaled by a power of two so that its
-max |a_ij| lies in [1/2, 1): the squares neither overflow nor underflow,
+singular value: a vector 2-norm when a side is 1, and otherwise the
+square root of the top eigenvalue of the Gram matrix on the smaller side
+(numpy's `eigvalsh`).  Every matrix, vectors included, is first scaled by
+a power of two so that its max |a_ij| lies in [1/2, 1): the squares
+neither overflow nor underflow,
 the scaling adds no rounding, and a matrix and its power-of-two
 multiples give `eigvalsh` the same Gram matrix, so their values scale
 exactly (`eigvalsh` itself does not: on some sign-structured Gram
@@ -129,9 +129,14 @@ Power steps live in `power_pair` alone; `spectral_norm` is `top_values` at
 every side.  Choosing a different method per shape is a change to this
 module only.
 
-Every power-of-two scaling of a stack, one exponent per matrix, is
-`pow2_scaled`: `top_values`, `top_value_max` and the Gram pair scale
-through it, and so does the sampler's plan for its Rademacher blocks.
+`pow2_scaled` is the library's one exponent chooser: every power-of-two
+scale, one exponent per array, comes from it.  `top_values` (both
+routes), `top_value_max` and the Gram pair scale through it; so do the
+sampler's plan for its Rademacher blocks, its mean and its exact-expectation
+sum, the circulant family's self-check, and the profile engine
+(`bounds.bound_profile`, `r_heuristic` and `ksweep_term` each work on their
+input at unit scale and scale their values back).  `frexp` appears in this
+module alone (`tests/test_structure.py`).
 
 The brute-force oracles in `oracles` keep a plain SVD of their own on
 purpose (`oracles.top_singular_value`): they are the independent route
@@ -167,9 +172,6 @@ _CERTIFY_SIN = 64 * np.finfo(float).eps
 #: keeps the bits (see the module docstring).
 CONTIGUOUS_T_MAX = 11
 
-#: Vector norms outside [1 / this, this] are recomputed with max scaling.
-_SQUARE_SAFE = 2.0 ** 500
-
 #: Elements of the (..., r, c) stack `top_values` takes per Gram eigensolve:
 #: about 1 MB of float64, which also bounds each slice's Gram matrices.
 _GRAM_SLICE = 1 << 17
@@ -202,15 +204,9 @@ def top_values(stack: np.ndarray) -> np.ndarray:
     r, c = stack.shape[-2:]
     if r > 1 and c > 1:
         return _gram_top(stack.reshape(-1, r, c)).reshape(stack.shape[:-2])
-    flat = stack.reshape(-1, r * c)
-    with np.errstate(over="ignore", under="ignore"):
-        out = np.sqrt((flat * flat).sum(axis=1))
-        # far from 1 the squares overflow or lose bits: redo those rows scaled
-        far = ~(out < _SQUARE_SAFE) | (out < 1.0 / _SQUARE_SAFE)
-        if far.any():
-            top = np.abs(flat[far]).max(axis=1, keepdims=True)
-            top[top == 0.0] = 1.0
-            out[far] = top[:, 0] * np.sqrt(((flat[far] / top) ** 2).sum(axis=1))
+    scaled, shift = pow2_scaled(stack.reshape(-1, r * c))
+    with np.errstate(under="ignore"):
+        out = np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), shift)
     return out.reshape(stack.shape[:-2])
 
 

@@ -386,6 +386,29 @@ class TestProfileInvariance:
             got = bound_profile(WeightMatrix(np.ldexp(a, j))).lower_profile
             assert got == np.ldexp(base, j)
 
+    def test_r_heuristic_is_finite_and_exact_at_2_700(self):
+        # the squares of 2^700 a overflow unless the input is normalized
+        a = dict(corpus_mixed())["dense_gauss_n16"].entries
+        base = r_heuristic(WeightMatrix(a), 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = r_heuristic(WeightMatrix(np.ldexp(a, 700)), 3.0)
+        assert math.isfinite(got.upper)
+        assert got.lower == np.ldexp(base.lower, 700)
+        assert got.upper == np.ldexp(base.upper, 700)
+
+    def test_ksweep_term_is_finite_and_exact_at_2_700(self):
+        a = dict(corpus_mixed())["dense_gauss_n16"].entries
+        config = EngineConfig(exact_threshold=20)  # exact and greedy rows
+        value, table = ksweep_term(WeightMatrix(a), config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_table = ksweep_term(WeightMatrix(np.ldexp(a, 700)), config)
+        assert math.isfinite(got)
+        assert got == np.ldexp(value, 700)
+        assert got_table == [{**row, "value": float(np.ldexp(row["value"], 700))}
+                             for row in table]
+
     @pytest.mark.parametrize("j", [-660, 660])
     def test_extreme_scale_is_exact_and_finite(self, j):
         # general weights with max|a| in [1/2, 1); the low threshold gives

@@ -318,6 +318,21 @@ class TestOracleCommand:
             values.append(payload["value"])
         assert values[1] == np.ldexp(values[0], 1016)
 
+    @pytest.mark.parametrize("mode", ["rademacher_iid", "rademacher_symmetric"])
+    def test_exact_expectation_reads_an_edge_list_as_it_is(self, tmp_path, monkeypatch,
+                                                           mode):
+        # the sampler reads the pairs as cells, as `mc` does: no dense 0/1
+        # matrix, and the value of the indicator matrix bit for bit
+        E = EdgeSet(4, ((0, 1), (1, 0), (1, 2), (2, 2), (3, 0)))
+        epath = tmp_path / "e.json"
+        dump_json(E, epath)
+        want = cli.exact_small_norm_expectation(E.indicator(), mode)
+        monkeypatch.setattr(EdgeSet, "indicator", None)
+        code, payload = run_json(["oracle", "--input", str(epath), "--quantity",
+                                  "exact_expectation", "--mode", mode], tmp_path)
+        assert code == 0
+        assert payload["value"] == want
+
     @pytest.mark.parametrize("argv", [
         ["oracle", "--quantity", "exact_expectation"],
         ["mc", "--format", "csv", "--samples", "64"],

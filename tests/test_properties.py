@@ -29,14 +29,15 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radnorm import sampler, streams
 from radnorm.scenarios import _cheap_bounds
 from radnorm.bounds import (EngineConfig, _exact_01, _search_01, _support_lower,
-                            r_exact_01)
+                            bound_profile, r_exact_01)
 from radnorm.core import EdgeSet, WeightMatrix, derive_graph, max_support_degree
+from radnorm.corpus import corpus_mixed
 from radnorm.oracles import subgraph_norm_enum, top_singular_value
 from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation, mc_norm
 from radnorm.spectral import top_pair, top_value_max, top_values
@@ -423,3 +424,55 @@ def test_edge_set_route_equals_the_indicator_route(case):
             got = exact_small_norm_expectation(E, mode)
             assert repr(got) == repr(exact_small_norm_expectation(A, mode))
     assert repr(_cheap_bounds(E)) == repr(_cheap_bounds(A))
+
+
+#: Profile fields that are not magnitudes: the moments and the counts.
+NOT_MAGNITUDES = frozenset({"p", "moment", "n", "degree", "k"})
+
+
+def scaled_profile(d, j, key=None):
+    """A profile's JSON dict with every magnitude multiplied by 2^j."""
+    if isinstance(d, dict):
+        return {k: scaled_profile(v, j, k) for k, v in d.items()}
+    if isinstance(d, list):
+        return [scaled_profile(v, j, key) for v in d]
+    if isinstance(d, float) and key not in NOT_MAGNITUDES:
+        return float(np.ldexp(d, j))
+    return d
+
+
+@st.composite
+def profile_cases(draw):
+    """(a, symmetric, j, exact_threshold): generic general weights of side
+    2 to 6 (Gaussian, about a third of them zero), symmetric or not, and a
+    power j that keeps every nonzero 2^j a_ij a normal float and every
+    profile value finite; the thresholds give greedy as well as exact
+    k-sweep rows."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.7)
+    symmetric = draw(st.booleans())
+    if symmetric:
+        a = np.triu(a) + np.triu(a, 1).T
+    mags = np.abs(a[a != 0.0])
+    assume(mags.size and mags.min() < mags.max())
+    low, high = np.frexp(mags.min())[1], np.frexp(mags.max())[1]
+    j = draw(st.integers(-1021 - low, 1000 - high))
+    return a, symmetric, j, draw(st.sampled_from([0, 4, 2000]))
+
+
+DENSE_GAUSS_N16 = dict(corpus_mixed())["dense_gauss_n16"].entries
+
+
+# each example takes two profiles, about 0.1 s
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(case=profile_cases())
+# at 2^-40 the k-sweep's 1e-12 band once removed index 1 at k = 1, not 5
+@example(case=(DENSE_GAUSS_N16, False, -40, 150))
+def test_profile_scales_exactly_by_powers_of_two(case):
+    a, symmetric, j, threshold = case
+    config = EngineConfig(exact_threshold=threshold)
+    base = bound_profile(WeightMatrix(a, symmetric=symmetric), config).to_json_dict()
+    got = bound_profile(WeightMatrix(np.ldexp(a, j), symmetric=symmetric),
+                        config).to_json_dict()
+    assert got == scaled_profile(base, j)

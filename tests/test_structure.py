@@ -1,9 +1,10 @@
 """Structural guard: each duplicated numeric decision lives in one module.
 
 Top singular values and pairs come from the spectral kernel, and the
-brute-force oracles keep their own independent SVD.  Exhaustive sign
-patterns come from `core.sign_patterns`, and breadth-first search from
-`core.bfs_distances`.  A new copy of any of them elsewhere in the package
+brute-force oracles keep their own independent SVD.  Every power-of-two
+exponent is chosen by `spectral.pow2_scaled`, so `frexp` is named in the
+kernel alone.  Exhaustive sign patterns come from `core.sign_patterns`,
+and breadth-first search from `core.bfs_distances`.  A new copy of any of them elsewhere in the package
 fails here, so a change of method stays a one-file change.  Edge sets are
 built only where a support enters or leaves the program (input, families,
 output).  Past that point a support travels as the edge set itself or as
@@ -43,6 +44,7 @@ RULES = {
     "edge-set construction": (re.compile(r"\bEdgeSet(\(|\.from_)"),
                               {"core.py", "families.py", "cli.py", "matio.py"}),
     "scipy import": (re.compile(r"\bscipy\b"), {"streams.py"}),
+    "power-of-two exponent": (re.compile(r"\bfrexp\b"), {"spectral.py"}),
 }
 
 
@@ -52,7 +54,8 @@ DELETED = ("trace_power_norm", "neighborhood_sets", "LevelSets", "level_sets",
            "sign_bilinear_max", "SignBilinearResult", "SIGN_SIDE_CAP",
            "witness_s", "witness_t", "_pairs_norm", "best_set",
            "_proxy_after_removal", "off_diagonal_max_abs", "_surrogate_stack",
-           "_SubsetSearch", "_BudgetExhausted", "_CapReached", "_surrogate_at")
+           "_SubsetSearch", "_BudgetExhausted", "_CapReached", "_surrogate_at",
+           "PROFILE_EXPONENT_MAX", "_SQUARE_SAFE")
 
 
 def code_only(path: pathlib.Path) -> str:
