@@ -17,7 +17,7 @@ code differs; a new or missing key is named, and the keys both sides hold
 are still compared.  Run `diff` before re-recording a change that moves low-order
 bits, to show every command is within the stated tolerance.  `--jobs N`
 runs the commands in N worker processes.
-tests/test_golden.py checks the 89 commands marked fast, each about a
+tests/test_golden.py checks the 90 commands marked fast, each about a
 second or less: inputs of side <= 16, plus the n = 128 one-magnitude profile
 `bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
 enumerated and greedy rows on its 0/1 support, the general-weight
@@ -29,10 +29,12 @@ the pruned block maximum, `verify block_counterexample
 --n-cap 64`, whose k-sweep masks the support's index arrays, and the
 `family` and `oracle` commands.
 
-The 209 commands cover every square input of side <= 64 in the three
+The 210 commands cover every square input of side <= 64 in the three
 corpora (default flags, --exact-threshold 150 and --restarts 1), the
 benchmark's profile and Monte Carlo operations, --budget-cap,
---exact-threshold and --seed variants, scaled and one-magnitude inputs,
+--exact-threshold and --seed variants, scaled and one-magnitude inputs
+(`dense_gauss_n16` times 2^-40 among them, where the profile's absolute
+tie bands would act at the input's scale if it were not normalized),
 the path P3 and the cycle C4, `mc` in all three modes, `mc` in
 symmetric mode on a directed edge list with diagonal pairs, every `verify`
 scenario, one small `family` instance per generator, the three `oracle`
@@ -109,6 +111,8 @@ def _inputs() -> dict:
         "onemag.sym_x3": WeightMatrix(3.0 * sym["complete_k8"].entries, symmetric=True),
         # far from 1 in both directions
         "scaled.dense_gauss_n16_tiny": WeightMatrix(1e-200 * mixed["dense_gauss_n16"].entries),
+        "scaled.dense_gauss_n16_2m40": WeightMatrix(np.ldexp(mixed["dense_gauss_n16"].entries,
+                                                             -40)),
         "scaled.sym_gauss_n12_huge":
             WeightMatrix(1e200 * sym["sym_gauss_n12"].entries, symmetric=True),
         "scaled.uc_m4_d2_huge": WeightMatrix(1e250 * uc),
@@ -208,7 +212,8 @@ def commands() -> list:
              "--seed", "7", "--restarts", "5"], side <= 16)
 
     for name in ("onemag.uc_m4_d2_signed", "onemag.sym_x3", "scaled.dense_gauss_n16_tiny",
-                 "scaled.sym_gauss_n12_huge", "scaled.uc_m4_d2_huge", "P3", "C4"):
+                 "scaled.dense_gauss_n16_2m40", "scaled.sym_gauss_n12_huge",
+                 "scaled.uc_m4_d2_huge", "P3", "C4"):
         side = inputs[name][1]
         add(f"profile.{name}.t150",
             ["profile", "--input", _path(name), "--exact-threshold", "150"], side <= 16)

@@ -1,4 +1,4 @@
-"""The fast part of the golden command set, 89 of its 209 commands: CLI
+"""The fast part of the golden command set, 90 of its 210 commands: CLI
 stdout and exit codes on inputs of side <= 16, on one n = 128 profile of
 a 0/1 support, on two general-weight profiles of sides 40 and 64 whose
 surrogate ascent takes certified power steps, of `verify
