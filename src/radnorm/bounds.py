@@ -12,10 +12,10 @@ Every term is positively homogeneous of degree one.  `bound_profile`,
 `r_heuristic` and `ksweep_term` each scale their input by a power of two
 to max |a_ij| in [1/2, 1), with the exponent from `spectral.pow2_scaled`
 (the library's one exponent chooser), and scale their values back.  So
-every absolute tie band (the 1e-12 of the k-sweep's minimum, the exact
-search and the ascent's stopping test) compares unit-scale numbers, no
-square overflows or underflows, and a power-of-two multiple of the input
-gives the same multiple of every value, bit for bit.
+every absolute tie band (the 1e-12 of the k-sweep's minimum and of the
+ascent's stopping test) compares unit-scale numbers, no square overflows
+or underflows, and a power-of-two multiple of the input gives the same
+multiple of every value, bit for bit.
 
 Values that are only correct up to universal constants carry
 loose_constants=True; nothing here silently presents a surrogate as
@@ -116,10 +116,8 @@ class BoundInputs(NamedTuple):
 
 def _unit_scaled(A: WeightMatrix) -> tuple:
     """(B, e) with A = 2^e B and max |b_ij| in [1/2, 1) (`pow2_scaled`; a
-    zero matrix keeps e = 0).  Every estimator of the profile is positively
-    homogeneous of degree one, so each runs on B, where its absolute tie
-    bands compare unit-scale numbers and no square overflows or
-    underflows, and scales its values back by 2^e, exactly."""
+    zero matrix keeps e = 0): the input every profile estimator runs on
+    before it scales its values back by 2^e (see the module docstring)."""
     scaled, shift = pow2_scaled(A.entries[None])
     return WeightMatrix(scaled[0], symmetric=A.symmetric), int(shift[0])
 

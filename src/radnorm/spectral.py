@@ -7,14 +7,14 @@ singular value: a vector 2-norm when a side is 1, and otherwise the
 square root of the top eigenvalue of the Gram matrix on the smaller side
 (numpy's `eigvalsh`).  Every matrix, vectors included, is first scaled by
 a power of two so that its max |a_ij| lies in [1/2, 1): the squares
-neither overflow nor underflow,
-the scaling adds no rounding, and a matrix and its power-of-two
-multiples give `eigvalsh` the same Gram matrix, so their values scale
-exactly (`eigvalsh` itself does not: on some sign-structured Gram
-matrices, scaling by 2^60 moved the top eigenvalue's low bits).  The
-stated tolerance is 16 eps relative to an SVD; on Gaussian, +-1, Cauchy,
-graded, nearly-rank-1, rectangular and 1e+-300-scaled stacks of sides 2
-to 254 the worst measured error was 7.7 eps.  The stack is solved
+neither overflow nor underflow, the scaling adds no rounding, and a
+matrix and its power-of-two multiples give `eigvalsh` the same Gram
+matrix, so their values scale exactly (`eigvalsh` itself does not: on
+some sign-structured Gram matrices, scaling by 2^60 moved the top
+eigenvalue's low bits).  The stated tolerance is 16 eps relative to an
+SVD; on Gaussian, +-1, Cauchy, graded, nearly-rank-1, rectangular and
+1e+-300-scaled stacks of sides 2 to 254 the worst measured error was
+7.7 eps.  The stack is solved
 _GRAM_SLICE elements (1 MB) at a time, so each matrix's value depends on
 that matrix alone (Monte Carlo output stays byte-identical for any thread
 count) and the kernel's extra memory per call is about one slice's worth

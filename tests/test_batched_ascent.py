@@ -9,9 +9,11 @@ of the scalar clip-count loop it replaced (kept below as the reference);
 the ascent's weights, built in cell order from one value sort, equal the
 route they replaced, a stable argsort, a gather, `water_fill` and a
 scatter back (kept below as the reference), also where mirrored entries
-of a symmetric matrix tie at the clip cut; and `_ascent` over a stack gives each matrix the value `r_heuristic`
-finds for it, also when the stack mixes exactly symmetric matrices, which
-take the SVD pair, with matrices that take the Gram pair.  These
+of a symmetric matrix tie at the clip cut; and `_ascent` over a stack of
+matrices at unit scale (`pow2_scaled`), scaled back, gives each matrix the
+value `r_heuristic` finds for it, also when the stack mixes exactly
+symmetric matrices, which take the SVD pair, with matrices that take the
+Gram pair.  These
 comparisons use exact equality: the batched code performs the same
 floating-point operations in the same order.  The greedy chain's shared
 shortlist scores (`_shortlist_scores`) sum in another order, so each lies
@@ -34,7 +36,8 @@ from radnorm.bounds import (SHORTLIST_SIZE, EngineConfig, _ascent, _clipped, _du
                             _greedy_chain, _magnitude, _shortlist_scores, r_heuristic)
 from radnorm.core import WeightMatrix
 from radnorm.moments import hitczenko_surrogate, surrogate_rows, water_fill
-from radnorm.spectral import POWER_PAIR_MIN, _certified_top, _scaled_gram, power_pair, top_pair
+from radnorm.spectral import (POWER_PAIR_MIN, _certified_top, _scaled_gram, pow2_scaled,
+                              power_pair, top_pair)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
@@ -225,9 +228,12 @@ _MIXED = [
 @example(a=_MIXED[0], p=2.0, restarts=3, seed=0, max_iters=20)
 @example(a=_MIXED[1], p=math.log(3), restarts=1, seed=4, max_iters=8)
 @example(a=_MIXED[2], p=4.5, restarts=2, seed=7, max_iters=20)
+@example(a=np.full((1, 1, 2), 1.11589085e-171), p=1.0, restarts=1, seed=0, max_iters=1)
 def test_ascent_equals_per_matrix_r_heuristic(a, p, restarts, seed, max_iters):
     a[:, 0, 0] = np.where(a.reshape(len(a), -1).any(axis=1), a[:, 0, 0], 1.5)
-    values = _ascent(a, p, restarts, seed, max_iters)
+    # r_heuristic runs the ascent on its input at unit scale
+    scaled, shift = pow2_scaled(a)
+    values = np.ldexp(_ascent(scaled, p, restarts, seed, max_iters), shift)
     for m in range(len(a)):
         br = r_heuristic(WeightMatrix(a[m]), p, restarts, seed, max_iters)
         assert values[m] == br.lower
