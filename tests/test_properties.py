@@ -19,7 +19,9 @@ from eigh or from certified power steps, within a gap-scaled bound of the
 SVD pair.  The vectorized support degree must equal the degree of the
 support graph built vertex by vertex.  An edge set handed to the sampler
 and the cheap bounds as it is must give, bit for bit, what its dense
-indicator matrix gives.
+indicator matrix gives.  The bound profile of 2^j A must be 2^j times
+that of A, field by field and bit for bit, removal sets and modes equal,
+for every j that keeps each nonzero entry a normal float.
 """
 
 from unittest import mock
@@ -467,7 +469,8 @@ DENSE_GAUSS_N16 = dict(corpus_mixed())["dense_gauss_n16"].entries
 # each example takes two profiles, about 0.1 s
 @settings(PROPERTY_SETTINGS, max_examples=50)
 @given(case=profile_cases())
-# at 2^-40 the k-sweep's 1e-12 band once removed index 1 at k = 1, not 5
+# at 2^-40, an input left unnormalized meets the k-sweep's 1e-12 band
+# at its own scale and removes index 1 at k = 1, not 5
 @example(case=(DENSE_GAUSS_N16, False, -40, 150))
 def test_profile_scales_exactly_by_powers_of_two(case):
     a, symmetric, j, threshold = case
