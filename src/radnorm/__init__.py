@@ -36,7 +36,6 @@ from .sampler import (
     McEstimate,
     exact_small_norm_expectation,
     mc_norm,
-    mc_norm_moments,
 )
 from .families import (
     FamilyInstance,

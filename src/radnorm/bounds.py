@@ -45,14 +45,16 @@ from . import streams
 class EngineConfig:
     """Tuning knobs for the search-based estimators, one per `profile` flag.
 
-    Out-of-range values raise ValueError here, whatever the input matrix,
-    so every estimator can rely on them.
+    The CLI builds the flags from these fields, and their order is the
+    order in which `profile` echoes the flags.  Out-of-range values raise
+    ValueError here, whatever the input matrix, so every estimator can
+    rely on them.
     """
 
     exact_threshold: int = 2000     # inner-min enumeration budget (subsets)
     budget_cap: int = 200_000       # branch-and-bound node budget
-    restarts: int = 3               # random ascent restarts
     seed: int = 0
+    restarts: int = 3               # random ascent restarts
 
     def __post_init__(self):
         if self.exact_threshold < 0:

@@ -3,16 +3,21 @@
 Subcommands: profile, mc, family, verify, oracle.  Exit codes: 0 success,
 2 usage or parse error, 3 resource cap, 4 numeric failure (a non-finite
 number in the output included, which JSON cannot hold).  Outputs are
-deterministic for a fixed flag set; --threads (default from RNL_THREADS)
-only caps workers and never changes a byte of output, so it is not echoed.
+deterministic for a fixed flag set; --threads (default 1) only caps
+workers and never changes a byte of output, so it is not echoed.
+
+The choices and defaults come from the library: `profile` has one flag
+per `EngineConfig` field and echoes them in field order, `mc --mode` and
+`oracle --mode` offer `sampler.MODES` and `sampler.EXACT_MODES`, and
+`family --family` offers the keys of `_FAMILIES`, which also dispatches.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,20 +35,13 @@ from .families import (
 )
 from .matio import ParseError, load_input
 from .oracles import subgraph_norm_enum, x_quantity
-from .sampler import exact_small_norm_expectation, mc_norm, mc_norm_moments
+from .sampler import EXACT_MODES, MODES, exact_small_norm_expectation, mc_norm
 from .scenarios import SCENARIOS, run_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_NUMERIC = 4
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("RNL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -71,22 +69,12 @@ def _load_matrix(path: str) -> WeightMatrix:
 
 def cmd_profile(args) -> int:
     A = _load_matrix(args.input)
-    config = EngineConfig(
-        exact_threshold=args.exact_threshold,
-        budget_cap=args.budget_cap,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
+    config = EngineConfig(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(EngineConfig)})
     profile = bound_profile(A, config)
     payload = {
         "command": "profile",
-        "flags": {
-            "input": args.input,
-            "exact_threshold": args.exact_threshold,
-            "budget_cap": args.budget_cap,
-            "seed": args.seed,
-            "restarts": args.restarts,
-        },
+        "flags": {"input": args.input, **dataclasses.asdict(config)},
         "profile": profile.to_json_dict(),
     }
     _emit_json(payload, args.out)
@@ -94,18 +82,16 @@ def cmd_profile(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    A = load_input(args.input)  # the sampler reads an edge set's pairs as they are
     p_list = [float(x) for x in args.p.split(",")] if args.p else []
-    if p_list:
-        est = mc_norm_moments(A, p_list, args.samples, args.seed,
-                              mode=args.mode, threads=args.threads)
-    else:
-        est = mc_norm(A, args.mode, args.samples, args.seed, threads=args.threads)
+    if p_list and args.format == "csv":
+        raise ValueError("--p needs --format json: a CSV row holds only the mean and stderr")
+    A = load_input(args.input)  # the sampler reads an edge set's pairs as they are
+    est = mc_norm(A, args.mode, args.samples, args.seed, args.threads, p_list)
     if args.format == "csv":
         if not (math.isfinite(est.mean) and math.isfinite(est.stderr)):
             raise FloatingPointError("non-finite number in the output")
         header = "matrix_id,mode,samples,seed,mean,stderr\n"
-        _emit(header + est.csv_row(args.matrix_id) + "\n", args.out)
+        _emit(header + est.csv_row(args.matrix_id), args.out)
         return EXIT_OK
     payload = {
         "command": "mc",
@@ -123,31 +109,29 @@ def cmd_mc(args) -> int:
     return EXIT_OK
 
 
-def _parse_b(text: str) -> np.ndarray:
-    return np.asarray([float(x) for x in text.split(",")])
+def _circulant(args):
+    if not args.b:
+        raise ValueError("circulant requires --b")
+    return circulant(np.asarray([float(x) for x in args.b.split(",")]))
+
+
+#: Each family's generator, called with the parsed `family` flags.
+_FAMILIES = {
+    "union_complete": lambda a: union_complete(a.m, a.d),
+    "random_regular": lambda a: random_regular(a.n, a.d, a.seed),
+    "large_girth": lambda a: large_girth_instance(a.n, a.d, a.g_target, a.seed),
+    "one_cycle_neighborhood":
+        lambda a: one_cycle_neighborhood_instance(a.n, a.d, a.r, a.seed),
+    "block_plus_singletons": lambda a: block_plus_singletons(a.n, a.d),
+    "circulant": _circulant,
+}
 
 
 def cmd_family(args) -> int:
-    fam = args.family
-    if fam == "union_complete":
-        inst = union_complete(args.m, args.d)
-    elif fam == "random_regular":
-        inst = random_regular(args.n, args.d, args.seed)
-    elif fam == "large_girth":
-        inst = large_girth_instance(args.n, args.d, args.g_target, args.seed)
-    elif fam == "one_cycle_neighborhood":
-        inst = one_cycle_neighborhood_instance(args.n, args.d, args.r, args.seed)
-    elif fam == "block_plus_singletons":
-        inst = block_plus_singletons(args.n, args.d)
-    elif fam == "circulant":
-        if not args.b:
-            raise ValueError("circulant requires --b")
-        inst = circulant(_parse_b(args.b))
-    else:
-        raise ValueError(f"unknown family {fam!r}")
+    inst = _FAMILIES[args.family](args)
     payload = {
         "command": "family",
-        "flags": {"family": fam, "seed": args.seed},
+        "flags": {"family": args.family, "seed": args.seed},
         "instance": inst.to_json_dict(),
     }
     _emit_json(payload, args.out)
@@ -196,10 +180,8 @@ def cmd_oracle(args) -> int:
     elif args.quantity == "exact_expectation":
         # an edge list's pairs are the cells, as in `mc`
         value = exact_small_norm_expectation(load_input(args.input), args.mode)
-    elif args.quantity == "x_quantity":
-        value = x_quantity(_load_matrix(args.input))
     else:
-        raise ValueError(f"unknown oracle quantity {args.quantity!r}")
+        value = x_quantity(_load_matrix(args.input))
     payload = {
         "command": "oracle",
         "flags": {
@@ -224,32 +206,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="evaluate every bound term for a matrix")
     p.add_argument("--input", required=True)
-    engine = EngineConfig()
-    p.add_argument("--exact-threshold", type=int, default=engine.exact_threshold)
-    p.add_argument("--budget-cap", type=int, default=engine.budget_cap)
-    p.add_argument("--restarts", type=int, default=engine.restarts)
-    p.add_argument("--seed", type=int, default=engine.seed)
+    for f in dataclasses.fields(EngineConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("mc", help="Monte Carlo norm estimate")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", default="rademacher_iid",
-                   choices=["rademacher_iid", "rademacher_symmetric", "gaussian"])
+    p.add_argument("--mode", default="rademacher_iid", choices=MODES)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--p", default="", help="comma-separated moment orders")
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--matrix-id", default="matrix")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_mc)
 
     p = sub.add_parser("family", help="generate an example-family instance")
-    p.add_argument("--family", required=True,
-                   choices=["union_complete", "random_regular", "large_girth",
-                            "one_cycle_neighborhood", "block_plus_singletons",
-                            "circulant"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--n", type=int, default=8)
@@ -265,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--n-cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
@@ -276,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=1,
                    help="subgraph_norm: subsets of at most floor(p) positions; "
                         "finite and nonnegative")
-    p.add_argument("--mode", default="rademacher_iid",
-                   choices=["rademacher_iid", "rademacher_symmetric"])
+    p.add_argument("--mode", default="rademacher_iid", choices=EXACT_MODES)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_oracle)
 

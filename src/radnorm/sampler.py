@@ -40,6 +40,8 @@ on a worker.  Output is byte-identical for any thread count.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +54,9 @@ from .core import CapExceededError, EdgeSet, WeightMatrix, sign_patterns
 from .moments import power_mean_estimate
 from .spectral import pow2_scaled, top_value_max
 
-MODES = ("rademacher_iid", "rademacher_symmetric", "gaussian")
+#: The modes `exact_small_norm_expectation` can enumerate, and all modes.
+EXACT_MODES = ("rademacher_iid", "rademacher_symmetric")
+MODES = (*EXACT_MODES, "gaussian")
 
 #: Element budget for one batch of realization matrices.
 _REALIZE_BUDGET = 1 << 24
@@ -86,10 +90,12 @@ class McEstimate:
         return d
 
     def csv_row(self, matrix_id: str) -> str:
-        return (
-            f"{matrix_id},{self.mode},{self.samples},{self.seed},"
-            f"{self.mean!r},{self.stderr!r}"
-        )
+        """The CSV line (newline included) of matrix_id, mode, samples,
+        seed, mean and stderr; an id holding a comma or quote is quoted."""
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(
+            (matrix_id, self.mode, self.samples, self.seed, self.mean, self.stderr))
+        return out.getvalue()
 
 
 def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -290,34 +296,26 @@ def _mean_stderr(norms: np.ndarray) -> tuple:
 
 
 def mc_norm(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
-            threads: int = 1) -> McEstimate:
-    """Monte Carlo mean and standard error of ||A o X|| in the given mode;
-    an EdgeSet stands for its 0/1 matrix."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if samples < 16:
-        raise ValueError("need at least 16 samples")
-    norms = _sample_norms(A, mode, samples, seed, threads)
-    return McEstimate(*_mean_stderr(norms), samples, seed, mode)
+            threads: int = 1, p_list=()) -> McEstimate:
+    """Monte Carlo mean and standard error of ||A o X|| in the given mode,
+    and an estimate of (E ||A o X||^p)^{1/p} for each p in `p_list`; an
+    EdgeSet stands for its 0/1 matrix.
 
-
-def mc_norm_moments(A: WeightMatrix | EdgeSet, p_list, samples: int, seed: int,
-                    mode: str = "rademacher_iid", threads: int = 1) -> McEstimate:
-    """mc_norm plus (E ||A o X||^p)^{1/p} estimates for each requested p.
-
-    All moments are read off the same sampled norms, so the mean and every
-    moment share their random numbers.
+    Every moment is read off the same sampled norms as the mean, so they
+    share their random numbers.  Each p must lie in [1, 64].  The mean
+    needs at least 16 samples, moments at least 100; without `p_list`,
+    `p_moments` is None.
     """
-    p_list = [float(p) for p in p_list]
-    for p in p_list:
-        if not 1.0 <= p <= 64.0:
-            raise ValueError("each p must lie in [1, 64]")
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    p_list = [float(p) for p in p_list]
+    if not all(1.0 <= p <= 64.0 for p in p_list):
+        raise ValueError("each p must lie in [1, 64]")
+    least = 100 if p_list else 16
+    if samples < least:
+        raise ValueError(f"need at least {least} samples")
     norms = _sample_norms(A, mode, samples, seed, threads)
-    moments = {p: power_mean_estimate(norms, p) for p in p_list}
+    moments = {p: power_mean_estimate(norms, p) for p in p_list} if p_list else None
     return McEstimate(*_mean_stderr(norms), samples, seed, mode, moments)
 
 
@@ -332,7 +330,7 @@ def exact_small_norm_expectation(A: WeightMatrix | EdgeSet, mode: str) -> float:
     cannot overflow, and both scalings are exact wherever the unscaled sum
     is.  An EdgeSet's cells are its pairs, each of weight 1, as in `mc`.
     """
-    if mode not in ("rademacher_iid", "rademacher_symmetric"):
+    if mode not in EXACT_MODES:
         raise ValueError("exact enumeration supports the Rademacher modes only")
     shape, rows, cols, values = _cells(A)
     k, plan = _norm_plan(shape, rows, cols, values, mode)

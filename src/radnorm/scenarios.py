@@ -46,7 +46,7 @@ from .families import (
     random_regular,
     union_complete,
 )
-from .sampler import mc_norm, mc_norm_moments
+from .sampler import mc_norm
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def scenario_moment_equivalence(samples=600, seed=1, threads=1) -> ScenarioRepor
     for name, A in corpus_zero_one():
         n = A.n_rows
         p = 2 * int(log_clamped(n))
-        est = mc_norm_moments(A, [p], samples, seed, threads=threads)
+        est = mc_norm(A, "rademacher_iid", samples, seed, threads, p_list=[p])
         moment, moment_se = est.p_moments[float(p)]
         r = r_estimate(A, float(p), config)
         rhs = est.mean + r.lower

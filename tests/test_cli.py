@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -160,6 +161,26 @@ class TestMcCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "matrix_id,mode,samples,seed,mean,stderr"
         assert lines[1].startswith("k3,rademacher_iid,64,2,")
+
+    def test_csv_quotes_a_matrix_id_with_a_comma(self, k3_file, tmp_path):
+        out = tmp_path / "out.csv"
+        code = main(["mc", "--input", k3_file, "--samples", "64", "--format", "csv",
+                     "--matrix-id", 'a,"b"', "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(header) == len(row) == 6
+        assert row[0] == 'a,"b"' and row[1:4] == ["rademacher_iid", "64", "1"]
+
+    def test_csv_with_moments_exit_2(self, k3_file, tmp_path, capsys):
+        # a CSV row holds only the mean and stderr, so it cannot carry moments
+        out = tmp_path / "out.csv"
+        for tail in ([], ["--out", str(out)]):
+            assert main(["mc", "--input", k3_file, "--samples", "200", "--format", "csv",
+                         "--p", "2,8"] + tail) == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and err.startswith("error: ")
+        assert not out.exists()
 
     def test_gaussian_zero_matrix(self, zero_file, tmp_path):
         code, payload = run_json(
@@ -476,14 +497,3 @@ def test_entry_point_runs():
     )
     assert res.returncode == 0
     assert "profile" in res.stdout and "verify" in res.stdout
-
-
-def test_threads_default_from_env(monkeypatch):
-    from radnorm.cli import build_parser
-
-    monkeypatch.setenv("RNL_THREADS", "6")
-    args = build_parser().parse_args(["mc", "--input", "x.json"])
-    assert args.threads == 6
-    monkeypatch.setenv("RNL_THREADS", "junk")
-    args = build_parser().parse_args(["mc", "--input", "x.json"])
-    assert args.threads == 1

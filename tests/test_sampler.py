@@ -15,7 +15,6 @@ from radnorm.sampler import (
     _sample_norms,
     exact_small_norm_expectation,
     mc_norm,
-    mc_norm_moments,
 )
 from radnorm.spectral import top_value_max, top_values
 
@@ -114,7 +113,7 @@ class TestMcNorm:
         for j, samples in ((-700, 64), (-660, 64), (660, 64), (700, 64), (1015, 1024)):
             A = WeightMatrix(np.ldexp(np.ones((2, 2)), j))
             for run in (lambda B: mc_norm(B, "rademacher_iid", samples, 1),
-                        lambda B: mc_norm_moments(B, [2], 2 * samples, 1)):
+                        lambda B: mc_norm(B, "rademacher_iid", 2 * samples, 1, p_list=[2])):
                 base, got = run(ALL_ONES_2), run(A)
                 assert got.mean == np.ldexp(base.mean, j)
                 assert got.stderr == np.ldexp(base.stderr, j)
@@ -353,7 +352,7 @@ class TestChunkedSampling:
             with pytest.raises(ValueError):
                 mc_norm(ALL_ONES_2, "rademacher_iid", 64, 1, threads=threads)
             with pytest.raises(ValueError):
-                mc_norm_moments(ALL_ONES_2, [2], 200, 1, threads=threads)
+                mc_norm(ALL_ONES_2, "rademacher_iid", 200, 1, threads=threads, p_list=[2])
 
     def test_chunk_plan_splits_evenly_per_thread(self):
         # dense_gauss_n128: blocks of 258 and 42 rows, 16,384 elements a row
@@ -466,38 +465,39 @@ class TestGaussianDomination:
 class TestMcNormMoments:
     def test_single_entry_all_moments_exact(self):
         A = WeightMatrix([[2.0]])
-        est = mc_norm_moments(A, [1, 2, 16, 64], 128, 1)
+        est = mc_norm(A, "rademacher_iid", 128, 1, p_list=[1, 2, 16, 64])
         for p, (val, se) in est.p_moments.items():
             assert val == 2.0 and se == 0.0
 
     def test_all_ones_second_moment(self):
         # 16-pattern enumeration: E norm^2 = (8*4 + 8*2)/16 = 3
-        est = mc_norm_moments(ALL_ONES_2, [2], 20000, 3)
+        est = mc_norm(ALL_ONES_2, "rademacher_iid", 20000, 3, p_list=[2])
         val, se = est.p_moments[2.0]
         assert abs(val - math.sqrt(3)) <= 3 * se
 
     def test_log_moment_runs(self):
         A = WeightMatrix(np.ones((8, 8)) - np.eye(8))
         p = 2 * int(math.log(max(8, math.e)))
-        est = mc_norm_moments(A, [p], 300, 5)
+        est = mc_norm(A, "rademacher_iid", 300, 5, p_list=[p])
         val, se = est.p_moments[float(p)]
         assert val > 0 and se >= 0
 
     def test_moment_validation(self):
         with pytest.raises(ValueError):
-            mc_norm_moments(ALL_ONES_2, [65], 200, 1)
+            mc_norm(ALL_ONES_2, "rademacher_iid", 200, 1, p_list=[65])
         with pytest.raises(ValueError):
-            mc_norm_moments(ALL_ONES_2, [2], 50, 1)
+            mc_norm(ALL_ONES_2, "rademacher_iid", 50, 1, p_list=[2])
 
     def test_mean_agrees_with_mc_norm(self):
         est1 = mc_norm(ALL_ONES_2, "rademacher_iid", 500, 9)
-        est2 = mc_norm_moments(ALL_ONES_2, [2], 500, 9)
+        est2 = mc_norm(ALL_ONES_2, "rademacher_iid", 500, 9, p_list=[2])
         assert est1.mean == est2.mean and est1.stderr == est2.stderr
+        assert est1.p_moments is None
 
 
 class TestSerialization:
     def test_json_dict(self):
-        est = mc_norm_moments(ALL_ONES_2, [2], 200, 4)
+        est = mc_norm(ALL_ONES_2, "rademacher_iid", 200, 4, p_list=[2])
         d = est.to_json_dict()
         assert set(d) == {"mean", "stderr", "samples", "seed", "mode", "p_moments"}
         assert d["p_moments"]["2.0"]["estimate"] > 0

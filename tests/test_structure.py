@@ -55,7 +55,8 @@ DELETED = ("trace_power_norm", "neighborhood_sets", "LevelSets", "level_sets",
            "witness_s", "witness_t", "_pairs_norm", "best_set",
            "_proxy_after_removal", "off_diagonal_max_abs", "_surrogate_stack",
            "_SubsetSearch", "_BudgetExhausted", "_CapReached", "_surrogate_at",
-           "PROFILE_EXPONENT_MAX", "_SQUARE_SAFE")
+           "PROFILE_EXPONENT_MAX", "_SQUARE_SAFE", "mc_norm_moments",
+           "_default_threads")
 
 
 def code_only(path: pathlib.Path) -> str:
