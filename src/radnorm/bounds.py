@@ -318,11 +318,19 @@ def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> t
 # ---------------------------------------------------------------------------
 # heuristic bracket for general weights
 
+#: Elements (runs times r * c) of the surrogate ascent's runs stepped in
+#: one batch, and the most any of its pair calls takes (one matrix at
+#: least): about 256 KB of float64 per batch-sized array, so every seed of
+#: a stack shares one stack and the ascent's memory stays flat however
+#: many matrices a k-sweep row keeps.
+_ASCENT_BUDGET = 1 << 15
+
 
 def _ascent_pair(stack: np.ndarray, sym: np.ndarray) -> tuple:
     """(u, v) of `top_pair` for each matrix of an (S, r, c) stack: the SVD
     pair where `sym` marks an exactly symmetric ascent input, the Gram pair
-    elsewhere.
+    elsewhere, at most _ASCENT_BUDGET elements per `top_pair` call (one
+    matrix at least).
 
     On a symmetric input the mirrored entries of a o s t^T tie whenever
     s = t.  The clipped set of the water-filling (`_clipped`) takes the
@@ -333,9 +341,12 @@ def _ascent_pair(stack: np.ndarray, sym: np.ndarray) -> tuple:
     the pair a call on it alone gives."""
     u = np.empty(stack.shape[:2])
     v = np.empty((len(stack), stack.shape[2]))
-    for part, gram in ((sym, False), (~sym, True)):
-        if part.any():
-            _, u[part], v[part] = top_pair(stack[part], gram=gram)
+    step = max(1, _ASCENT_BUDGET // (stack.shape[1] * stack.shape[2]))
+    for lo in range(0, len(stack), step):
+        for part, gram in ((sym[lo:lo + step], False), (~sym[lo:lo + step], True)):
+            if part.any():
+                rows = lo + np.flatnonzero(part)
+                _, u[rows], v[rows] = top_pair(stack[rows], gram=gram)
     return u, v
 
 
@@ -427,13 +438,18 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
     the reweighted entries) with the top singular pair of the weighted
     matrix (`_ascent_pair`: the Gram pair, or the SVD pair when the input
     matrix is exactly symmetric), for at most `max_iters` steps, and stops
-    a matrix's run once its objective s^T (a o b) t stops rising.  Seeds
-    run one after the other; within a seed every step is one batched call
-    over the matrices still improving.  Each step sorts the reweighted
+    a run once its objective s^T (a o b) t stops rising.  Every (matrix,
+    seed) start pair of the stack is one run, and the runs go in batches
+    of at most _ASCENT_BUDGET elements (one run at least), so several
+    seeds of a matrix can share a batch and one seed of a large stack can
+    span several; every step is one batched call over a batch's runs that
+    still improve.  Each run depends only on its own matrix and start
+    pair, so the batching changes no bit.  Each step sorts the reweighted
     magnitudes of its pair once, by value, for both the surrogate of that
     pair and the next step's water-filling, whose weights are built in
     cell order (`_dual_weights`).  Returns each matrix's best surrogate
-    over all pairs visited.
+    over all pairs visited: a value replaces the best only when it is
+    strictly larger, so a NaN surrogate never does.
     """
     count, nr, nc = stack.shape
     best = np.zeros(count)
@@ -442,15 +458,18 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
         head, tail = surrogate_sorted(star, p)
         val = head + tail
         up = val > best[idx]
-        best[idx[up]] = val[up]
+        # a matrix can hold several runs of a batch: keep the largest
+        np.maximum.at(best, idx[up], val[up])
 
     # exactly symmetric inputs take the SVD pair (`_ascent_pair`)
     sym = np.zeros(count, dtype=bool)
     if nr == nc:
         sym = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
-    for idx, s, t in _stack_seeds(stack, sym, restarts, seed):
-        if not idx.size:
-            continue
+    runs, starts_s, starts_t = (np.concatenate(part) for part in
+                                zip(*_stack_seeds(stack, sym, restarts, seed)))
+    step = max(1, _ASCENT_BUDGET // (nr * nc))
+    for lo in range(0, len(runs), step):
+        idx, s, t = runs[lo:lo + step], starts_s[lo:lo + step], starts_t[lo:lo + step]
         a = stack[idx]
         c, abs_c, star = _reweighted(a, s, t)
         offer(idx, star)

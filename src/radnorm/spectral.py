@@ -159,7 +159,7 @@ _PAIR_STEPS = 40
 
 #: Smallest Gram side at which `_gram_pair` tries certified power steps
 #: before `eigh`: below it `eigh` is cheaper (see the module docstring).
-POWER_PAIR_MIN = 32
+POWER_PAIR_MIN = 12
 
 #: Power steps `_certified_top` takes at most on one Gram matrix.
 _CERTIFY_STEPS = 24
@@ -367,20 +367,17 @@ def _gram_pair(a: np.ndarray) -> tuple:
     eigenvector of the Gram matrix on the smaller side of the power-of-two
     scaled matrix (`pow2_scaled`), the other side from one product with
     that scaled matrix, and sigma the norm of that product, scaled back.
-    From Gram side POWER_PAIR_MIN each matrix first tries certified power
-    steps (`_certified_top`); the rest take `eigh`.  A zero matrix gives
-    sigma 0 (the caller sets its vectors)."""
+    From Gram side POWER_PAIR_MIN the stack first takes certified power
+    steps (`_certified_top`); the matrices they do not certify take
+    `eigh`.  A zero matrix gives sigma 0 (the caller sets its vectors)."""
     r, c = a.shape[1:]
     scaled, shift = pow2_scaled(a)
     gram = _gram(scaled)
     with np.errstate(under="ignore"):
-        top = np.empty(gram.shape[:2])
-        todo = np.ones(len(gram), dtype=bool)
         if gram.shape[1] >= POWER_PAIR_MIN:
-            for k, g in enumerate(gram):
-                x = _certified_top(g)
-                if x is not None:
-                    top[k], todo[k] = x, False
+            top, todo = _certified_top(gram)
+        else:
+            top, todo = np.empty(gram.shape[:2]), np.ones(len(gram), dtype=bool)
         if todo.any():
             top[todo] = np.linalg.eigh(gram[todo])[1][:, :, -1]
         if r < c:
@@ -393,44 +390,57 @@ def _gram_pair(a: np.ndarray) -> tuple:
     return (sigma, top, other) if r < c else (sigma, other, top)
 
 
-def _certified_top(gram: np.ndarray):
-    """The top eigenvector of one symmetric positive semidefinite Gram
-    matrix by certified power steps, or None when they cannot certify it.
+def _certified_top(gram: np.ndarray) -> tuple:
+    """(top, todo) of an (S, n, n) stack of symmetric positive semidefinite
+    Gram matrices: certified power steps on every matrix at once.  Where
+    `todo` is False, top holds that matrix's certified top eigenvector;
+    where it is True the steps could not certify one and top is unset.
 
     From the heaviest column x of G, normalized, each step takes y = G x,
     rho = x^T y <= lambda_1 and the residual r = ||y - rho x||.  Since
     lambda_1^2 + lambda_2^2 <= ||G||_F^2, lambda_2 <= lam2 =
     sqrt(||G||_F^2 - rho^2 + slack), the slack covering the rounding of
     both sums, and by Davis-Kahan sin(x, top eigenvector) <= r / (rho -
-    lam2).  x is accepted once that bound is at most _CERTIFY_SIN.  The
-    run gives up, returning None, as soon as the bound times
-    (lam2 / rho)^(steps left) still exceeds it: lam2 / rho bounds the
-    contraction per step, so the bound cannot fall far enough within
-    _CERTIFY_STEPS.  A zero matrix, or one whose top eigenvalue is tied
-    or not separated from lam2, never certifies.
+    lam2).  x is accepted once that bound is at most _CERTIFY_SIN.  A
+    matrix gives up as soon as the bound times (lam2 / rho)^(steps left)
+    still exceeds it: lam2 / rho bounds the contraction per step, so the
+    bound cannot fall far enough within _CERTIFY_STEPS.  A zero matrix, or
+    one whose top eigenvalue is tied or not separated from lam2, never
+    certifies.  The matrices still stepping are kept in one compacted
+    stack, cut down only on a step where one accepts or gives up; every
+    operation acts on each matrix alone, so its result does not depend on
+    the rest of the stack.
     """
-    col2 = (gram * gram).sum(axis=0)
-    j = int(np.argmax(col2))
-    if col2[j] == 0.0:
-        return None
-    fro2 = float(col2.sum())
-    slack = 2 * len(gram) * np.finfo(float).eps * fro2
-    x = gram[:, j] / math.sqrt(col2[j])
-    for left in range(_CERTIFY_STEPS - 1, -1, -1):
-        y = gram @ x
-        rho = float(x @ y)
-        res = y - rho * x
-        r = math.sqrt(float(res @ res))
-        lam2 = math.sqrt(max(fro2 - rho * rho, 0.0) + slack)
-        gap = rho - lam2
-        if gap <= 0.0:
-            return None
-        if r <= _CERTIFY_SIN * gap:
-            return x
-        if r / gap * (lam2 / rho) ** left > _CERTIFY_SIN:
-            return None
-        x = y / math.sqrt(float(y @ y))
-    return None
+    count, n = gram.shape[:2]
+    top = np.empty((count, n))
+    todo = np.ones(count, dtype=bool)
+    col2 = (gram * gram).sum(axis=1)
+    j = col2.argmax(axis=1)
+    head = col2[np.arange(count), j]
+    act = np.flatnonzero(head > 0.0)
+    g = gram[act]
+    fro2 = col2[act].sum(axis=1)
+    slack = 2 * n * np.finfo(float).eps * fro2
+    x = gram[act, :, j[act]] / np.sqrt(head[act])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for left in range(_CERTIFY_STEPS - 1, -1, -1):
+            y = (g @ x[:, :, None])[:, :, 0]
+            rho = (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+            res = y - rho[:, None] * x
+            r = np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
+            lam2 = np.sqrt(np.maximum(fro2 - rho * rho, 0.0) + slack)
+            gap = rho - lam2
+            accept = (gap > 0.0) & (r <= _CERTIFY_SIN * gap)
+            stop = accept | (gap <= 0.0) | (r / gap * (lam2 / rho) ** left > _CERTIFY_SIN)
+            if stop.any():
+                top[act[accept]] = x[accept]
+                todo[act[accept]] = False
+                go = ~stop
+                act, g, y, fro2, slack = act[go], g[go], y[go], fro2[go], slack[go]
+                if not act.size:
+                    break
+            x = y / np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0])
+    return top, todo
 
 
 def power_pair(a: np.ndarray, steps: int) -> tuple:

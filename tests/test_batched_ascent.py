@@ -21,7 +21,10 @@ zeroed pair, and the chain removes in the order of the per-candidate loop
 they replaced (kept below as the reference).
 """
 
+import contextlib
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,10 +34,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radnorm.bounds import (SHORTLIST_SIZE, EngineConfig, _ascent, _clipped, _dual_weights,
-                            _greedy_chain, _magnitude, _shortlist_scores, r_heuristic)
-from radnorm.core import WeightMatrix
-from radnorm.moments import hitczenko_surrogate, surrogate_rows, water_fill
+from radnorm import bounds
+from radnorm.bounds import (SHORTLIST_SIZE, EngineConfig, _ascent, _ascent_pair, _clipped,
+                            _dual_weights, _greedy_chain, _magnitude, _reweighted,
+                            _shortlist_scores, _stack_seeds, r_heuristic)
+from radnorm.core import WeightMatrix, log_clamped
+from radnorm.corpus import corpus_mixed
+from radnorm.moments import hitczenko_surrogate, surrogate_rows, surrogate_sorted, water_fill
 from radnorm.spectral import (POWER_PAIR_MIN, _certified_top, _scaled_gram, pow2_scaled,
                               power_pair, top_pair)
 
@@ -119,7 +125,8 @@ _ABOVE_GATE = _above_gate_stack()
 
 def test_above_gate_stack_mixes_certified_and_fallback_matrices():
     grams = _scaled_gram(_ABOVE_GATE)[0]
-    assert [_certified_top(g) is not None for g in grams] == [True, True, False, False]
+    assert [not _certified_top(g[None])[1][0] for g in grams] == [True, True, False, False]
+    assert (~_certified_top(grams)[1]).tolist() == [True, True, False, False]
 
 
 @PROPERTY_SETTINGS
@@ -236,6 +243,136 @@ def test_ascent_equals_per_matrix_r_heuristic(a, p, restarts, seed, max_iters):
     for m in range(len(a)):
         br = r_heuristic(WeightMatrix(a[m]), p, restarts, seed, max_iters)
         assert values[m] == br.lower
+
+
+def ascent_per_seed(stack, p, restarts, seed, max_iters):
+    """`_ascent` before its runs were batched: the seeds of `_stack_seeds`
+    one after the other, each stepped over the whole stack at once, and a
+    value taken as a matrix's best only when it is strictly larger."""
+    count, nr, nc = stack.shape
+    best = np.zeros(count)
+
+    def offer(idx, star):
+        head, tail = bounds.surrogate_sorted(star, p)
+        val = head + tail
+        up = val > best[idx]
+        best[idx[up]] = val[up]
+
+    sym = np.zeros(count, dtype=bool)
+    if nr == nc:
+        sym = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
+    for idx, s, t in _stack_seeds(stack, sym, restarts, seed):
+        if not idx.size:
+            continue
+        a = stack[idx]
+        c, abs_c, star = _reweighted(a, s, t)
+        offer(idx, star)
+        obj_prev = np.full(len(idx), -1.0)
+        for _ in range(max_iters):
+            weighted = a * (np.sign(c) * _dual_weights(abs_c, star, p)).reshape(a.shape)
+            s, t = _ascent_pair(weighted, sym[idx])
+            obj = (s[:, None, :] @ weighted @ t[:, :, None])[:, 0, 0]
+            c, abs_c, star = _reweighted(a, s, t)
+            offer(idx, star)
+            going = ~(obj <= obj_prev * (1 + 1e-10) + 1e-12)
+            if not going.all():
+                idx, a, obj = idx[going], a[going], obj[going]
+                c, abs_c, star = c[going], abs_c[going], star[going]
+                if not idx.size:
+                    break
+            obj_prev = obj
+    return best
+
+
+def nan_surrogates(star, p):
+    """`surrogate_sorted` with a NaN head wherever the row's largest
+    magnitude has an odd last mantissa bit: a property of the row alone,
+    so a run gets the same NaNs in any batch."""
+    head, tail = surrogate_sorted(star, p)
+    odd = (star[:, 0].view(np.int64) & 1) == 1
+    return np.where(odd, np.nan, head), tail
+
+
+@PROPERTY_SETTINGS
+@given(a=stacks(), p=MOMENTS, restarts=st.integers(1, 3), seed=st.integers(0, 9),
+       max_iters=st.sampled_from([1, 8, 20]), runs=st.integers(1, 40),
+       extra=st.integers(0, 35), nan=st.booleans())
+@example(a=_MIXED[1], p=math.log(3), restarts=1, seed=4, max_iters=8, runs=3, extra=5, nan=True)
+@example(a=_MIXED[2], p=4.5, restarts=2, seed=7, max_iters=20, runs=40, extra=0, nan=False)
+def test_budgeted_ascent_equals_the_per_seed_loop(a, p, restarts, seed, max_iters, runs,
+                                                   extra, nan):
+    # the budget splits one seed's stack (fewer runs than matrices per
+    # batch) or merges several seeds (more), runs=40 holds every run of
+    # the stack in one batch, and extra < r c leaves a partial matrix of
+    # room; a NaN surrogate never becomes a matrix's best
+    a[:, 0, 0] = np.where(a.reshape(len(a), -1).any(axis=1), a[:, 0, 0], 1.5)
+    a = pow2_scaled(a)[0]
+    budget = runs * a.shape[1] * a.shape[2] + extra
+    with contextlib.ExitStack() as patches:
+        if nan:
+            patches.enter_context(mock.patch.object(bounds, "surrogate_sorted", nan_surrogates))
+        want = ascent_per_seed(a, p, restarts, seed, max_iters)
+        with mock.patch.object(bounds, "_ASCENT_BUDGET", budget):
+            got = _ascent(a, p, restarts, seed, max_iters)
+    assert np.array_equal(got, want)
+    assert not np.isnan(got).any()
+
+
+def _certify_mix(rows, cols, rng):
+    """Five matrices of one shape, shuffled: a rank-one spike over noise and
+    a rank-one matrix, which certify, then two equal blocks (a tied top,
+    the odd side padded with zeros), a zero matrix and pure noise, which
+    take more steps or give up."""
+    n = min(rows, cols)
+    x, y = rng.standard_normal(rows), rng.standard_normal(cols)
+    spike = 3.0 * np.outer(x, y) / (np.linalg.norm(x) * np.linalg.norm(y))
+    tied = np.zeros((rows, cols))
+    block = rng.standard_normal((n // 2, n // 2))
+    tied[:n // 2 * 2, :n // 2 * 2] = np.kron(np.eye(2), block)
+    mats = [spike + 0.1 * rng.standard_normal((rows, cols)) / np.sqrt(n), np.outer(x, y),
+            tied, np.zeros((rows, cols)), rng.standard_normal((rows, cols))]
+    return np.stack([mats[k] for k in rng.permutation(len(mats))])
+
+
+@pytest.mark.parametrize("side", [POWER_PAIR_MIN - 1, POWER_PAIR_MIN, 31, 32, 128])
+@pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+def test_certified_top_is_per_matrix_inside_a_mixed_stack(side, shape):
+    # each matrix gets the bits of a call on it alone, from the stack-wise
+    # certificate and from the Gram pair, whichever matrices of the stack
+    # certify and whichever fall back to eigh
+    rows, cols = {"square": (side, side), "wide": (side, side + 3),
+                  "tall": (side + 2, side)}[shape]
+    a = _certify_mix(rows, cols, np.random.default_rng(side))
+    grams = _scaled_gram(a)[0]
+    top, todo = _certified_top(grams)
+    assert todo.any() and not todo.all()
+    sigma, u, v = top_pair(a, gram=True)
+    for m in range(len(a)):
+        one_top, one_todo = _certified_top(grams[m:m + 1])
+        assert one_todo[0] == todo[m]
+        assert todo[m] or np.array_equal(one_top[0], top[m])
+        s1, u1, v1 = top_pair(a[m:m + 1], gram=True)
+        assert sigma[m] == s1[0]
+        assert np.array_equal(u[m], u1[0]) and np.array_equal(v[m], v1[0])
+
+
+def test_ascent_pair_calls_stay_within_the_budget():
+    # the k = 4 row of dense_gauss_n16 at default flags keeps 1,820 12x12
+    # submatrices (7 runs each): no pair call of its ascent, the seeds'
+    # own top pairs included, takes more than _ASCENT_BUDGET elements
+    A = bounds._unit_scaled(dict(corpus_mixed())["dense_gauss_n16"])[0]
+    keeps = [bounds._complement(16, combo) for combo in itertools.combinations(range(16), 4)]
+    sizes = []
+
+    def recording(stack, gram=False):
+        sizes.append(stack.size)
+        return top_pair(stack, gram)
+
+    with mock.patch.object(bounds, "top_pair", recording):
+        scores = bounds._full_estimates(A, keeps, log_clamped(4), EngineConfig())
+    assert len(scores) == 1820 and min(scores) > 0.0
+    assert max(sizes) <= bounds._ASCENT_BUDGET
+    assert max(sizes) > bounds._ASCENT_BUDGET // 2
 
 
 def greedy_chain_loop(a, p, steps):
