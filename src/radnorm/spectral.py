@@ -418,7 +418,7 @@ def _certified_top(gram: np.ndarray) -> tuple:
     j = col2.argmax(axis=1)
     head = col2[np.arange(count), j]
     act = np.flatnonzero(head > 0.0)
-    g = gram[act]
+    g = gram if act.size == count else gram[act]
     fro2 = col2[act].sum(axis=1)
     slack = 2 * n * np.finfo(float).eps * fro2
     x = gram[act, :, j[act]] / np.sqrt(head[act])[:, None]
