@@ -84,34 +84,50 @@ with `eigh` at every side:
 The surrogate ascent's weighted Gram matrices are nearly rank one (over
 the 477 of the `sparse_gauss_n128` profile, lambda_2 / lambda_1 had median
 5.1e-5, upper quartile 0.091 and 90th percentile 0.21), so from Gram side
-POWER_PAIR_MIN the Gram route first takes power steps (`_certified_top`)
-and keeps the vector only when a Davis-Kahan bound certifies it: sin(angle to the top eigenvector) <=
+POWER_PAIR_MIN the Gram route first takes power steps on the whole stack
+at once (`_certified_top`) and keeps a matrix's vector only when a
+Davis-Kahan bound certifies it: sin(angle to the top eigenvector) <=
 ||G x - rho x|| / (rho - lambda_2^+) <= 64 eps, with rho = x^T G x and
 lambda_2^+ = sqrt(||G||_F^2 - rho^2 + slack) >= lambda_2.  A matrix that
 does not certify within _CERTIFY_STEPS steps, or whose bound shows it
 cannot, is solved by `eigh`; a zero matrix or a tied top never certifies.
-Each matrix of a stack takes its own route, so its pair keeps the bits of
-a call on it alone.  On the ascent's Gram matrices from nine general-
-weight corpus profiles (n = 16 to 128), best of 5 runs per side on the
-same box, per matrix, `eigh` -> certified steps with the `eigh` fallback:
+A matrix leaves the stepped stack when it accepts or gives up, and every
+step acts on each matrix alone, so its pair keeps the bits of a call on it
+alone.  The surrogate ascent (`bounds._ascent`) feeds the route batches of
+at most `bounds._ASCENT_BUDGET` elements holding every seed of a stack:
+the exact k-sweep rows of an n <= 16 profile give stacks of 100 to 230
+matrices, greedy rows and `r_logn` give a few.  On the stacks the batched
+ascent handed `_gram_pair` in 15 general-weight corpus profiles (n = 16 to
+128; the n = 16 ones at the default and at --exact-threshold 150), up to
+120 calls per row timed, best of 5 interleaved calls each on a 2-core box
+with OPENBLAS_NUM_THREADS=1, per matrix, `eigh` -> certified steps with
+the `eigh` fallback:
 
-    side      matrices  certified   eigh      route
-      8          103       92%     0.014   0.054 ms   (0.26x)
-     14-16       381       91%     0.031   0.058 ms   (0.53x)
-     20-24       400       86%     0.058   0.067 ms   (0.87x)
-     28-31       306       76%     0.076   0.067 ms   (1.13x)
-     32          400       86%     0.099   0.103 ms   (0.96x)
-     36-40       329       79%     0.159   0.079 ms   (2.0x)
-     44-48       398       92%     0.192   0.062 ms   (3.1x)
-     56-64       400       84%     0.272   0.136 ms   (2.0x)
-     96           51       88%     1.018   0.251 ms   (4.1x)
-    112-128      387       93%     1.874   0.220 ms   (8.5x)
+    side     matrices/call  certified   eigh      route
+     12          227           83%     0.013   0.008 ms   (1.63x)
+     14-16       138           79%     0.020   0.015 ms   (1.35x)
+      8            5.7         93%     0.031   0.120 ms   (0.26x)
+     12           12.6         84%     0.030   0.066 ms   (0.45x)
+     14-16         5.9         83%     0.053   0.113 ms   (0.46x)
+     20-24         5.6         89%     0.075   0.121 ms   (0.62x)
+     28-32         5.9         85%     0.080   0.086 ms   (0.93x)
+     36-40         5.7         78%     0.136   0.112 ms   (1.21x)
+     44-48         6.0         90%     0.197   0.124 ms   (1.59x)
+     56-64         5.7         88%     0.322   0.167 ms   (1.92x)
+     96            2.0         92%     1.018   0.444 ms   (2.29x)
+    112-128        1.6         89%     1.778   0.558 ms   (3.18x)
 
-Below side 28 a few power steps in Python cost more than LAPACK's whole
-eigensolve, and sides 28-32 break even (0.96-1.22x over two runs), so
-POWER_PAIR_MIN is 32: the exact k-sweep rows' stacks (sides <= 16) stay on
-`eigh`, and every side from 36 gains.  On the `sparse_gauss_n128` profile
-435 of its 477 Gram matrices certified and 42 fell back.
+A step costs about 25 numpy calls however few matrices it holds, so the
+steps lose on a few small matrices and win on large stacks or large
+sides.  The gate is a side, never a stack size: a matrix's pair must not
+depend on the stack it sits in.  Summing every `_gram_pair` call's time
+per gate: the benchmark's n = 16 profiles (--exact-threshold 150) took
+200, 192, 184 and 261 ms at gates 8, 12, 14 and 16 or more; the default
+n = 16 profiles, whose k = 4 row keeps 1,820 12x12 submatrices, 1976,
+1968 and 3079-3161 ms at gates 8, 12 and 14 or more; six profiles of
+n = 24 to 48 335-344 ms at gates 8 to 16 and 277 ms at 36.  So
+POWER_PAIR_MIN is 12: the exact k-sweep rows from side 12 on take the
+steps, at the cost of the few-matrix stacks at sides 12 to 32.
 
 The surrogate ascent (`bounds._ascent`) takes the Gram pair for every
 matrix that is not exactly symmetric.  Exactly symmetric matrices stay on
@@ -158,7 +174,8 @@ FULL_DECOMPOSITION_MAX = 512
 _PAIR_STEPS = 40
 
 #: Smallest Gram side at which `_gram_pair` tries certified power steps
-#: before `eigh`: below it `eigh` is cheaper (see the module docstring).
+#: before `eigh`: measured on the batched ascent's stacks (see the module
+#: docstring).
 POWER_PAIR_MIN = 12
 
 #: Power steps `_certified_top` takes at most on one Gram matrix.

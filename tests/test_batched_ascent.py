@@ -13,12 +13,19 @@ of a symmetric matrix tie at the clip cut; and `_ascent` over a stack of
 matrices at unit scale (`pow2_scaled`), scaled back, gives each matrix the
 value `r_heuristic` finds for it, also when the stack mixes exactly
 symmetric matrices, which take the SVD pair, with matrices that take the
-Gram pair.  These comparisons use exact equality: the batched code
-performs the same floating-point operations in the same order.  The
-greedy chain's shared shortlist scores (`_shortlist_scores`) sum in
-another order, so each lies within a few eps of the surrogate of its own
-zeroed pair, and the chain removes in the order of the per-candidate loop
-they replaced (kept below as the reference).
+Gram pair.  The ascent's budgeted batches of (matrix, seed) runs give
+the values of the per-seed loop they replaced (kept below as the
+reference), whether the budget splits one seed's stack or merges several
+seeds, also when some surrogates are NaN; no pair call of the ascent takes
+more than its budget; and the stack-wise certified power steps give each
+matrix the bits of a call on it alone, inside stacks where some matrices
+certify and others fall back to `eigh`.  These comparisons use exact
+equality: the batched code performs the same floating-point operations in
+the same order.  The greedy chain's shared shortlist scores
+(`_shortlist_scores`) sum in another order, so each lies within a few eps
+of the surrogate of its own zeroed pair, and the chain removes in the
+order of the per-candidate loop they replaced (kept below as the
+reference).
 """
 
 import contextlib
