@@ -320,9 +320,9 @@ def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> t
 
 #: Elements (runs times r * c) of the surrogate ascent's runs stepped in
 #: one batch, and the most any of its pair calls takes (one matrix at
-#: least): about 256 KB of float64 per batch-sized array, so every seed of
-#: a stack shares one stack and the ascent's memory stays flat however
-#: many matrices a k-sweep row keeps.
+#: least): about 256 KB of float64 per batch-sized array, so the seeds of
+#: a stack share batches and the ascent's memory stays flat however many
+#: matrices a k-sweep row keeps.
 _ASCENT_BUDGET = 1 << 15
 
 
@@ -476,6 +476,8 @@ def _ascent(stack: np.ndarray, p: float, restarts: int, seed: int,
         obj_prev = np.full(len(idx), -1.0)
         for _ in range(max_iters):
             weighted = a * (np.sign(c) * _dual_weights(abs_c, star, p)).reshape(a.shape)
+            # the pair call holds the batch's memory peak: free what it does not need
+            del c, abs_c, star
             s, t = _ascent_pair(weighted, sym[idx])
             obj = (s[:, None, :] @ weighted @ t[:, :, None])[:, 0, 0]
             c, abs_c, star = _reweighted(a, s, t)

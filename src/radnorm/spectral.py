@@ -161,8 +161,6 @@ the kernel is tested against.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import WeightMatrix
@@ -441,6 +439,8 @@ def _certified_top(gram: np.ndarray) -> tuple:
     x = gram[act, :, j[act]] / np.sqrt(head[act])[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for left in range(_CERTIFY_STEPS - 1, -1, -1):
+            if not act.size:
+                break
             y = (g @ x[:, :, None])[:, :, 0]
             rho = (x[:, None, :] @ y[:, :, None])[:, 0, 0]
             res = y - rho[:, None] * x
@@ -454,8 +454,6 @@ def _certified_top(gram: np.ndarray) -> tuple:
                 todo[act[accept]] = False
                 go = ~stop
                 act, g, y, fro2, slack = act[go], g[go], y[go], fro2[go], slack[go]
-                if not act.size:
-                    break
             x = y / np.sqrt((y[:, None, :] @ y[:, :, None])[:, 0])
     return top, todo
 
