@@ -439,31 +439,31 @@ class TestTopPair:
         assert sigma[0] > 0.0 and sigma[1] == 0.0 and not u[1].any()
         assert np.array_equal(v[1], _start_vector(shape[1]))
 
-    @pytest.mark.parametrize("n", [POWER_PAIR_MIN, POWER_PAIR_MIN + 8])
-    def test_certified_steps_on_zero_rank_one_and_tied_matrices(self, n):
+    def test_certified_steps_on_zero_rank_one_and_tied_matrices(self):
         # at and above the gate: a zero matrix and exactly tied tops (the
         # identity, and two equal blocks) never certify and take eigh's pair
         # bit for bit; a rank-one matrix certifies within 64 eps of its factor
-        rng = np.random.default_rng(23)
-        x, y = rng.standard_normal(n), rng.standard_normal(n)
-        block = rng.standard_normal((n // 2, n // 2))
-        tied = np.kron(np.eye(2), block)
-        for a in (np.zeros((n, n)), np.eye(n), tied, tied.T):
-            assert _certified_top(_scaled_gram(a[None])[0])[1][0]
-            got = one_pair(a, gram=True)
-            with mock.patch.object(spectral, "POWER_PAIR_MIN", n + 1):
-                want = one_pair(a, gram=True)
-            assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
-        for a in (np.outer(x, y), np.outer(x, y)[:, :n - 3], np.outer(x, y)[:n - 3]):
-            tops, todo = _certified_top(_scaled_gram(a[None])[0])
-            assert not todo[0]
-            top = tops[0]
-            factor = y[:a.shape[1]] if a.shape[0] >= a.shape[1] else x[:a.shape[0]]
-            factor = factor / np.linalg.norm(factor) * np.sign(factor @ top)
-            np.testing.assert_allclose(top, factor, rtol=0, atol=64 * np.finfo(float).eps)
-            sigma, u, v = one_pair(a, gram=True)
-            assert sigma == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=KERNEL_RTOL)
+        for n in (POWER_PAIR_MIN, POWER_PAIR_MIN + 8):
+            rng = np.random.default_rng(23)
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            block = rng.standard_normal((n // 2, n // 2))
+            tied = np.kron(np.eye(2), block)
+            for a in (np.zeros((n, n)), np.eye(n), tied, tied.T):
+                assert _certified_top(_scaled_gram(a[None])[0])[1][0]
+                got = one_pair(a, gram=True)
+                with mock.patch.object(spectral, "POWER_PAIR_MIN", n + 1):
+                    want = one_pair(a, gram=True)
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+            for a in (np.outer(x, y), np.outer(x, y)[:, :n - 3], np.outer(x, y)[:n - 3]):
+                tops, todo = _certified_top(_scaled_gram(a[None])[0])
+                assert not todo[0]
+                top = tops[0]
+                factor = y[:a.shape[1]] if a.shape[0] >= a.shape[1] else x[:a.shape[0]]
+                factor = factor / np.linalg.norm(factor) * np.sign(factor @ top)
+                np.testing.assert_allclose(top, factor, rtol=0, atol=64 * np.finfo(float).eps)
+                sigma, u, v = one_pair(a, gram=True)
+                assert sigma == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=KERNEL_RTOL)
 
     def test_gram_pair_beyond_full_decomposition_takes_power_steps(self):
         a = np.diag(np.linspace(1.0, 2.0, FULL_DECOMPOSITION_MAX + 1))
