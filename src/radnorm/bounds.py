@@ -175,14 +175,25 @@ def trivial_degree_bound(A: WeightMatrix | EdgeSet, inputs: BoundInputs | None =
 # exact 0/1 subgraph search
 
 
-def _pairs_value(rows: np.ndarray, cols: np.ndarray) -> float:
-    """`top_values` of the 0/1 indicator of the pairs (rows[e], cols[e]),
-    compacted to the rows and columns they use."""
+def _compacted(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The 0/1 indicator of the pairs (rows[e], cols[e]), compacted to the
+    rows and columns they use."""
     ur = np.unique(rows)
     uc = np.unique(cols)
     m = np.zeros((len(ur), len(uc)))
     m[np.searchsorted(ur, rows), np.searchsorted(uc, cols)] = 1.0
-    return float(top_values(m))
+    return m
+
+
+def _star_cap(rmax, cmax, m) -> tuple:
+    """(star, cap) of searches over at most m pairs of supports with row
+    and column degree maxima rmax and cmax (scalars or arrays alike): the
+    star seed sqrt(min(max(rmax, cmax), m)), which m pairs of the densest
+    row or column achieve, and the cap min(sqrt m, sqrt(min(rmax, m)
+    min(cmax, m))), which no subset of at most m pairs can beat."""
+    star = np.sqrt(np.minimum(np.maximum(rmax, cmax), m))
+    cap = np.minimum(np.sqrt(m), np.sqrt(np.minimum(rmax, m) * np.minimum(cmax, m)))
+    return star, cap
 
 
 class _SearchStop(Exception):
@@ -194,10 +205,11 @@ def r_exact_01(E: EdgeSet, p: float, budget_cap: int = 200_000) -> RBracket:
     """max over F subset of E, |F| <= floor(p), of ||1_F||.
 
     Branch and bound over connected subsets, seeded with the densest row
-    or column and stopped as soon as the best value reaches the cheap cap
-    (sqrt(m), the capped row and column degrees, and the whole-set norm
-    when it is cheap to get).  A search that exhausts `budget_cap` nodes
-    returns the best value found with certified=False and the cap as upper.
+    or column and stopped as soon as the best value reaches the cap:
+    sqrt(m) or the capped row and column degrees, lowered to the whole-set
+    norm where that norm is smaller (see `_search_01` for when it is
+    taken).  A search that exhausts `budget_cap` nodes returns the best
+    value found with certified=False and the cap as upper.
     Runs as `_exact_01` on the pairs as row and column index arrays.
     """
     return _exact_01(*E.index_arrays(), p, budget_cap)
@@ -227,6 +239,13 @@ def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> t
     The value is sqrt(size) for the star seed, `top_values` of a searched
     set, and `top_values` of the whole set when m covers it (then the cap
     is sqrt(max row degree * max col degree), which bounds any norm).
+    Otherwise the search starts from the star seed and the degree cap of
+    `_star_cap`, and returns the seed at once when it reaches the cap.
+    Else, when both sides of the set are at most FULL_DECOMPOSITION_MAX,
+    `top_values` of the whole set lowers the cap, unless a 3-step power
+    bound on that norm (`power_pair`) already exceeds the cap by 1e-12
+    relative: then the kernel's value, within 16 eps of the norm, could
+    not lower it, and the eigensolve is skipped with no bit changed.
 
     The optimum is attained on a subset that is connected in the
     edge-adjacency sense (sharing a row or a column index), since the norm
@@ -246,16 +265,18 @@ def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> t
     rmax = int(row_deg.max())
     cmax = int(col_deg.max())
     if m >= rows.size:
-        return _pairs_value(rows, cols), True, math.sqrt(rmax * cmax)
-    cap = min(math.sqrt(m), math.sqrt(min(rmax, m) * min(cmax, m)))
+        return float(top_values(_compacted(rows, cols))), True, math.sqrt(rmax * cmax)
+    best, cap = (float(x) for x in _star_cap(rmax, cmax, m))
 
-    # star seed: m pairs of the densest row or column achieve sqrt(size)
-    best = math.sqrt(min(max(rmax, cmax), m))
-
-    # the whole-set norm tightens the cap when it is cheap to get
+    # the whole-set norm can only lower the cap; 3 power steps give
+    # ||A v|| for a unit v, a lower bound on it up to a few eps, and the
+    # kernel's value is within 16 eps of it, so when the bound clears the
+    # cap by 1e-12 relative, min(cap, value) is the cap: skip the eigensolve
     if (best < cap - 1e-12 and np.count_nonzero(row_deg) <= FULL_DECOMPOSITION_MAX
             and np.count_nonzero(col_deg) <= FULL_DECOMPOSITION_MAX):
-        cap = min(cap, _pairs_value(rows, cols))
+        whole = _compacted(rows, cols)
+        if power_pair(whole, 3)[0] < cap * (1 + 1e-12):
+            cap = min(cap, float(top_values(whole)))
     if best >= cap - 1e-12:
         return best, True, cap
 
@@ -280,7 +301,7 @@ def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> t
         if cheap <= best + 1e-12:
             return
         # compacted from the counts: on sets of <= m pairs numpy's per-call
-        # cost (`_pairs_value`) is larger than the work (2x slower searches)
+        # cost (`_compacted`) is larger than the work (2x slower searches)
         rmap = {i: k for k, i in enumerate(sorted(rc))}
         cmap = {j: k for k, j in enumerate(sorted(cc))}
         sub = np.zeros((len(rmap), len(cmap)))
@@ -604,9 +625,40 @@ def _support_lower(rows: np.ndarray, cols: np.ndarray, on: np.ndarray, p: float,
                    config: EngineConfig) -> float:
     """Search score of a 0/1 support: the exact bracket's lower value at
     moment p, with a reduced node budget, over the pairs (rows[e], cols[e])
-    selected by the mask `on`."""
+    selected by the mask `on`.  The greedy chain calls it only for the
+    removals its degree screen leaves open (`_support_scores`)."""
     budget = max(2000, config.budget_cap // 100)
     return _exact_01(rows[on], cols[on], p, budget).lower
+
+
+def _support_scores(support: np.ndarray, zs: list, p: float, config: EngineConfig) -> list:
+    """For each z in `zs`, the search score (`_support_lower`) of the
+    square 0/1 `support` with row z and column z masked out, bit for bit.
+
+    One degree screen serves every z: the row and column degree maxima
+    and the number of pairs left after the removal give `_search_01`'s
+    star seed and cap (`_star_cap`), and a z that leaves more than
+    floor(p) pairs and whose star seed reaches its cap takes the star
+    seed, the value its search would return at once.  Only the other z
+    run the search."""
+    rows, cols = np.nonzero(support)
+    zs = np.asarray(zs)
+    at = np.arange(len(zs))
+    row_deg = support.sum(axis=1)
+    col_deg = support.sum(axis=0)
+    # degrees of the other rows without column z, and of the other columns
+    # without row z; row z and column z themselves drop to 0
+    rdeg = row_deg - support[:, zs].T
+    rdeg[at, zs] = 0
+    cdeg = col_deg - support[zs, :]
+    cdeg[at, zs] = 0
+    left = rows.size - row_deg[zs] - col_deg[zs] + support[zs, zs]
+    m = np.minimum(math.floor(p), left)
+    star, cap = _star_cap(rdeg.max(axis=1), cdeg.max(axis=1), m)
+    screened = (m < left) & (star >= cap - 1e-12)
+    return [float(star[i]) if screened[i] else
+            _support_lower(rows, cols, (rows != z) & (cols != z), p, config)
+            for i, z in enumerate(zs.tolist())]
 
 
 def _full_estimates(A: WeightMatrix, keeps: list, p: float, config: EngineConfig) -> list:
@@ -640,15 +692,16 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
 
     Candidates are shortlisted by row-plus-column mass and scored by a
     cheap version of the R estimate after the removal, ties to the lowest
-    index: with `on_support` (every nonzero |a_ij| equal) the subgraph
-    search on the step's support index arrays with row and column z masked
-    out, otherwise the surrogate at the step's 6-power-step top pair with
-    coordinate z zeroed and the pair renormalized, every shortlisted z
-    scored from one base |a o u v^T| and one partial sort of it
-    (`_shortlist_scores`, within a few eps of scoring each zeroed pair on
-    its own).  Returns the removal order: at most `steps` removals, except
-    that once the remaining submatrix is zero every remaining index is
-    appended.
+    index: with `on_support` (every nonzero |a_ij| equal) the search score
+    of the step's support with row and column z masked out
+    (`_support_scores`: one degree screen settles each z whose star seed
+    meets its cap, and only the rest run the subgraph search), otherwise
+    the surrogate at the step's 6-power-step top pair with coordinate z
+    zeroed and the pair renormalized, every shortlisted z scored from one
+    base |a o u v^T| and one partial sort of it (`_shortlist_scores`,
+    within a few eps of scoring each zeroed pair on its own).  Returns the
+    removal order: at most `steps` removals, except that once the
+    remaining submatrix is zero every remaining index is appended.
     """
     n = A.n_rows
     keep = list(range(n))
@@ -662,9 +715,7 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
             removed.extend(keep.copy())
             del keep[:]
             break
-        if on_support:
-            rows, cols = np.nonzero(sub)
-        else:
+        if not on_support:
             sigma, u, v = power_pair(sub, 6)
         mass = (sub * sub).sum(axis=1) + (sub * sub).sum(axis=0)
         if len(keep) > SHORTLIST_SIZE:
@@ -673,8 +724,7 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
         else:
             shortlist_local = list(range(len(keep)))
         if on_support:
-            scores = [_support_lower(rows, cols, (rows != z) & (cols != z), p, config)
-                      for z in shortlist_local]
+            scores = _support_scores(sub != 0, shortlist_local, p, config)
         elif sigma != 0.0:
             scores = _shortlist_scores(sub, u, v, shortlist_local, p)
         else:

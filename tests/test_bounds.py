@@ -294,6 +294,22 @@ class TestBoundProfile:
         assert prof.trivial_degree == 2.0
         assert prof.mode == "exact01"
 
+    def test_whole_set_eigensolves_only_where_they_can_lower_the_cap(self):
+        # a 0/1 search takes the eigensolve of its whole set only when a
+        # 3-step power bound leaves it able to lower the cap; without that
+        # gate this profile runs 99 eigensolves at side >= 100
+        A = dict(corpus_mixed())["block_singletons_n128_d5"]
+        eigvalsh = np.linalg.eigvalsh
+        sides = []
+
+        def counted(a, *args, **kwargs):
+            sides.append(a.shape[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        with mock.patch("numpy.linalg.eigvalsh", counted):
+            bound_profile(A)
+        assert sum(side >= 100 for side in sides) <= 33
+
     def test_union_complete_cross_check(self):
         inst = union_complete(4, 3)
         A = inst.weight_matrix()

@@ -10,13 +10,16 @@ symmetries of the quantity (transpose, row and column permutations, sign
 flips), up to rounding in the order of summation, and the exact value of
 a support masked out of a larger one must equal that of the extracted
 submatrix bit for bit, and the k-sweep's search score of a masked
-support must equal that bracket's lower value within 16 eps.  Every
-exact 0/1 bracket, whether its search ran out of nodes or stopped at its
-cap, must hold the exhaustive oracle's value, and a certified one must
-equal it.  The spectral kernel's top values must lie within its stated
-16 eps of the oracles' plain SVD at any weight scale, and its Gram pair,
-from eigh or from certified power steps, within a gap-scaled bound of the
-SVD pair.  The vectorized support degree must equal the degree of the
+support must equal that bracket's lower value within 16 eps.  The greedy
+chain's screened shortlist scores must equal one search per candidate,
+and the search that skips a whole-set eigensolve where a power bound shows
+it cannot lower the cap must return what the ungated search (kept below
+as the reference) returns, both bit for bit.  Every exact 0/1 bracket,
+whether its search ran out of nodes or stopped at its cap, must hold the
+exhaustive oracle's value, and a certified one must equal it.  The
+spectral kernel's top values must lie within its stated 16 eps of the
+oracles' plain SVD at any weight scale, and its Gram pair, from eigh or
+from certified power steps, within a gap-scaled bound of the SVD pair.  The vectorized support degree must equal the degree of the
 support graph built vertex by vertex.  An edge set handed to the sampler
 and the cheap bounds as it is must give, bit for bit, what its dense
 indicator matrix gives.  The bound profile of 2^j A must be 2^j times
@@ -34,15 +37,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radnorm import sampler, streams
+import math
+
+from radnorm import bounds, sampler, streams
 from radnorm.scenarios import _cheap_bounds
-from radnorm.bounds import (EngineConfig, _exact_01, _search_01, _support_lower,
-                            bound_profile, r_exact_01)
+from radnorm.bounds import (EngineConfig, _SearchStop, _exact_01, _search_01, _support_lower,
+                            _support_scores, bound_profile, r_exact_01)
 from radnorm.core import EdgeSet, WeightMatrix, derive_graph, max_support_degree
 from radnorm.corpus import corpus_mixed
 from radnorm.oracles import subgraph_norm_enum, top_singular_value
 from radnorm.sampler import MODES, _sample_norms, exact_small_norm_expectation, mc_norm
-from radnorm.spectral import top_pair, top_value_max, top_values
+from radnorm.spectral import FULL_DECOMPOSITION_MAX, top_pair, top_value_max, top_values
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
@@ -238,6 +243,167 @@ def test_support_score_equals_the_exact_lower_value(case, cap):
     config = EngineConfig(budget_cap=cap)
     got = _support_lower(rows, cols, on, p, config)
     assert got == _exact_01(rows[on], cols[on], p, max(2000, cap // 100)).lower
+
+
+@st.composite
+def shortlisted_supports(draw):
+    """(support, zs, p): a square 0/1 support of side <= 12, either random
+    cells or a K_d block (diagonal included) beside isolated diagonal
+    pairs, a shortlist of removals (every index, or a sorted subset) and a
+    moment with floor(p) from 1 to 8.  Small sides and few cells give
+    removals that empty the support and moments that cover what is left."""
+    n = draw(st.integers(1, 12))
+    support = np.zeros((n, n), dtype=bool)
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+        support[tuple(np.array(cells, dtype=int).reshape(-1, 2).T)] = True
+    else:
+        d = draw(st.integers(1, n))
+        support[:d, :d] = True
+        support[np.arange(d, n), np.arange(d, n)] = True
+    zs = sorted(draw(st.one_of(st.just(list(range(n))),
+                               st.lists(st.integers(0, n - 1), min_size=1, unique=True))))
+    p = draw(st.integers(1, 8)) + draw(st.sampled_from([0.0, 0.25, 0.999]))
+    return support, zs, p
+
+
+def support_scores_per_candidate(support, zs, p, config):
+    """The shortlist scores the degree screen replaced: one search per z."""
+    rows, cols = np.nonzero(support)
+    return [_support_lower(rows, cols, (rows != z) & (cols != z), p, config) for z in zs]
+
+
+@PROPERTY_SETTINGS
+@given(case=shortlisted_supports(), cap=st.sampled_from([1, 300_000]))
+def test_screened_support_scores_equal_the_per_candidate_searches(case, cap):
+    support, zs, p = case
+    config = EngineConfig(budget_cap=cap)
+    assert _support_scores(support, zs, p, config) == support_scores_per_candidate(
+        support, zs, p, config)
+
+
+def test_screened_support_scores_on_every_greedy_step_of_block_singletons():
+    # every greedy step of this profile: the degree screen settles most
+    # shortlisted removals, and the rest still run the search
+    a = dict(corpus_mixed())["block_singletons_n128_d5"]
+    config = EngineConfig()
+    steps = []
+
+    def checked(support, zs, p, config):
+        got = _support_scores(support, zs, p, config)
+        assert got == support_scores_per_candidate(support, zs, p, config)
+        steps.append(len(zs))
+        return got
+
+    with mock.patch.object(bounds, "_support_scores", checked):
+        bound_profile(a, config)
+    # the chains of the k = 2 to 64 rows: 2 + 4 + ... + 64 steps
+    assert len(steps) == 126
+
+
+def search_01_ungated(rows, cols, m, budget_cap):
+    """`_search_01` before its whole-set eigensolve was gated on a power
+    bound: the reference the gated search must equal."""
+    def pairs_value(rows, cols):
+        ur = np.unique(rows)
+        uc = np.unique(cols)
+        a = np.zeros((len(ur), len(uc)))
+        a[np.searchsorted(ur, rows), np.searchsorted(uc, cols)] = 1.0
+        return float(top_values(a))
+
+    row_deg = np.bincount(rows)
+    col_deg = np.bincount(cols)
+    rmax = int(row_deg.max())
+    cmax = int(col_deg.max())
+    if m >= rows.size:
+        return pairs_value(rows, cols), True, math.sqrt(rmax * cmax)
+    cap = min(math.sqrt(m), math.sqrt(min(rmax, m) * min(cmax, m)))
+    best = math.sqrt(min(max(rmax, cmax), m))
+    if (best < cap - 1e-12 and np.count_nonzero(row_deg) <= FULL_DECOMPOSITION_MAX
+            and np.count_nonzero(col_deg) <= FULL_DECOMPOSITION_MAX):
+        cap = min(cap, pairs_value(rows, cols))
+    if best >= cap - 1e-12:
+        return best, True, cap
+
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    by_row: dict = {}
+    by_col: dict = {}
+    for e, (i, j) in enumerate(pairs):
+        by_row.setdefault(i, []).append(e)
+        by_col.setdefault(j, []).append(e)
+    nbr = [sorted((set(by_row[i]) | set(by_col[j])) - {e}) for e, (i, j) in enumerate(pairs)]
+    nodes = 0
+
+    def offer(subset):
+        nonlocal best
+        rc: dict = {}
+        cc: dict = {}
+        for e in subset:
+            i, j = pairs[e]
+            rc[i] = rc.get(i, 0) + 1
+            cc[j] = cc.get(j, 0) + 1
+        cheap = math.sqrt(min(len(subset), max(rc.values()) * max(cc.values())))
+        if cheap <= best + 1e-12:
+            return
+        rmap = {i: k for k, i in enumerate(sorted(rc))}
+        cmap = {j: k for k, j in enumerate(sorted(cc))}
+        sub = np.zeros((len(rmap), len(cmap)))
+        for e in subset:
+            i, j = pairs[e]
+            sub[rmap[i], cmap[j]] = 1.0
+        val = float(top_values(sub))
+        if val > best + 1e-12:
+            best = val
+            if val >= cap - 1e-12:
+                raise _SearchStop(True)
+
+    def grow(cur, cand, seen):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget_cap:
+            raise _SearchStop(False)
+        if len(cur) == m or not cand:
+            offer(cur)
+            return
+        root = cur[0]
+        for idx, f in enumerate(cand):
+            fresh = [g for g in nbr[f] if g > root and g not in seen]
+            grow(cur + [f], cand[idx + 1:] + fresh, seen | set(fresh))
+
+    try:
+        for root in range(len(pairs)):
+            cand = [f for f in nbr[root] if f > root]
+            grow([root], cand, set(cand) | {root})
+    except _SearchStop as stop:
+        return best, stop.args[0], cap
+    return best, True, cap
+
+
+#: A bipartite path of 4 pairs, of norm sqrt(3).
+PATH4 = [(0, 0), (0, 1), (1, 1), (1, 2)]
+#: 12 pairs whose norm lies 0.099% below their cap at m = 7, and whose
+#: power bound lies 0.102% below it: the smallest such gap a random search
+#: of sides up to 8 found.
+NEAR_CAP = [(0, 2), (0, 5), (2, 1), (2, 2), (2, 4), (2, 6), (3, 2), (3, 5), (4, 1),
+            (5, 0), (5, 2), (5, 6)]
+
+
+@PROPERTY_SETTINGS
+@given(case=budgeted_edge_sets())
+# K_3 at m = 4: the power bound on the norm 3 clears the cap 2, no eigensolve
+@example(case=(3, [(i, j) for i in range(3) for j in range(3)], 4, 200_000))
+# the path at m = 3: the norm ties the cap sqrt(3), the bound lies just below it
+@example(case=(3, PATH4, 3, 200_000))
+# the path beside a pair at m = 4: the norm lowers the cap from 2 to sqrt(3)
+@example(case=(4, PATH4 + [(3, 3)], 4, 200_000))
+@example(case=(7, NEAR_CAP, 7, 200_000))
+def test_gated_search_equals_the_ungated_search(case):
+    n, pairs, p, budget = case
+    rows, cols = EdgeSet(n, tuple(pairs)).index_arrays()
+    m = min(p, rows.size)
+    assume(m > 0)
+    assert _search_01(rows, cols, m, budget) == search_01_ungated(rows, cols, m, budget)
 
 
 @st.composite

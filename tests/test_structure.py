@@ -15,7 +15,8 @@ scipy is named only in `streams`, which loads it for Gaussian draws alone,
 so every other command runs on numpy and the standard library.
 Comments and string literals are ignored.  Every `EngineConfig` knob is
 also a `profile` flag, so no knob is left that no caller sets, and
-library surface deleted because no result used it stays deleted.
+library surface deleted because no result used it stays deleted.  The exact
+0/1 search's star seed and cap are written once.
 """
 
 import argparse
@@ -56,7 +57,17 @@ DELETED = ("trace_power_norm", "neighborhood_sets", "LevelSets", "level_sets",
            "_proxy_after_removal", "off_diagonal_max_abs", "_surrogate_stack",
            "_SubsetSearch", "_BudgetExhausted", "_CapReached", "_surrogate_at",
            "PROFILE_EXPONENT_MAX", "_SQUARE_SAFE", "mc_norm_moments",
-           "_default_threads")
+           "_default_threads", "_pairs_value")
+
+#: The exact 0/1 search's star seed sqrt(min(max(rmax, cmax), m)) and cap
+#: sqrt(min(rmax, m) * min(cmax, m)), with or without numpy: written once,
+#: in `bounds._star_cap`, which the search and the greedy chain's degree
+#: screen both call, so the screen cannot fork the rule.
+STAR_CAP = {
+    "star seed": re.compile(r"sqrt\(\s*(np\.)?min(imum)?\(\s*(np\.)?max(imum)?\("),
+    "degree cap": re.compile(
+        r"sqrt\(\s*(np\.)?min(imum)?\(\s*\w+\s*,\s*\w+\s*\)\s*\*\s*(np\.)?min(imum)?\("),
+}
 
 
 def code_only(path: pathlib.Path) -> str:
@@ -106,6 +117,15 @@ def test_engine_config_knobs_are_profile_flags():
     drifted = [f.name for f in dataclasses.fields(EngineConfig)
                if defaults[f.name] != f.default]
     assert not drifted, f"profile flag defaults differ from EngineConfig: {drifted}"
+
+
+@pytest.mark.parametrize("rule", sorted(STAR_CAP))
+def test_star_and_cap_written_once(rule):
+    pattern = STAR_CAP[rule]
+    found = [(path.name, lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for lineno, line in enumerate(code_only(path).splitlines(), 1)
+             if pattern.search(line)]
+    assert len(found) == 1 and found[0][0] == "bounds.py", f"{rule}: {found}"
 
 
 @pytest.mark.parametrize("name", DELETED)
