@@ -19,14 +19,16 @@ whether its search ran out of nodes or stopped at its cap, must hold the
 exhaustive oracle's value, and a certified one must equal it.  The
 spectral kernel's top values must lie within its stated 16 eps of the
 oracles' plain SVD at any weight scale, and its Gram pair, from eigh or
-from certified power steps, within a gap-scaled bound of the SVD pair.  The vectorized support degree must equal the degree of the
-support graph built vertex by vertex.  An edge set handed to the sampler
-and the cheap bounds as it is must give, bit for bit, what its dense
-indicator matrix gives.  The bound profile of 2^j A must be 2^j times
-that of A, field by field and bit for bit, removal sets and modes equal,
-for every j that keeps each nonzero entry a normal float.
+from certified power steps, within a gap-scaled bound of the SVD pair.
+The vectorized support degree must equal the degree of the support graph
+built vertex by vertex.  An edge set handed to the sampler and the cheap
+bounds as it is must give, bit for bit, what its dense indicator matrix
+gives.  The bound profile of 2^j A must be 2^j times that of A, field by
+field and bit for bit, removal sets and modes equal, for every j that
+keeps each nonzero entry a normal float.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -36,8 +38,6 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-
-import math
 
 from radnorm import bounds, sampler, streams
 from radnorm.scenarios import _cheap_bounds
