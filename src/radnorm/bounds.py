@@ -63,6 +63,7 @@ class EngineConfig:
             raise ValueError("budget_cap must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
+        streams.check_seed(self.seed)
 
 
 EXACT_FULL_N = 16       # full estimator on every enumerated subset up to this n

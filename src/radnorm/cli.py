@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: profile, mc, family, verify, oracle.  Exit codes: 0 success,
-2 usage or parse error, 3 resource cap, 4 numeric failure (a non-finite
-number in the output included, which JSON cannot hold).  Outputs are
+2 usage or parse error, 3 resource cap (a failed allocation included), 4
+numeric failure (a non-finite number in the output included, which JSON
+cannot hold, and a Monte Carlo norm outside its bound range).  Outputs are
 deterministic for a fixed flag set; --threads (default 1) only caps
 workers and never changes a byte of output, so it is not echoed.
 
@@ -272,6 +273,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (CapExceededError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CAP
 
 

@@ -19,23 +19,40 @@ whether or not they land in the same block.
 
 The plan lays every group of same-shape blocks out in full, r x c cells a
 block, with a source column and a weight for each cell; a cell the block
-does not hold reads one zero column appended to the sampled values, with
-weight 0.  A group's stack is then one gather (`take`) times the padded
-weights.  In the Rademacher modes a block's largest |w_ij eps_ij| is its
-largest |w_ij|, so the plan stores the weights of every block with both
-sides >= 2 already scaled by its power of two (max |w_ij| in [1/2, 1))
-and hands the shifts to `spectral.top_value_max`, which then neither
-scans nor scales a sample: the norms keep the bits of scaling each
-sampled block.  Gaussian blocks keep their weights and are scaled per
-sample.
+does not hold reads one pad column, holding 1.0, appended to the sampled
+values, with weight 0.  A group's stack is then one gather (`take`).  In
+Gaussian mode the gather is multiplied by the padded weights.  In the
+Rademacher modes the gather reads the uniforms themselves, less 1/2, and
+puts each cell's sign on in the same pass, `copysign(|w|, u - 1/2)`:
+u >= 1/2 gives +|w| as `streams.signs_from_uniform` gives +1, and one
+masked negation then restores the cells of negative weight (0/1 and
+nonnegative inputs skip it).  A pad cell comes out +0.0 either way.  A
+product with +-1 and `copysign` are both exact, so the stack has the
+bits of the signs times the weights.  In these modes a block's largest
+|w_ij eps_ij| is its largest |w_ij|, so the plan stores the weights of
+every block with both sides >= 2 already scaled by its power of two (max
+|w_ij| in [1/2, 1)) and hands the shifts to `spectral.top_value_max`,
+which then neither scans nor scales a sample: the norms keep the bits of
+scaling each sampled block.  Gaussian blocks keep their weights and are
+scaled per sample.
+
+A Rademacher block B o eps has the row and column L2 norms of B and its
+Frobenius norm, whatever the signs, so before any draw the plan knows
+max(row L2, col L2) <= ||B o eps|| <= min(||B||_F, sqrt(max row L1 *
+max col L1)).  After each group every sample's running norm must lie
+between the largest lower and the largest upper bound of the blocks so
+far, up to a relative slack of (r + c + 32) eps for r x c blocks (the
+kernel's 16 eps and the rounding of the bounds' sums); a norm outside
+raises FloatingPointError, a defect in the kernel or the plan.
 
 Uniform blocks are drawn lazily, one at a time.  Each block is cut into
 equal row chunks, as many as a multiple of the thread count, and worker
 threads take the chunks; the realization budget is shared by all workers,
-so peak memory does not grow with `threads`.  The transform is picked
-(`streams.transform`) on the calling thread before any worker starts, so
-the one import it may make, scipy.special for Gaussian mode, never runs
-on a worker.  Output is byte-identical for any thread count.
+so peak memory does not grow with `threads`.  Gaussian mode's transform
+is picked (`streams.transform`) on the calling thread before any worker
+starts, so its import of scipy.special never runs on a worker; the
+Rademacher modes hand the uniforms to the gather as they are.  Output is
+byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -144,11 +161,16 @@ def _norm_plan(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndar
     and share one `spectral.top_value_max` call, which eigensolves only
     the blocks that can hold a sample's maximum.  A group holds, for each
     of its g r c cells in block layout, `src`, the sign column it reads
-    (k, the appended zero column, for a cell no block holds), and `w`,
-    its weight (0 there); in the Rademacher modes, when both sides are at
-    least 2, `w` is scaled per block by 2^-shift to a max |w| in [1/2, 1)
-    (`spectral.pow2_scaled`) and `shift` holds the g exponents, else it is
-    None.
+    (k, the appended pad column, for a cell no block holds), and `w`, its
+    weight (0 there).  In Gaussian mode `w` is the weight itself and
+    `rademacher` is False; `neg`, `shift` and `bracket` are None.  In the
+    Rademacher modes `w` is |weight|, `neg` marks the cells of negative
+    weight (None when there are none), and, when both sides are at least
+    2, the weights are scaled per block by 2^-shift to a max |w| in
+    [1/2, 1) (`spectral.pow2_scaled`) and `shift` holds the g exponents,
+    else it is None; `bracket` is (floor, cap), the largest lower and
+    upper norm bounds (`_norm_range`) of the blocks of this group and the
+    groups before it.
     """
     nr, nc = shape
     if mode in ("rademacher_iid", "gaussian"):
@@ -182,6 +204,7 @@ def _norm_plan(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndar
     cells = np.lexsort((comp, sizes))
     keys, starts = np.unique(sizes[cells], return_index=True)
     plan = []
+    floor = cap = 0.0
     for key, lo, hi in zip(keys.tolist(), starts.tolist(),
                            starts[1:].tolist() + [cells.size]):
         r, c = divmod(key, nc + 1)
@@ -192,13 +215,47 @@ def _norm_plan(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndar
         src[at] = pos[sel]
         w = np.zeros(blocks.size * r * c)
         w[at] = values[sel]
-        shift = None
-        if mode != "gaussian" and r > 1 and c > 1:
-            w, shift = pow2_scaled(w.reshape(blocks.size, -1))
-            w = w.ravel()
-        plan.append({"shape": (r, c), "count": blocks.size, "src": src, "w": w,
-                     "shift": shift})
+        group = {"shape": (r, c), "count": blocks.size, "src": src, "w": w,
+                 "rademacher": mode != "gaussian", "neg": None, "shift": None,
+                 "bracket": None}
+        if group["rademacher"]:
+            scaled, shift = pow2_scaled(w.reshape(blocks.size, r, c))
+            neg = np.signbit(w)
+            np.abs(scaled, out=scaled)
+            low, high = _norm_range(scaled, shift)
+            floor, cap = max(floor, low), max(cap, high)
+            if r > 1 and c > 1:
+                group.update(w=scaled.ravel(), shift=shift)
+            else:
+                np.abs(w, out=w)
+            group.update(neg=neg if neg.any() else None, bracket=(floor, cap))
+        plan.append(group)
     return k, plan
+
+
+def _norm_range(scaled: np.ndarray, shift: np.ndarray) -> tuple:
+    """(lower, upper): the largest lower and the largest upper bound on
+    ||B o eps|| over the blocks B = 2^shift[j] scaled[j] of a (g, r, c)
+    stack of magnitudes, max scaled[j] in [1/2, 1), for every sign
+    pattern eps.
+
+    Each block's bounds are max(row L2, column L2) and min(Frobenius,
+    sqrt(max row L1 * max column L1)).  They are taken on the scaled block,
+    widened by a relative (r + c + 32) eps, which covers the kernel's
+    16 eps and the rounding of these sums, and only then scaled back:
+    rounding is monotone, so a norm the kernel scales back by the same
+    power of two stays inside them, subnormal or not.
+    """
+    _, r, c = scaled.shape
+    row_sq = np.einsum("grc,grc->gr", scaled, scaled)
+    col_sq = np.einsum("grc,grc->gc", scaled, scaled)
+    low = np.sqrt(np.maximum(row_sq.max(axis=1), col_sq.max(axis=1)))
+    high = np.minimum(np.sqrt(row_sq.sum(axis=1)),
+                      np.sqrt(scaled.sum(axis=2).max(axis=1) * scaled.sum(axis=1).max(axis=1)))
+    slack = (r + c + 32) * np.finfo(float).eps
+    with np.errstate(over="ignore", under="ignore"):
+        return (float(np.ldexp(low * (1.0 - slack), shift).max()),
+                float(np.ldexp(high * (1.0 + slack), shift).max()))
 
 
 def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
@@ -207,20 +264,43 @@ def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
     the floor below which `top_value_max` skips a block.
 
     Each group's (m, g, r, c) stack is one gather from the values with a
-    zero column appended, times the plan's padded weights."""
-    m = values.shape[0]
-    ext = np.concatenate((values, np.zeros((m, 1))), axis=1)
+    pad column of 1.0 appended.  In Gaussian mode the values are the
+    draws and the gather is multiplied by the plan's padded weights.  In
+    the Rademacher modes the values are uniforms, or +-1 patterns (s - 1/2
+    has the sign of s), and each cell is copysign(|w|, u - 1/2), negated
+    where its weight is negative.  After each Rademacher group the
+    running norms are checked against the plan's bracket; one outside it
+    raises FloatingPointError."""
+    m, k = values.shape
+    fold = plan[0]["rademacher"]
+    centre = 0.5 if fold else 0.0
+    ext = np.empty((m, k + 1))
+    np.subtract(values, centre, out=ext[:, :k])
+    ext[:, k] = 1.0 - centre
     out = np.zeros(m)
     for group in plan:
         r, c = group["shape"]
         # `take`, not ext[:, src]: the fancy index is not C-contiguous, and
         # its Gram products took another BLAS route that moved low bits
         block = ext.take(group["src"], axis=1)
-        block *= group["w"]
+        if fold:
+            np.copysign(group["w"], block, out=block)
+            if group["neg"] is not None:
+                np.negative(block, out=block, where=group["neg"])
+        else:
+            block *= group["w"]
         if r == 1 and c == 1:
             np.maximum(out, np.abs(block).max(axis=1), out=out)
-            continue
-        out = top_value_max(block.reshape(m, group["count"], r, c), out, group["shift"])
+        else:
+            out = top_value_max(block.reshape(m, group["count"], r, c), out, group["shift"])
+        if group["bracket"] is not None:
+            floor, cap = group["bracket"]
+            bad = ~((floor <= out) & (out <= cap))
+            if bad.any():
+                raise FloatingPointError(
+                    f"sample norm {out[bad][0]!r} outside its bound range "
+                    f"[{floor!r}, {cap!r}] after the {r}x{c} blocks: "
+                    "a defect in the norm kernel or the sampling plan")
     return out
 
 
@@ -253,9 +333,9 @@ def _sample_norms(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
                   threads: int = 1) -> np.ndarray:
     """Norms of `samples` realizations, one stream block in memory at a time.
 
-    Each block is split by _chunk_plan; a chunk's transform and norms run
-    on a worker thread (numpy's matrix products and batched eigensolves
-    release the GIL).  Every sample's norm depends only on its own
+    Each block is split by _chunk_plan; a chunk's norms, and in Gaussian
+    mode its transform, run on a worker thread (numpy's matrix products
+    and batched eigensolves release the GIL).  Every sample's norm depends only on its own
     uniforms, so the result is bit-identical for any thread count.
     """
     if threads < 1:
@@ -264,10 +344,11 @@ def _sample_norms(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
     if k == 0:
         return np.zeros(samples)
     dense = sum(g["count"] * g["shape"][0] * g["shape"][1] for g in plan)
-    transform = streams.transform(mode)
+    # the Rademacher signs are read off the uniforms inside the gather
+    transform = streams.transform(mode) if mode == "gaussian" else None
 
     def run(chunk):
-        return _batch_norms(transform(chunk), plan)
+        return _batch_norms(chunk if transform is None else transform(chunk), plan)
 
     norms = np.empty(samples)
     for start, u in streams.uniform_blocks(seed, k, samples):
@@ -304,7 +385,8 @@ def mc_norm(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
     Every moment is read off the same sampled norms as the mean, so they
     share their random numbers.  Each p must lie in [1, 64].  The mean
     needs at least 16 samples, moments at least 100; without `p_list`,
-    `p_moments` is None.
+    `p_moments` is None.  The seed must lie in [0, 2^64)
+    (`streams.check_seed`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -314,6 +396,7 @@ def mc_norm(A: WeightMatrix | EdgeSet, mode: str, samples: int, seed: int,
     least = 100 if p_list else 16
     if samples < least:
         raise ValueError(f"need at least {least} samples")
+    streams.check_seed(seed)  # a matrix with no cells draws nothing
     norms = _sample_norms(A, mode, samples, seed, threads)
     moments = {p: power_mean_estimate(norms, p) for p in p_list} if p_list else None
     return McEstimate(*_mean_stderr(norms), samples, seed, mode, moments)

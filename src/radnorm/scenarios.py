@@ -47,6 +47,7 @@ from .families import (
     union_complete,
 )
 from .sampler import mc_norm
+from .streams import check_seed
 
 
 @dataclass(frozen=True)
@@ -323,6 +324,7 @@ def run_scenario(name: str, samples: int | None = None, seed: int = 1,
     if name not in _DISPATCH:
         raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
     fn = _DISPATCH[name]
+    check_seed(seed)  # before any family is built or searched
     if samples is None:
         return fn(seed=seed, threads=threads, **kwargs)
     return fn(samples=samples, seed=seed, threads=threads, **kwargs)

@@ -1,8 +1,10 @@
 """Reproducible counter-style random streams for Monte Carlo work.
 
 Samples are laid out in fixed-size blocks.  Block b of a run with seed s
-is generated by a Philox generator keyed with (s, b), and each sample owns
-a fixed slice of the block's uniform matrix.  The layout depends only on
+is generated by a Philox generator keyed with (s, b).  A seed lies in
+[0, 2^64) and any other raises ValueError (`check_seed`), so no two seeds
+share a stream.  Each sample owns a fixed slice of the block's uniform
+matrix.  The layout depends only on
 (seed, entries-per-sample), never on chunking or worker count, so serial
 and parallel runs agree bit for bit.
 
@@ -10,7 +12,10 @@ All randomness is derived from uniforms in [0, 1):
   * signs:     +1 where u >= 1/2, else -1
   * gaussians: inverse normal CDF of u (scipy.special.ndtri)
 Using the same uniforms for both transforms pairs the Rademacher and
-Gaussian modes sample by sample (common random numbers).
+Gaussian modes sample by sample (common random numbers).  The Monte
+Carlo sampler applies the sign map inside its gather, as the sign of
+u - 1/2 (`sampler._batch_norms`), and calls `transform` for Gaussian mode
+only; `signs_from_uniform` is the reference map that route must equal.
 
 scipy is imported here only, and only for the Gaussian transform: the
 first Gaussian draw loads `scipy.special`, so everything else in the
@@ -23,8 +28,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-_MASK64 = (1 << 64) - 1
 
 #: Upper bound on uniforms generated per block; the per-block sample count
 #: shrinks for wide matrices so block buffers stay modest.
@@ -40,8 +43,17 @@ def block_samples(entries_per_sample: int) -> int:
     return max(1, min(_MAX_BLOCK_SAMPLES, _BLOCK_BUDGET // entries_per_sample))
 
 
+def check_seed(seed: int) -> int:
+    """seed as an int; ValueError unless it lies in [0, 2^64), the half of
+    the Philox key that a stream's seed fills."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
-    key = (int(seed) & _MASK64) | ((block_index + 1) << 64)
+    key = check_seed(seed) | ((block_index + 1) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from radnorm import cli
+from radnorm import cli, sampler
 from radnorm.cli import main
 from radnorm.core import EdgeSet, WeightMatrix
 from radnorm.matio import dump_json
@@ -144,6 +144,14 @@ class TestProfileCommand:
         assert main(["profile", "--input", path, *flag, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exit_2(self, k3_file, capsys, seed):
+        # a seed fills 64 bits of the Philox key; it used to be reduced mod
+        # 2^64, so 0 and 2^64 ran the same restarts
+        assert main(["profile", "--input", k3_file, "--seed", str(seed)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+
 
 class TestMcCommand:
     def test_json_output(self, k3_file, tmp_path):
@@ -205,6 +213,55 @@ class TestMcCommand:
     def test_threads_below_one_exit_2(self, k3_file, threads):
         assert main(["mc", "--input", k3_file, "--samples", "100",
                      "--threads", threads]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_seed_outside_64_bits_exit_2(self, k3_file, zero_file, capsys, seed):
+        # 2^64 and -2^64 used to alias seed 0, and echo themselves; a
+        # matrix with no cells draws nothing but still checks its seed
+        for path in (k3_file, zero_file):
+            assert main(["mc", "--input", path, "--samples", "100", "--seed", str(seed)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+
+    def test_largest_seed(self, k3_file, tmp_path):
+        code, payload = run_json(["mc", "--input", k3_file, "--samples", "100",
+                                  "--seed", str(2**64 - 1)], tmp_path)
+        assert code == 0 and payload["estimate"]["seed"] == 2**64 - 1
+        _, at_zero = run_json(["mc", "--input", k3_file, "--samples", "100",
+                               "--seed", "0"], tmp_path, "zero.json")
+        assert payload["estimate"]["mean"] != at_zero["estimate"]["mean"]
+
+    def test_out_of_memory_exit_3(self, k3_file, monkeypatch, capsys):
+        # what --samples 100000000000000 did: numpy's _ArrayMemoryError
+        # escaped as a traceback with exit 1
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 728. TiB for an array with shape "
+                              "(100000000000000,) and data type float64")
+
+        monkeypatch.setattr(sampler, "_sample_norms", fail)
+        assert main(["mc", "--input", k3_file, "--samples", "100000000000000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: out of memory: Unable to allocate")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["rademacher_iid", "rademacher_symmetric"])
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_norm_outside_its_bound_range_exit_4(self, tmp_path, monkeypatch, capsys,
+                                                  mode, factor):
+        # on the all-ones 2x2, sign patterns with orthogonal rows reach the
+        # row norm sqrt(2) and rank-one ones the Frobenius norm 2, so a
+        # kernel 10% off either way leaves the range the plan derives
+        path = tmp_path / "ones.json"
+        dump_json(WeightMatrix(np.ones((2, 2))), path)
+        real = sampler.top_value_max
+        monkeypatch.setattr(sampler, "top_value_max",
+                            lambda *args: factor * real(*args))
+        assert main(["mc", "--input", str(path), "--mode", mode, "--samples", "100"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: sample norm ") and "outside its bound range" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("scale", [1e10, 1e-12, 1e306])
     def test_moments_finite_at_extreme_scale(self, tmp_path, scale):
@@ -300,6 +357,13 @@ class TestVerifyCommand:
                      "--n-cap", n_cap, "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exit_2(self, capsys, seed):
+        assert main(["verify", "--scenario", "union_complete_regimes", "--n-cap", "64",
+                     "--samples", "100", "--seed", str(seed)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: seed must lie in [0, 2**64), got {seed}\n"
 
     def test_unknown_scenario_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

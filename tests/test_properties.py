@@ -25,7 +25,10 @@ built vertex by vertex.  An edge set handed to the sampler and the cheap
 bounds as it is must give, bit for bit, what its dense indicator matrix
 gives.  The bound profile of 2^j A must be 2^j times that of A, field by
 field and bit for bit, removal sets and modes equal, for every j that
-keeps each nonzero entry a normal float.
+keeps each nonzero entry a normal float.  The Rademacher gather, which
+puts each uniform's sign on |w| by `copysign`, must equal the sign map
+times the signed weights bit for bit, and every sign pattern's norm must
+lie in the range the plan derives from the weights alone.
 """
 
 import math
@@ -39,7 +42,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radnorm import bounds, sampler, streams
+from radnorm import bounds, sampler, spectral, streams
 from radnorm.scenarios import _cheap_bounds
 from radnorm.bounds import (EngineConfig, _SearchStop, _exact_01, _search_01, _support_lower,
                             _support_scores, bound_profile, r_exact_01)
@@ -133,6 +136,112 @@ def test_plan_norms_equal_dense_realization(run):
     got = _sample_norms(WeightMatrix(a), mode, samples, seed, threads)
     want = _dense_norms(a, mode, samples, seed)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _signed_route(u, plan):
+    """Per-sample norms and Gram-kernel stacks of the route the sampler
+    took before it folded the sign into its gather: `signs_from_uniform`
+    of the uniforms with a zero pad column, gathered, times the signed
+    plan weights."""
+    ext = np.concatenate((streams.signs_from_uniform(u), np.zeros((len(u), 1))), axis=1)
+    out, stacks = np.zeros(len(u)), []
+    for group in plan:
+        r, c = group["shape"]
+        w = group["w"] if group["neg"] is None else np.where(group["neg"], -group["w"], group["w"])
+        block = ext.take(group["src"], axis=1) * w
+        if r == 1 and c == 1:
+            out = np.maximum(out, np.abs(block).max(axis=1))
+            continue
+        stacks.append(block.reshape(len(u), group["count"], r, c))
+        out = top_value_max(stacks[-1], out, group["shift"])
+    return out, stacks
+
+
+#: Negative weights in every group shape: 1x1, 1x3, 2x1, a padded 2x2
+#: (three cells) and two full 2x2 blocks, one of them with every weight
+#: negative; as a symmetric matrix its mirrored cells share sign columns.
+FOLD_SHAPES = np.zeros((9, 9))
+FOLD_SHAPES[0, 0] = -3.0
+FOLD_SHAPES[1, 1:4] = [1.0, -2.0, 0.5]
+FOLD_SHAPES[2:4, 4] = [-1.5, 1.25]
+FOLD_SHAPES[4:6, 5:7] = [[1.0, -1.0], [0.0, 2.0]]
+FOLD_SHAPES[6:8, 7:9] = [[-1.0, -2.0], [-0.75, -1.0]]
+
+
+@st.composite
+def folded_runs(draw):
+    """(mode, weights, uniforms): weights of side <= 8, signed, with
+    exponents near the float limits or near 0, and uniforms with some
+    entries set to exactly 0 and exactly 1/2."""
+    mode = draw(st.sampled_from(sampler.EXACT_MODES))
+    rows = draw(st.integers(1, 8))
+    cols = rows if mode == "rademacher_symmetric" else draw(st.integers(1, 8))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.sampled_from([-1074, -1040, -3, 0, 960, 1020]))
+    a = np.ldexp(gen.uniform(1.0, 2.0, (rows, cols)), base + gen.integers(0, 4, (rows, cols)))
+    a *= gen.choice([-1.0, 1.0], (rows, cols)) * (gen.random((rows, cols)) < 0.5)
+    u = gen.random((draw(st.integers(1, 40)), a.size))
+    u[gen.random(u.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    u[gen.random(u.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.5
+    return mode, a, u
+
+
+@PROPERTY_SETTINGS
+@given(run=folded_runs())
+@example(run=("rademacher_iid", FOLD_SHAPES, np.tile([0.0, 0.5, 0.25, 0.75], (8, 8))))
+@example(run=("rademacher_symmetric", FOLD_SHAPES + FOLD_SHAPES.T,
+              np.tile([0.5, 0.0, 0.9, 0.1], (8, 8))))
+@example(run=("rademacher_iid", np.ldexp(FOLD_SHAPES, 1020), np.full((3, 32), 0.5)))
+@example(run=("rademacher_iid", np.ldexp(FOLD_SHAPES, -1070), np.zeros((3, 32))))
+def test_folded_gather_equals_the_signed_route(run):
+    # copysign(|w|, u - 1/2), negated where w < 0, is the sign times w bit
+    # for bit: the norms, and every stack handed to the kernel, signs of
+    # zero included
+    mode, a, u = run
+    k, plan = sampler._norm_plan(*sampler._cells(WeightMatrix(a)), mode)
+    assume(k > 0)
+    assert u.shape[1] >= k
+    u = u[:, :k]
+    stacks = []
+
+    def kernel(stack, floor, shift=None):
+        stacks.append(stack.copy())
+        return top_value_max(stack, floor, shift)
+
+    # norms of weights near the float maximum overflow to inf on both routes
+    with np.errstate(over="ignore"), mock.patch.object(sampler, "top_value_max", kernel):
+        want, want_stacks = _signed_route(u, plan)
+        got = sampler._batch_norms(u, plan)
+    assert np.array_equal(got, want)
+    assert len(stacks) == len(want_stacks)
+    for s, t in zip(stacks, want_stacks):
+        assert np.array_equal(s, t) and np.array_equal(np.signbit(s), np.signbit(t))
+
+
+@PROPERTY_SETTINGS
+@given(r=st.integers(1, 6), c=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       j=st.one_of(st.just(0), st.integers(-1074, 1020)))
+@example(r=2, c=2, seed=0, j=0)
+@example(r=1, c=5, seed=1, j=-1074)
+@example(r=4, c=1, seed=2, j=1020)
+def test_norm_range_holds_every_sign_pattern(r, c, seed, j):
+    # one block, nonzero at (0, 0), every other cell zero or of magnitude
+    # 2^j [1, 2) down to 2^-1074; each sampled pattern's kernel norm, and
+    # the tight ones (rank one gives the Frobenius norm, orthogonal rows
+    # of equal weight the row norm), lie in the range
+    gen = np.random.default_rng(seed)
+    w = np.ldexp(gen.uniform(1.0, 2.0, (r, c)), j - gen.integers(0, 3, (r, c)))
+    w *= gen.choice([-1.0, 1.0], (r, c)) * (gen.random((r, c)) < 0.7)
+    w[0, 0] = np.ldexp(1.5, j)
+    signs = gen.choice([-1.0, 1.0], (64, r, c))
+    signs[0] = 1.0
+    if r == c == 2:
+        w[:] = np.ldexp(1.0, j)
+        signs[1] = [[1.0, 1.0], [1.0, -1.0]]
+    low, high = sampler._norm_range(*spectral.pow2_scaled(np.abs(w)[None]))
+    with np.errstate(under="ignore"):
+        norms = top_values(signs * w)
+    assert np.all((low <= norms) & (norms <= high))
 
 
 @st.composite

@@ -68,6 +68,35 @@ class TestExactSmallNormExpectation:
                 got = exact_small_norm_expectation(A, mode)
                 assert got == pytest.approx(want, rel=1e-10)
 
+    #: (weights, mode, value): the exact expectations of small inputs, bit
+    #: for bit as the sign-times-weight route gave them.  In iid mode a
+    #: weight's sign is lost in its own random sign; the triangle whose
+    #: mirrored cells (0, 1) and (1, 0) differ in sign but share one random
+    #: sign is the case a fold that drops the weights' signs gets wrong (2).
+    PINNED = [
+        ([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], "rademacher_symmetric",
+         1.7320508075688772),
+        ([[1.0, 1.0], [1.0, 1.0]], "rademacher_iid", 1.7071067811865475),
+        ([[1.0, 1.0], [1.0, 1.0]], "rademacher_symmetric", 1.7071067811865475),
+        ([[1.0, -1.0], [1.0, 1.0]], "rademacher_iid", 1.7071067811865475),
+        ([[1.0, -1.0], [1.0, 1.0]], "rademacher_symmetric", 1.7071067811865475),
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "rademacher_iid",
+         1.4142135623730951),
+        ([[1.0, -2.0, 2.0]], "rademacher_iid", 3.0),
+        ([[3.0, -1.0, 0.0], [0.0, 2.0, -0.5], [0.0, 0.0, 0.0]], "rademacher_iid",
+         3.259943470603513),
+        ([[3.0, -1.0, 0.0], [0.0, 2.0, -0.5], [0.0, 0.0, 0.0]], "rademacher_symmetric",
+         3.259943470603513),
+        ([[-1.0, -2.0, 0.0], [-2.0, 1.0, -1.0], [0.0, -1.0, -3.0]], "rademacher_iid",
+         3.5037836231701753),
+        ([[-1.0, -2.0, 0.0], [-2.0, 1.0, -1.0], [0.0, -1.0, -3.0]], "rademacher_symmetric",
+         3.5037836231701753),
+    ]
+
+    @pytest.mark.parametrize("a, mode, want", PINNED)
+    def test_pinned_small_inputs(self, a, mode, want):
+        assert exact_small_norm_expectation(WeightMatrix(a), mode) == want
+
     def test_symmetric_path_p3(self):
         # a bipartite support: the two mirrored cells of a row share a sign
         A = WeightMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])

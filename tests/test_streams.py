@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import radnorm
 from radnorm import streams
@@ -28,6 +29,19 @@ def test_seed_and_width_separate_streams():
     a = collect(1, 4, 256)
     b = collect(1, 3, 256)
     assert not np.array_equal(a[:, :3], b)
+
+
+def test_seeds_outside_64_bits_are_rejected():
+    # the Philox key holds the seed in its low 64 bits; reducing the seed
+    # mod 2^64 made 2^64 and -2^64 draw seed 0's stream
+    assert streams.check_seed(0) == 0
+    assert streams.check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+    for seed in (-1, 2**64, -(2**64), 2**65 + 3):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            next(streams.uniform_blocks(seed, 3, 10))
+        with pytest.raises(ValueError):
+            streams.unit_vector(seed, 4)
+    assert not np.array_equal(collect(2**64 - 1, 4, 16), collect(0, 4, 16))
 
 
 def test_block_size_shrinks_for_wide_rows():
