@@ -275,7 +275,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except MemoryError as exc:
-        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CAP
 
 
