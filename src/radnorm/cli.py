@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from . import streams
 from .bounds import EngineConfig, bound_profile
 from .core import CapExceededError, WeightMatrix, EdgeSet
 from .families import (
@@ -129,6 +130,7 @@ _FAMILIES = {
 
 
 def cmd_family(args) -> int:
+    streams.check_seed(args.seed)
     inst = _FAMILIES[args.family](args)
     payload = {
         "command": "family",

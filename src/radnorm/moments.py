@@ -115,12 +115,15 @@ def power_mean_estimate(values: np.ndarray, p: float) -> tuple:
 
     values must be nonnegative.  They are divided by their maximum before
     the power is taken, so no p in [1, 64] overflows or underflows the
-    mean, whatever the scale of the values.
+    mean, whatever the scale of the values.  A value past the float range
+    makes the estimate inf and its standard error NaN.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
     if n == 0 or not values.any():
         return 0.0, 0.0
+    if not np.isfinite(values).all():
+        return float(values.max()), math.nan
     if np.all(values == values[0]):
         return float(values[0]), 0.0
     top = float(values.max())

@@ -47,12 +47,36 @@ raises FloatingPointError, a defect in the kernel or the plan.
 
 Uniform blocks are drawn lazily, one at a time.  Each block is cut into
 equal row chunks, as many as a multiple of the thread count, and worker
-threads take the chunks; the realization budget is shared by all workers,
-so peak memory does not grow with `threads`.  Gaussian mode's transform
-is picked (`streams.transform`) on the calling thread before any worker
-starts, so its import of scipy.special never runs on a worker; the
-Rademacher modes hand the uniforms to the gather as they are.  Output is
-byte-identical for any thread count.
+threads take the chunks; the realization budget, _REALIZE_BUDGET = 2^18
+elements (2 MB), is shared by all workers, so peak memory does not grow
+with `threads` and a chunk's stack stays in cache.  A chunk holds two
+samples at least when its block has two per thread, so even a sample past
+the budget alone (one block of side above 362 at two threads) hands
+`eigvalsh` two matrices a call (`spectral.top_value_max`): a one-matrix
+call does not run in parallel with another thread's.  On a 400x400
+Gaussian input, 40 Gaussian samples at two threads took 0.46-0.59 s
+(CPU/wall 1.14-1.25) with one matrix an `eigvalsh` call and 0.36-0.38 s
+(1.68-1.76) with two, the norms unchanged.  The budget was picked from
+this sweep (`perfbench/run.py --seed 301 --seconds 12`, with the
+two-sample floor; best unscaled round in s and peak RSS in MB; 2 cores,
+OPENBLAS_NUM_THREADS=1):
+
+    budget   mc_blocks         mc_dense
+    2^16     0.196   65.5      0.898  110.2
+    2^17     0.192   68.0      0.785  110.7
+    2^18     0.196   69.5      0.778  113.0
+    2^19     0.197   72.7      0.794  120.0
+    2^20     0.217   79.3      0.807  129.1
+    2^22     0.226   92.4      0.818  159.9
+    2^24     0.236   92.5      0.781  208.1
+
+`mc_blocks` is fastest from 2^16 to 2^19; at 2^16 `mc_dense`'s 128x128
+samples come two a chunk and its rounds slow down, so 2^18 keeps a step
+from that edge.  Gaussian mode's transform is picked (`streams.transform`)
+on the calling thread before any worker starts, so its import of
+scipy.special never runs on a worker; the Rademacher modes hand the
+uniforms to the gather as they are.  Output is byte-identical for any
+thread count.
 """
 
 from __future__ import annotations
@@ -75,8 +99,9 @@ from .spectral import pow2_scaled, top_value_max
 EXACT_MODES = ("rademacher_iid", "rademacher_symmetric")
 MODES = (*EXACT_MODES, "gaussian")
 
-#: Element budget for one batch of realization matrices.
-_REALIZE_BUDGET = 1 << 24
+#: Element budget for the realization matrices of one block, shared by
+#: the worker threads: 2 MB of float64, so a chunk's stack stays in cache.
+_REALIZE_BUDGET = 1 << 18
 
 #: Cap on independent signs in the exact-expectation enumeration.
 EXACT_SIGNS_CAP = 24
@@ -288,7 +313,9 @@ def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
             if group["neg"] is not None:
                 np.negative(block, out=block, where=group["neg"])
         else:
-            block *= group["w"]
+            # a product past the float range is inf, and so is its norm
+            with np.errstate(over="ignore"):
+                block *= group["w"]
         if r == 1 and c == 1:
             np.maximum(out, np.abs(block).max(axis=1), out=out)
         else:
@@ -316,15 +343,18 @@ def _chunk_plan(rows: int, dense: int, threads: int) -> tuple:
     """Split a block of `rows` samples into equal row chunks for a pool.
 
     Returns (edges, workers): chunk c holds rows edges[c]:edges[c + 1].
-    `threads` is first clamped to the usable CPUs.  The chunk count is a
-    multiple of `threads`, unless that would leave a chunk empty, and each
-    chunk realizes at most _REALIZE_BUDGET // threads elements (one row at
-    least), so the budget covers all workers together.  `workers` never
-    exceeds the chunk count.
+    `threads` is first clamped to the usable CPUs.  Each chunk realizes at
+    most _REALIZE_BUDGET // threads elements, so the budget covers all
+    workers together, but holds two rows at least when the block has two
+    per thread (one row otherwise): `top_value_max` then hands `eigvalsh`
+    two matrices per call even on blocks of more than 2^17 elements.  The
+    chunk count is a multiple of `threads`, unless that would leave a chunk
+    below that floor.  `workers` never exceeds the chunk count.
     """
     threads = min(threads, _usable_cpus())
-    cap = max(1, _REALIZE_BUDGET // max(dense, 1) // threads)
-    n_chunks = min(rows, threads * -(-rows // (threads * cap)))
+    least = 2 if rows >= 2 * threads else 1
+    cap = max(least, _REALIZE_BUDGET // max(dense, 1) // threads)
+    n_chunks = min(rows // least, threads * -(-rows // (threads * cap)))
     edges = [rows * c // n_chunks for c in range(n_chunks + 1)]
     return edges, min(threads, n_chunks)
 
@@ -369,8 +399,11 @@ def _mean_stderr(norms: np.ndarray) -> tuple:
     Computed on the norms scaled by a power of two that brings the maximum
     into [1/2, 1) (`pow2_scaled`), then scaled back: exact at ordinary
     scales, and free of overflow and underflow at extreme ones, where the
-    sum of finite norms would pass the float range.
+    sum of finite norms would pass the float range.  A norm past the float
+    range makes the mean inf and the standard error NaN.
     """
+    if not np.isfinite(norms).all():
+        return float(norms.max()), math.nan
     scaled, (e,) = pow2_scaled(norms[None])
     return (float(np.ldexp(scaled.mean(), e)),
             float(np.ldexp(scaled.std(ddof=1) / math.sqrt(norms.size), e)))

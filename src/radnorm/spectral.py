@@ -19,7 +19,7 @@ _GRAM_SLICE elements (1 MB) at a time, so each matrix's value depends on
 that matrix alone (Monte Carlo output stays byte-identical for any thread
 count) and the kernel's extra memory per call is about one slice's worth
 of Gram matrices, scaled copy and eigenvalues, next to the sampler's
-_REALIZE_BUDGET of 2^24 elements (128 MB) per block.  Measured on a
+_REALIZE_BUDGET of 2^18 elements (2 MB) per block.  Measured on a
 2-core box with OPENBLAS_NUM_THREADS=1, best of 9 calls, values-only SVD
 -> Gram route:
 
@@ -35,23 +35,29 @@ The Gram route wins at every side, so there is no size switch.
 entry: the largest value in each row of an (m, g, r, c) stack of
 same-shape blocks, at least `floor`, bit for bit equal to taking
 `top_values` of the whole stack.  It eigensolves only the blocks that can
-hold a row's maximum.  Each block's sigma is bracketed from its scaled
-Gram matrix G by sqrt(tr G^5 / tr G^4) <= sigma <= (tr G^8)^(1/16), and a
-block whose upper bound falls below max(floor, best lower bound in its
-row) by more than _PRUNE_MARGIN (1e-9 relative) is skipped; the kept ones
-go through the same eigensolve as `top_values`.  Groups of one block per
-row (dense inputs) and vector shapes skip the bracket.  On `verify
-union_complete_regimes` (--n-cap 1024, 200 samples) the share of blocks
-eigensolved is 50% of the 3x3 blocks of d = 2 (half of their sign
-patterns have norm 2, every row's maximum, and ties are kept), 3.4% at
-d = 3 and 0.8-1.9% at d = 4 to 8; the d = 1 blocks are 1x1 and never
-reach the kernel.  In the Rademacher modes a block's largest
-|w_ij eps_ij| is its largest |w_ij|, so its power-of-two shift is known
-before any sample is drawn: the sampler's plan scales the weights once
-and passes the shifts, and `top_value_max` skips the per-matrix max/min
-scan and the scaled copy.  Multiplying by +-1 is exact and ldexp rounds
-w and -w alike, so every Gram matrix keeps its bits, subnormal corners
-included.  Gaussian blocks are scaled here, per sample.
+hold a row's maximum.  Its slices hold two rows at least, and a lone last
+row joins the slice before it, so blocks past _GRAM_SLICE elements still
+reach `eigvalsh` two a call.  A one-matrix call does not run in parallel
+with another thread's: on a 2-core box with OPENBLAS_NUM_THREADS=1, 16
+Gram matrices (best of 5, two runs), two threads ran 0.83-0.95x as fast
+as one at side 253 and 0.87-0.94x at side 400 with one matrix a call, and
+1.85-1.92x and 1.26-1.94x as fast with two.  Each block's sigma is bracketed
+from its scaled Gram matrix G by sqrt(tr G^5 / tr G^4) <= sigma <= (tr
+G^8)^(1/16), and a block whose upper bound falls below max(floor, best
+lower bound in its row) by more than _PRUNE_MARGIN (1e-9 relative) is
+skipped; the kept ones go through the same eigensolve as `top_values`.
+Groups of one block per row (dense inputs) and vector shapes skip the
+bracket.  On `verify union_complete_regimes` (--n-cap 1024, 200 samples)
+the share of blocks eigensolved is 50% of the 3x3 blocks of d = 2 (half of
+their sign patterns have norm 2, every row's maximum, and ties are kept),
+3.4% at d = 3 and 0.8-1.9% at d = 4 to 8; the d = 1 blocks are 1x1 and
+never reach the kernel.  In the Rademacher modes a block's largest |w_ij
+eps_ij| is its largest |w_ij|, so its power-of-two shift is known before
+any sample is drawn: the sampler's plan scales the weights once and passes
+the shifts, and `top_value_max` skips the per-matrix max/min scan and the
+scaled copy.  Multiplying by +-1 is exact and ldexp rounds w and -w alike,
+so every Gram matrix keeps its bits, subnormal corners included.  Gaussian
+blocks are scaled here, per sample.
 
 Every Gram product (`_gram`) multiplies by a contiguous copy of the
 transpose while both sides are at most CONTIGUOUS_T_MAX = 11, and by the
@@ -302,7 +308,8 @@ def top_value_max(stack: np.ndarray, floor: np.ndarray, shift=None) -> np.ndarra
     [1/2, 1), and the result is that of the unscaled stack (the Monte
     Carlo sampler folds the shifts of its Rademacher blocks into their
     weights, `sampler._norm_plan`).  Without it each matrix is scaled here
-    (`_scaled_gram`).  Per _GRAM_SLICE elements, each matrix's sigma =
+    (`_scaled_gram`).  Per _GRAM_SLICE elements (two rows at least, and a
+    lone last row joins the slice before), each matrix's sigma =
     sqrt(lambda_max(G)) is bracketed from its scaled Gram matrix G by
 
         sqrt(<G^4, G> / <G^2, G^2>)  <=  sigma  <=  <G^4, G^4>^(1/16),
@@ -314,32 +321,43 @@ def top_value_max(stack: np.ndarray, floor: np.ndarray, shift=None) -> np.ndarra
     eigensolved, by the same `_gram_eig_top` as `top_values`, so every
     value that can be the maximum has the bits it has there.  Groups of one
     matrix per row solve every matrix without the bracket, and vector
-    shapes go straight to `top_values`.
+    shapes go straight to `top_values`.  Without `shift`, a matrix holding
+    inf or NaN gets the value inf and never reaches `eigvalsh`.
     """
     m, g, r, c = stack.shape
     if r == 1 or c == 1:
         return np.maximum(floor, top_values(stack).max(axis=1))
     out = np.empty(m)
-    step = max(1, _GRAM_SLICE // (g * r * c))
-    with np.errstate(under="ignore"):
-        for lo in range(0, m, step):
-            a = stack[lo:lo + step].reshape(-1, r, c)
+    # two rows a slice at least, and a lone last row joins the slice before:
+    # a one-matrix eigvalsh call does not overlap with another thread's
+    step = max(2, _GRAM_SLICE // (g * r * c))
+    edges = [*range(0, max(m - 1, 1), step), m]
+    # a value past the float range comes out inf
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        for lo, hi in zip(edges, edges[1:]):
+            a = stack[lo:hi].reshape(-1, r, c)
             rows = a.shape[0] // g
             if shift is None:
                 gram, sh = _scaled_gram(a)
+                # an inf entry (a Gaussian product past the float range)
+                # leaves a non-finite Gram matrix: it is solved as zero,
+                # so eigvalsh never sees it, and its value set to inf
+                big = ~np.isfinite(gram).all(axis=(1, 2))
+                gram[big] = 0.0
             else:
-                gram, sh = _gram(a), np.tile(shift, rows)
+                gram, sh, big = _gram(a), np.tile(shift, rows), None
             if g == 1:
                 vals = _gram_eig_top(gram, sh)
             else:
                 lower, upper = (b.reshape(rows, g) for b in _bracket(gram, sh))
-                cut = np.maximum(floor[lo:lo + step], lower.max(axis=1))
+                cut = np.maximum(floor[lo:hi], lower.max(axis=1))
                 # NaN in a bound or threshold keeps the matrix
                 keep = ~(upper < (cut * (1.0 - _PRUNE_MARGIN))[:, None]).ravel()
                 vals = np.zeros(rows * g)
                 vals[keep] = _gram_eig_top(gram[keep], sh[keep])
-            out[lo:lo + step] = np.maximum(floor[lo:lo + step],
-                                           vals.reshape(rows, g).max(axis=1))
+            if big is not None:
+                vals[big] = np.inf
+            out[lo:hi] = np.maximum(floor[lo:hi], vals.reshape(rows, g).max(axis=1))
     return out
 
 

@@ -262,6 +262,21 @@ class TestMcCommand:
         assert err.startswith("error: sample norm ") and "outside its bound range" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("moments", [[], ["--p", "2,8"]])
+    @pytest.mark.parametrize("mode", sampler.MODES)
+    def test_norm_past_the_float_range_exit_4(self, tmp_path, capsys, mode, moments):
+        # the norms overflow: numpy's RuntimeWarnings used to come first,
+        # and Gaussian mode stopped in eigvalsh ("did not converge")
+        path = tmp_path / "huge.txt"
+        path.write_text("3 3\n" + "1.7e308 1.7e308 1.7e308\n" * 3)
+        assert main(["mc", "--input", str(path), "--mode", mode, "--samples", "100",
+                     *moments]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: non-finite number in the output")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("scale", [1e10, 1e-12, 1e306])
     def test_moments_finite_at_extreme_scale(self, tmp_path, scale):
         path = tmp_path / "m.json"
@@ -318,6 +333,14 @@ class TestFamilyCommand:
 
     def test_parity_exit_2(self):
         assert main(["family", "--family", "random_regular", "--n", "5", "--d", "3"]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exit_2(self, capsys, seed):
+        # -1 used to fail inside numpy's Philox, and 2^64 was accepted
+        assert main(["family", "--family", "random_regular", "--n", "16", "--d", "3",
+                     "--seed", str(seed)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: seed must lie in [0, 2**64), got {seed}\n"
 
 
 class TestVerifyCommand:

@@ -384,13 +384,34 @@ class TestChunkedSampling:
                 mc_norm(ALL_ONES_2, "rademacher_iid", 200, 1, threads=threads, p_list=[2])
 
     def test_chunk_plan_splits_evenly_per_thread(self):
-        # dense_gauss_n128: blocks of 258 and 42 rows, 16,384 elements a row
-        assert _chunk_plan(258, 128 * 128, 2) == ([0, 129, 258], 2)
-        assert _chunk_plan(42, 128 * 128, 2) == ([0, 21, 42], 2)
-        # sparse_gauss_n256: one 254x253 component, 130 rows per thread
-        edges, workers = _chunk_plan(300, 254 * 253, 2)
-        assert edges == [0, 75, 150, 225, 300] and workers == 2
-        assert _chunk_plan(300, 254 * 253, 1) == ([0, 150, 300], 1)
+        # dense_gauss_n128: blocks of 258 and 42 rows, 16,384 elements a
+        # row, 8 rows a chunk within the 2^18 budget shared by 2 threads
+        edges, workers = _chunk_plan(258, 128 * 128, 2)
+        assert edges == [258 * c // 34 for c in range(35)] and workers == 2
+        assert _chunk_plan(42, 128 * 128, 2) == ([0, 7, 14, 21, 28, 35, 42], 2)
+        # sparse_gauss_n256: one 254x253 component, 2 rows per thread
+        assert _chunk_plan(300, 254 * 253, 2) == (list(range(0, 301, 2)), 2)
+        assert _chunk_plan(300, 254 * 253, 1) == (list(range(0, 301, 4)), 1)
+        # a 400x400 block is past the budget alone: two rows a chunk, and
+        # 17 rows make seven chunks of 2 and one of 3
+        assert _chunk_plan(40, 400 * 400, 2) == (list(range(0, 41, 2)), 2)
+        assert _chunk_plan(17, 400 * 400, 2) == ([0, 2, 4, 6, 8, 10, 12, 14, 17], 2)
+        # fewer than two rows per thread: one row a chunk
+        assert _chunk_plan(3, 400 * 400, 2) == ([0, 1, 2, 3], 2)
+
+    def test_large_block_chunks_hold_two_samples(self, monkeypatch):
+        # one 363x363 block per sample is past 2^17 elements: every chunk
+        # holds two samples or more, and hands eigvalsh two matrices a call
+        a = WeightMatrix(np.random.default_rng(48).standard_normal((363, 363)))
+        want = _sample_norms(a, "rademacher_iid", 17, 2)
+        rows, sizes = [], []
+        _spy_batch_norms(monkeypatch, lambda values, plan: rows.append(len(values)))
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sizes.append(len(g)) or real(g))
+        got = _sample_norms(a, "rademacher_iid", 17, 2, threads=2)
+        assert np.array_equal(got, want)
+        assert min(rows) >= 2 and sum(rows) == 17 and len(rows) > 2
+        assert min(sizes) >= 2 and sum(sizes) == 17
 
     def test_chunk_plan_never_more_workers_than_chunks(self):
         # a pure call: no pool is started for this thread count

@@ -354,6 +354,33 @@ class TestTopValueMax:
         assert np.all(upper >= want * (1 - _PRUNE_MARGIN))
         assert lower[-1] == upper[-1] == 0.0
 
+    @pytest.mark.parametrize("g", [1, 3])
+    def test_non_finite_entry_gives_inf_without_eigvalsh(self, g):
+        # a Gaussian sample past the float range reaches the kernel as inf;
+        # eigvalsh on its Gram matrix used to fail to converge
+        stack = np.random.default_rng(46).standard_normal((5, g, 4, 3))
+        stack[1, 0, 2, 1] = np.inf
+        stack[3, g - 1, 0, 0] = np.nan
+        floor = np.zeros(5)
+        real = np.linalg.eigvalsh
+
+        def finite_only(gram):
+            assert np.isfinite(gram).all()
+            return real(gram)
+
+        with mock.patch.object(np.linalg, "eigvalsh", finite_only), \
+                np.errstate(all="raise"):
+            got = top_value_max(stack, floor)
+        rest = [0, 2, 4]
+        assert got[1] == got[3] == math.inf
+        assert np.array_equal(got[rest], block_max(stack[rest], floor[rest]))
+
+    def test_top_value_past_the_float_range_is_inf(self):
+        stack = np.full((3, 2, 3, 3), 0.75)
+        with np.errstate(all="raise"):
+            got = top_value_max(stack, np.zeros(3), np.array([1024, 0]))
+        assert np.all(got == math.inf)
+
     def test_sampled_union_complete_identical_for_any_thread_count(self):
         A = union_complete(13, 3).matrix.indicator()
         for mode in ("rademacher_iid", "rademacher_symmetric"):
