@@ -17,11 +17,13 @@ code differs; a new or missing key is named, and the keys both sides hold
 are still compared.  Run `diff` before re-recording a change that moves low-order
 bits, to show every command is within the stated tolerance.  `--jobs N`
 runs the commands in N worker processes.
-tests/test_golden.py checks the 90 commands marked fast, each about a
+tests/test_golden.py checks the 93 commands marked fast, each about a
 second or less: inputs of side <= 16, plus the n = 128 one-magnitude profile
 `bench.profile_search.block_singletons_n128_d5`, whose k-sweep has
-enumerated and greedy rows on its 0/1 support, the general-weight
-profiles in POWER_ROUTE_FAST, whose surrogate ascent reaches the
+enumerated and greedy rows on its 0/1 support, the 0/1 profiles in
+SUPPORT_ROWS_FAST, whose enumerated k = 1 and k = 2 rows score removal
+sets on the support, the general-weight profiles in POWER_ROUTE_FAST,
+whose surrogate ascent reaches the
 certified power steps of the Gram top pair, `verify
 union_complete_regimes` at --n-cap 64 and at the benchmark's --n-cap
 1024 (`bench.mc_blocks`), whose many same-shape Monte Carlo blocks take
@@ -79,6 +81,12 @@ WORKDIR = ROOT / "golden-work"
 #: sides of at least spectral.POWER_PAIR_MIN, so they pin the certified
 #: power route (`spectral._certified_top`) byte for byte.
 POWER_ROUTE_FAST = ("profile.mixed.heavy_n40.r1", "profile.mixed.dense_gauss_n64.r1")
+
+#: 0/1 profiles of sides 32 and 48 marked fast (each under 0.1 s): their
+#: enumerated k = 1 and k = 2 rows pin the support scorer
+#: (`bounds._support_scores`) on removal sets of one and two indices.
+SUPPORT_ROWS_FAST = ("profile.01.union_complete_m8_d3", "profile.01.bernoulli_n48",
+                     "profile.01.random_regular_n32_d3.cap50")
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,8 @@ def commands() -> list:
     cmds = []
 
     def add(name, argv, fast):
-        cmds.append(Command(name, tuple(argv), fast or name in POWER_ROUTE_FAST))
+        cmds.append(Command(name, tuple(argv),
+                            fast or name in POWER_ROUTE_FAST + SUPPORT_ROWS_FAST))
 
     def general(name):
         A = inputs[name][0]

@@ -622,44 +622,39 @@ def _shortlist_scores(a: np.ndarray, u: np.ndarray, v: np.ndarray, zs: list,
                      where=(nu > 0.0) & (nv > 0.0)).tolist()
 
 
-def _support_lower(rows: np.ndarray, cols: np.ndarray, on: np.ndarray, p: float,
-                   config: EngineConfig) -> float:
-    """Search score of a 0/1 support: the exact bracket's lower value at
-    moment p, with a reduced node budget, over the pairs (rows[e], cols[e])
-    selected by the mask `on`.  The greedy chain calls it only for the
-    removals its degree screen leaves open (`_support_scores`)."""
-    budget = max(2000, config.budget_cap // 100)
-    return _exact_01(rows[on], cols[on], p, budget).lower
+def _support_scores(support: np.ndarray, removals: np.ndarray, p: float,
+                    config: EngineConfig) -> list:
+    """For each row I of the (R, k) integer array `removals`, the exact
+    bracket's lower value at moment p, with the node budget
+    max(2000, budget_cap // 100), of the square 0/1 `support` with rows and
+    columns I masked out of its index arrays.
 
-
-def _support_scores(support: np.ndarray, zs: list, p: float, config: EngineConfig) -> list:
-    """For each z in `zs`, the search score (`_support_lower`) of the
-    square 0/1 `support` with row z and column z masked out, bit for bit.
-
-    One degree screen serves every z: the row and column degree maxima
-    and the number of pairs left after the removal give `_search_01`'s
-    star seed and cap (`_star_cap`), and a z that leaves more than
-    floor(p) pairs and whose star seed reaches its cap takes the star
-    seed, the value its search would return at once.  Only the other z
-    run the search."""
+    One degree screen serves every I: the degrees left (rows without the
+    columns I, columns without the rows I, I itself at 0) and the pairs
+    left (the total, less the degrees of I, plus the pairs of support[I, I])
+    give `_search_01`'s star seed and cap (`_star_cap`).  An I that leaves
+    more than floor(p) pairs and whose star seed meets its cap takes the
+    star seed, what its search returns at once; only the others search."""
     rows, cols = np.nonzero(support)
-    zs = np.asarray(zs)
-    at = np.arange(len(zs))
+    at = np.arange(len(removals))[:, None]
     row_deg = support.sum(axis=1)
     col_deg = support.sum(axis=0)
-    # degrees of the other rows without column z, and of the other columns
-    # without row z; row z and column z themselves drop to 0
-    rdeg = row_deg - support[:, zs].T
-    rdeg[at, zs] = 0
-    cdeg = col_deg - support[zs, :]
-    cdeg[at, zs] = 0
-    left = rows.size - row_deg[zs] - col_deg[zs] + support[zs, zs]
+    rdeg = row_deg - support[:, removals].sum(axis=2).T
+    rdeg[at, removals] = 0
+    cdeg = col_deg - support[removals, :].sum(axis=1)
+    cdeg[at, removals] = 0
+    left = (rows.size - row_deg[removals].sum(axis=1) - col_deg[removals].sum(axis=1)
+            + support[removals[:, :, None], removals[:, None, :]].sum(axis=(1, 2)))
     m = np.minimum(math.floor(p), left)
     star, cap = _star_cap(rdeg.max(axis=1), cdeg.max(axis=1), m)
-    screened = (m < left) & (star >= cap - 1e-12)
-    return [float(star[i]) if screened[i] else
-            _support_lower(rows, cols, (rows != z) & (cols != z), p, config)
-            for i, z in enumerate(zs.tolist())]
+    scores = star.tolist()
+    budget = max(2000, config.budget_cap // 100)
+    for i in np.flatnonzero((m >= left) | (star < cap - 1e-12)).tolist():
+        keep = np.ones(len(support), dtype=bool)
+        keep[removals[i]] = False
+        on = keep[rows] & keep[cols]
+        scores[i] = _exact_01(rows[on], cols[on], p, budget).lower
+    return scores
 
 
 def _full_estimates(A: WeightMatrix, keeps: list, p: float, config: EngineConfig) -> list:
@@ -695,14 +690,15 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
     cheap version of the R estimate after the removal, ties to the lowest
     index: with `on_support` (every nonzero |a_ij| equal) the search score
     of the step's support with row and column z masked out
-    (`_support_scores`: one degree screen settles each z whose star seed
-    meets its cap, and only the rest run the subgraph search), otherwise
-    the surrogate at the step's 6-power-step top pair with coordinate z
-    zeroed and the pair renormalized, every shortlisted z scored from one
-    base |a o u v^T| and one partial sort of it (`_shortlist_scores`,
-    within a few eps of scoring each zeroed pair on its own).  Returns the
-    removal order: at most `steps` removals, except that once the
-    remaining submatrix is zero every remaining index is appended.
+    (`_support_scores`, the enumerated rows' scorer, with each z a removal
+    set of one: a degree screen settles each z whose star seed meets its
+    cap, and only the rest run the subgraph search), otherwise the
+    surrogate at the step's 6-power-step top pair with coordinate z zeroed
+    and the pair renormalized, every shortlisted z scored from one base
+    |a o u v^T| and one partial sort of it (`_shortlist_scores`, within a
+    few eps of scoring each zeroed pair on its own).  Returns the removal
+    order: at most `steps` removals, except that once the remaining
+    submatrix is zero every remaining index is appended.
     """
     n = A.n_rows
     keep = list(range(n))
@@ -720,17 +716,16 @@ def _greedy_chain(A: WeightMatrix, p: float, steps: int, on_support: bool,
             sigma, u, v = power_pair(sub, 6)
         mass = (sub * sub).sum(axis=1) + (sub * sub).sum(axis=0)
         if len(keep) > SHORTLIST_SIZE:
-            shortlist_local = np.argsort(-mass, kind="stable")[:SHORTLIST_SIZE]
-            shortlist_local = sorted(int(z) for z in shortlist_local)
+            shortlist = np.sort(np.argsort(-mass, kind="stable")[:SHORTLIST_SIZE])
         else:
-            shortlist_local = list(range(len(keep)))
+            shortlist = np.arange(len(keep))
         if on_support:
-            scores = _support_scores(sub != 0, shortlist_local, p, config)
+            scores = _support_scores(sub != 0, shortlist[:, None], p, config)
         elif sigma != 0.0:
-            scores = _shortlist_scores(sub, u, v, shortlist_local, p)
+            scores = _shortlist_scores(sub, u, v, shortlist, p)
         else:
-            scores = [0.0] * len(shortlist_local)
-        best_local = shortlist_local[_first_min(scores)[1]]
+            scores = [0.0] * len(shortlist)
+        best_local = int(shortlist[_first_min(scores)[1]])
         removed.append(keep[best_local])
         del keep[best_local]
     return removed
@@ -764,17 +759,17 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
     estimate, the general-weight ones of a grid point as one batched
     surrogate ascent over their same-shape submatrices (`_full_estimates`);
     beyond, only the winner of the cheap search score does.  On a
-    one-magnitude support that score is the best value of the exact search
-    on the support's index arrays with the removed rows and columns masked
-    out (`_support_lower`).  The sweep runs on A at unit scale
-    (`_unit_scaled`), and each published min is scaled back.
+    one-magnitude support that score is `_support_scores`, the greedy
+    chain's scorer: one degree screen over all the row's removal sets, and
+    the exact search on the masked index arrays for those it leaves open.
+    The sweep runs on A at unit scale (`_unit_scaled`), and each published
+    min is scaled back.
     """
     if not A.is_square:
         raise ValueError("k-sweep needs a square matrix")
     A, e = _unit_scaled(A)
     n = A.n_rows
     on_support = not np.isnan(_magnitude(A.entries[None])[0])
-    rows, cols = np.nonzero(A.entries)
     table = []
     published: dict = {}  # p -> best (smallest) value so far at that moment
     for k in k_grid(n):
@@ -784,14 +779,12 @@ def ksweep_term(A: WeightMatrix, config: EngineConfig = EngineConfig()) -> tuple
             value, mode = 0.0, "exact"
         elif math.comb(n, k) <= config.exact_threshold:
             combos = list(itertools.combinations(range(n), k))
-            keeps = [_complement(n, combo) for combo in combos]
             if n <= EXACT_FULL_N:
-                scores = _full_estimates(A, keeps, p, config)
+                scores = _full_estimates(A, [_complement(n, c) for c in combos], p, config)
             elif on_support:
-                scores = [_support_lower(rows, cols,
-                                         ~(np.isin(rows, combo) | np.isin(cols, combo)),
-                                         p, config) for combo in combos]
+                scores = _support_scores(A.entries != 0, np.array(combos), p, config)
             else:
+                keeps = (_complement(n, combo) for combo in combos)
                 scores = [_quick_r_lower(A.entries[np.ix_(keep, keep)], p) for keep in keeps]
             best, at = _first_min(scores)
             removed = list(combos[at])

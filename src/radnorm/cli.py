@@ -141,22 +141,9 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
-#: The scenarios that take a size, with the keyword --n-cap sets.
-_SIZED_SCENARIOS = {"union_complete_regimes": "n_cap", "block_counterexample": "n"}
-
-
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.n_cap is not None:
-        if args.scenario not in _SIZED_SCENARIOS:
-            raise ValueError(f"--n-cap applies only to {', '.join(_SIZED_SCENARIOS)}")
-        if args.n_cap < 1:
-            raise ValueError(f"--n-cap must be at least 1, got {args.n_cap}")
-        kwargs[_SIZED_SCENARIOS[args.scenario]] = args.n_cap
-    report = run_scenario(
-        args.scenario, samples=args.samples, seed=args.seed,
-        threads=args.threads, **kwargs,
-    )
+    report = run_scenario(args.scenario, samples=args.samples, seed=args.seed,
+                          threads=args.threads, n_cap=args.n_cap)
     payload = {
         "command": "verify",
         "flags": {

@@ -320,10 +320,19 @@ SCENARIOS = tuple(_DISPATCH)
 
 
 def run_scenario(name: str, samples: int | None = None, seed: int = 1,
-                 threads: int = 1, **kwargs) -> ScenarioReport:
+                 threads: int = 1, n_cap: int | None = None, **kwargs) -> ScenarioReport:
+    """Run the scenario `name`; `n_cap` (`verify --n-cap`, at least 1) is
+    the n_cap of union_complete_regimes or the n of block_counterexample."""
     if name not in _DISPATCH:
         raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
     fn = _DISPATCH[name]
+    if n_cap is not None:
+        sizes = {"union_complete_regimes": "n_cap", "block_counterexample": "n"}
+        if name not in sizes:
+            raise ValueError(f"--n-cap applies only to {', '.join(sizes)}")
+        if n_cap < 1:
+            raise ValueError(f"--n-cap must be at least 1, got {n_cap}")
+        kwargs[sizes[name]] = n_cap
     check_seed(seed)  # before any family is built or searched
     if samples is None:
         return fn(seed=seed, threads=threads, **kwargs)

@@ -1,11 +1,13 @@
-"""The fast part of the golden command set, 90 of its 210 commands: CLI
+"""The fast part of the golden command set, 93 of its 210 commands: CLI
 stdout and exit codes on inputs of side <= 16, on one n = 128 profile of
-a 0/1 support, on two general-weight profiles of sides 40 and 64 whose
-surrogate ascent takes certified power steps, of `verify
-union_complete_regimes` at --n-cap 64 and at the benchmark's --n-cap 1024
-(the pruned Monte Carlo block maximum), of `verify block_counterexample` at
---n-cap 64 (the masked k-sweep) and of the small `family` and `oracle`
-commands, equal the recorded outputs in tests/golden/, byte for byte.
+a 0/1 support, on three 0/1 profiles of sides 32 and 48 whose enumerated
+k = 1 and k = 2 rows score removal sets on the support, on two
+general-weight profiles of sides 40 and 64 whose surrogate ascent takes
+certified power steps, of `verify union_complete_regimes` at --n-cap 64
+and at the benchmark's --n-cap 1024 (the pruned Monte Carlo block
+maximum), of `verify block_counterexample` at --n-cap 64 (the masked
+k-sweep) and of the small `family` and `oracle` commands, equal the
+recorded outputs in tests/golden/, byte for byte.
 The whole set runs with `python3 scripts/golden.py check`; the tolerance
 rule of its `diff` mode is checked on small outputs."""
 
@@ -29,7 +31,7 @@ def load_golden():
 def test_fast_golden_commands_match(tmp_path):
     golden = load_golden()
     cmds = [c for c in golden.commands() if c.fast]
-    assert len(cmds) >= 70
+    assert len(cmds) == 93
     results = golden.run_all(cmds, tmp_path, jobs=1)
     assert golden.mismatches(cmds, results) == []
 

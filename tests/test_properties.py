@@ -10,11 +10,12 @@ symmetries of the quantity (transpose, row and column permutations, sign
 flips), up to rounding in the order of summation, and the exact value of
 a support masked out of a larger one must equal that of the extracted
 submatrix bit for bit, and the k-sweep's search score of a masked
-support must equal that bracket's lower value within 16 eps.  The greedy
-chain's screened shortlist scores must equal one search per candidate,
-and the search that skips a whole-set eigensolve where a power bound shows
-it cannot lower the cap must return what the ungated search (kept below
-as the reference) returns, both bit for bit.  Every exact 0/1 bracket,
+support must equal that bracket's lower value within 16 eps.  The one
+support scorer's screened scores, for the greedy chain's single removals
+and the enumerated rows' removal sets alike, must equal one masked search
+per set, and the search that skips a whole-set eigensolve where a power
+bound shows it cannot lower the cap must return what the ungated search
+(kept below as the reference) returns, both bit for bit.  Every exact 0/1 bracket,
 whether its search ran out of nodes or stopped at its cap, must hold the
 exhaustive oracle's value, and a certified one must equal it.  The
 spectral kernel's top values must lie within its stated 16 eps of the
@@ -31,6 +32,7 @@ times the signed weights bit for bit, and every sign pattern's norm must
 lie in the range the plan derives from the weights alone.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -44,8 +46,8 @@ from hypothesis.extra.numpy import arrays
 
 from radnorm import bounds, sampler, spectral, streams
 from radnorm.scenarios import _cheap_bounds
-from radnorm.bounds import (EngineConfig, _SearchStop, _exact_01, _search_01, _support_lower,
-                            _support_scores, bound_profile, r_exact_01)
+from radnorm.bounds import (EngineConfig, _SearchStop, _exact_01, _search_01, _support_scores,
+                            bound_profile, r_exact_01)
 from radnorm.core import EdgeSet, WeightMatrix, derive_graph, max_support_degree
 from radnorm.corpus import corpus_mixed
 from radnorm.oracles import subgraph_norm_enum, top_singular_value
@@ -340,7 +342,7 @@ def test_support_score_equals_the_exact_lower_value(case, cap):
     # the k-sweep's search score is the exact bracket's lower value: the
     # search's own value, sqrt(size) for the star seed and the kernel's
     # value otherwise; the drawn budget truncates some searches, and
-    # budget_cap 1 and 300,000 give _support_lower node budgets of 2,000
+    # budget_cap 1 and 300,000 give _support_scores node budgets of 2,000
     # and 3,000
     support, kept, p, budget = case
     rows, cols = np.nonzero(support)
@@ -349,9 +351,9 @@ def test_support_score_equals_the_exact_lower_value(case, cap):
     if m:
         got = _search_01(rows[on], cols[on], m, budget)[0]
         assert got == _exact_01(rows[on], cols[on], p, budget).lower
-    config = EngineConfig(budget_cap=cap)
-    got = _support_lower(rows, cols, on, p, config)
-    assert got == _exact_01(rows[on], cols[on], p, max(2000, cap // 100)).lower
+    dropped = np.array([[i for i in range(len(support)) if i not in kept]], dtype=int)
+    got = _support_scores(support, dropped, p, EngineConfig(budget_cap=cap))
+    assert got == [_exact_01(rows[on], cols[on], p, max(2000, cap // 100)).lower]
 
 
 @st.composite
@@ -377,19 +379,80 @@ def shortlisted_supports(draw):
     return support, zs, p
 
 
-def support_scores_per_candidate(support, zs, p, config):
-    """The shortlist scores the degree screen replaced: one search per z."""
+def masked_searches(support, removals, p, config):
+    """The scores the degree screen replaced: for each removal set, the
+    exact bracket's lower value over the support's pairs outside its rows
+    and columns, at the scorer's node budget."""
     rows, cols = np.nonzero(support)
-    return [_support_lower(rows, cols, (rows != z) & (cols != z), p, config) for z in zs]
+    budget = max(2000, config.budget_cap // 100)
+    scores = []
+    for removal in removals.tolist():
+        on = ~(np.isin(rows, removal) | np.isin(cols, removal))
+        scores.append(_exact_01(rows[on], cols[on], p, budget).lower)
+    return scores
 
 
 @PROPERTY_SETTINGS
 @given(case=shortlisted_supports(), cap=st.sampled_from([1, 300_000]))
 def test_screened_support_scores_equal_the_per_candidate_searches(case, cap):
     support, zs, p = case
+    removals = np.array(zs)[:, None]
     config = EngineConfig(budget_cap=cap)
-    assert _support_scores(support, zs, p, config) == support_scores_per_candidate(
-        support, zs, p, config)
+    assert _support_scores(support, removals, p, config) == masked_searches(
+        support, removals, p, config)
+
+
+@st.composite
+def removal_sets(draw):
+    """(support, removals, p): a square 0/1 support of side <= 12 as in
+    `shortlisted_supports`, distinct removal sets of one size from 1 to 3
+    (every such set, or a few of them) and a moment."""
+    support, _, p = draw(shortlisted_supports())
+    n = len(support)
+    k = draw(st.integers(1, min(3, n)))
+    every = list(itertools.combinations(range(n), k))
+    sets = draw(st.one_of(st.just(every),
+                          st.lists(st.sampled_from(every), min_size=1, unique=True)))
+    return support, np.array(sets, dtype=int).reshape(-1, k), p
+
+
+@PROPERTY_SETTINGS
+@given(case=removal_sets(), cap=st.sampled_from([1, 300_000]))
+def test_support_scores_of_removal_sets_equal_the_masked_searches(case, cap):
+    # the enumerated rows score removal sets of any size with the greedy
+    # chain's screen: each set's rows and columns leave the degrees and
+    # the pair count, and support[I, I] is counted back once
+    support, removals, p = case
+    config = EngineConfig(budget_cap=cap)
+    assert _support_scores(support, removals, p, config) == masked_searches(
+        support, removals, p, config)
+
+
+@pytest.mark.parametrize("rest, p, want, searches", [
+    # every pair lies in rows or columns 0 and 1: nothing is left
+    ([[0, 0, 0]] * 3, 3.0, 0.0, 1),
+    # a K_3 is left, 9 pairs, and floor(p) = 9 covers it: the whole-set
+    # norm 3, not the star seed sqrt(3)
+    ([[1, 1, 1]] * 3, 9.5, 3.0, 1),
+    # the same K_3 at floor(p) = 4 < 9: the search's best is a 2 x 2 block
+    ([[1, 1, 1]] * 3, 4.0, 2.0, 1),
+    # one row of 3 pairs at floor(p) = 2 < 3: the star seed sqrt(2) meets
+    # the cap, and no search runs
+    ([[1, 1, 1], [0, 0, 0], [0, 0, 0]], 2.0, math.sqrt(2.0), 0),
+])
+def test_support_scores_when_nothing_or_exactly_m_pairs_are_left(rest, p, want, searches):
+    # rows and columns I = {0, 1} full, so the pairs left are the total
+    # less 10 + 10 for the degrees of I, plus the 4 pairs of support[I, I]
+    support = np.zeros((5, 5), dtype=bool)
+    support[:2, :] = support[:, :2] = True
+    support[2:, 2:] = rest
+    removals = np.array([[0, 1]])
+    config = EngineConfig()
+    with mock.patch.object(bounds, "_exact_01", wraps=_exact_01) as search:
+        got = _support_scores(support, removals, p, config)
+    assert search.call_count == searches
+    assert got == pytest.approx([want], rel=1e-12, abs=0.0)
+    assert got == masked_searches(support, removals, p, config)
 
 
 def test_screened_support_scores_on_every_greedy_step_of_block_singletons():
@@ -399,16 +462,17 @@ def test_screened_support_scores_on_every_greedy_step_of_block_singletons():
     config = EngineConfig()
     steps = []
 
-    def checked(support, zs, p, config):
-        got = _support_scores(support, zs, p, config)
-        assert got == support_scores_per_candidate(support, zs, p, config)
-        steps.append(len(zs))
+    def checked(support, removals, p, config):
+        got = _support_scores(support, removals, p, config)
+        assert got == masked_searches(support, removals, p, config)
+        steps.append(removals.shape)
         return got
 
     with mock.patch.object(bounds, "_support_scores", checked):
         bound_profile(a, config)
-    # the chains of the k = 2 to 64 rows: 2 + 4 + ... + 64 steps
-    assert len(steps) == 126
+    # the enumerated k = 1 row (128 removal sets of one index), then the
+    # chains of the k = 2 to 64 rows: 2 + 4 + ... + 64 steps
+    assert len(steps) == 127 and steps[0] == (128, 1)
 
 
 def search_01_ungated(rows, cols, m, budget_cap):

@@ -15,6 +15,18 @@ def test_unknown_scenario():
         run_scenario("nope")
 
 
+@pytest.mark.parametrize("name, n_cap, message", [
+    ("symmetrization", 64,
+     "--n-cap applies only to union_complete_regimes, block_counterexample"),
+    ("block_counterexample", 0, "--n-cap must be at least 1, got 0"),
+])
+def test_n_cap_rule_before_any_work(name, n_cap, message):
+    # the size rule lives with the scenarios; the seed is not even read
+    with pytest.raises(ValueError) as exc:
+        run_scenario(name, samples=100, seed=-1, n_cap=n_cap)
+    assert str(exc.value) == message
+
+
 def test_scenario_names_complete():
     assert set(SCENARIOS) == {
         "union_complete_regimes", "large_girth", "tangle_free",

@@ -57,7 +57,7 @@ DELETED = ("trace_power_norm", "neighborhood_sets", "LevelSets", "level_sets",
            "_proxy_after_removal", "off_diagonal_max_abs", "_surrogate_stack",
            "_SubsetSearch", "_BudgetExhausted", "_CapReached", "_surrogate_at",
            "PROFILE_EXPONENT_MAX", "_SQUARE_SAFE", "mc_norm_moments",
-           "_default_threads", "_pairs_value", "_MASK64")
+           "_default_threads", "_pairs_value", "_MASK64", "_support_lower")
 
 #: The exact 0/1 search's star seed sqrt(min(max(rmax, cmax), m)) and cap
 #: sqrt(min(rmax, m) * min(cmax, m)), with or without numpy: written once,
