@@ -344,7 +344,8 @@ def _search_01(rows: np.ndarray, cols: np.ndarray, m: int, budget_cap: int) -> t
 #: one batch, and the most any of its pair calls takes (one matrix at
 #: least): about 256 KB of float64 per batch-sized array, so the seeds of
 #: a stack share batches and the ascent's memory stays flat however many
-#: matrices a k-sweep row keeps.
+#: matrices a k-sweep row keeps.  `_support_scores` screens removal sets
+#: in chunks of the same size (sets times n degrees).
 _ASCENT_BUDGET = 1 << 15
 
 
@@ -634,26 +635,33 @@ def _support_scores(support: np.ndarray, removals: np.ndarray, p: float,
     left (the total, less the degrees of I, plus the pairs of support[I, I])
     give `_search_01`'s star seed and cap (`_star_cap`).  An I that leaves
     more than floor(p) pairs and whose star seed meets its cap takes the
-    star seed, what its search returns at once; only the others search."""
+    star seed, what its search returns at once; only the others search.
+    The sets are screened max(1, _ASCENT_BUDGET // n) at a time, so the
+    screen's (sets, n) degree arrays stay within that budget however many
+    sets a row enumerates."""
     rows, cols = np.nonzero(support)
-    at = np.arange(len(removals))[:, None]
     row_deg = support.sum(axis=1)
     col_deg = support.sum(axis=0)
-    rdeg = row_deg - support[:, removals].sum(axis=2).T
-    rdeg[at, removals] = 0
-    cdeg = col_deg - support[removals, :].sum(axis=1)
-    cdeg[at, removals] = 0
-    left = (rows.size - row_deg[removals].sum(axis=1) - col_deg[removals].sum(axis=1)
-            + support[removals[:, :, None], removals[:, None, :]].sum(axis=(1, 2)))
-    m = np.minimum(math.floor(p), left)
-    star, cap = _star_cap(rdeg.max(axis=1), cdeg.max(axis=1), m)
-    scores = star.tolist()
     budget = max(2000, config.budget_cap // 100)
-    for i in np.flatnonzero((m >= left) | (star < cap - 1e-12)).tolist():
-        keep = np.ones(len(support), dtype=bool)
-        keep[removals[i]] = False
-        on = keep[rows] & keep[cols]
-        scores[i] = _exact_01(rows[on], cols[on], p, budget).lower
+    step = max(1, _ASCENT_BUDGET // len(support))
+    scores = []
+    for lo in range(0, len(removals), step):
+        part = removals[lo:lo + step]
+        at = np.arange(len(part))[:, None]
+        rdeg = row_deg - support[:, part].sum(axis=2).T
+        rdeg[at, part] = 0
+        cdeg = col_deg - support[part, :].sum(axis=1)
+        cdeg[at, part] = 0
+        left = (rows.size - row_deg[part].sum(axis=1) - col_deg[part].sum(axis=1)
+                + support[part[:, :, None], part[:, None, :]].sum(axis=(1, 2)))
+        m = np.minimum(math.floor(p), left)
+        star, cap = _star_cap(rdeg.max(axis=1), cdeg.max(axis=1), m)
+        scores += star.tolist()
+        for i in (lo + np.flatnonzero((m >= left) | (star < cap - 1e-12))).tolist():
+            keep = np.ones(len(support), dtype=bool)
+            keep[removals[i]] = False
+            on = keep[rows] & keep[cols]
+            scores[i] = _exact_01(rows[on], cols[on], p, budget).lower
     return scores
 
 

@@ -30,11 +30,12 @@ nonnegative inputs skip it).  A pad cell comes out +0.0 either way.  A
 product with +-1 and `copysign` are both exact, so the stack has the
 bits of the signs times the weights.  In these modes a block's largest
 |w_ij eps_ij| is its largest |w_ij|, so the plan stores the weights of
-every block with both sides >= 2 already scaled by its power of two (max
+every block, whatever its shape, already scaled by its power of two (max
 |w_ij| in [1/2, 1)) and hands the shifts to `spectral.top_value_max`,
 which then neither scans nor scales a sample: the norms keep the bits of
 scaling each sampled block.  Gaussian blocks keep their weights and are
-scaled per sample.
+scaled per sample.  Every group, 1x1 and vector blocks included, goes to
+`spectral.top_value_max`, which alone picks a method per block shape.
 
 A Rademacher block B o eps has the row and column L2 norms of B and its
 Frobenius norm, whatever the signs, so before any draw the plan knows
@@ -190,12 +191,11 @@ def _norm_plan(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndar
     weight (0 there).  In Gaussian mode `w` is the weight itself and
     `rademacher` is False; `neg`, `shift` and `bracket` are None.  In the
     Rademacher modes `w` is |weight|, `neg` marks the cells of negative
-    weight (None when there are none), and, when both sides are at least
-    2, the weights are scaled per block by 2^-shift to a max |w| in
-    [1/2, 1) (`spectral.pow2_scaled`) and `shift` holds the g exponents,
-    else it is None; `bracket` is (floor, cap), the largest lower and
-    upper norm bounds (`_norm_range`) of the blocks of this group and the
-    groups before it.
+    weight (None when there are none), the weights are scaled per block
+    by 2^-shift to a max |w| in [1/2, 1) (`spectral.pow2_scaled`), and
+    `shift` holds the g exponents; `bracket` is (floor, cap), the largest
+    lower and upper norm bounds (`_norm_range`) of the blocks of this
+    group and the groups before it.
     """
     nr, nc = shape
     if mode in ("rademacher_iid", "gaussian"):
@@ -249,11 +249,8 @@ def _norm_plan(shape: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndar
             np.abs(scaled, out=scaled)
             low, high = _norm_range(scaled, shift)
             floor, cap = max(floor, low), max(cap, high)
-            if r > 1 and c > 1:
-                group.update(w=scaled.ravel(), shift=shift)
-            else:
-                np.abs(w, out=w)
-            group.update(neg=neg if neg.any() else None, bracket=(floor, cap))
+            group.update(w=scaled.ravel(), shift=shift, neg=neg if neg.any() else None,
+                         bracket=(floor, cap))
         plan.append(group)
     return k, plan
 
@@ -288,8 +285,9 @@ def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
     the largest block norm of each sample, carried from group to group as
     the floor below which `top_value_max` skips a block.
 
-    Each group's (m, g, r, c) stack is one gather from the values with a
-    pad column of 1.0 appended.  In Gaussian mode the values are the
+    Each group's (m, g, r, c) stack, whatever its block shape, is one
+    gather from the values with a pad column of 1.0 appended, and one
+    `top_value_max` call.  In Gaussian mode the values are the
     draws and the gather is multiplied by the plan's padded weights.  In
     the Rademacher modes the values are uniforms, or +-1 patterns (s - 1/2
     has the sign of s), and each cell is copysign(|w|, u - 1/2), negated
@@ -316,10 +314,7 @@ def _batch_norms(values: np.ndarray, plan: list) -> np.ndarray:
             # a product past the float range is inf, and so is its norm
             with np.errstate(over="ignore"):
                 block *= group["w"]
-        if r == 1 and c == 1:
-            np.maximum(out, np.abs(block).max(axis=1), out=out)
-        else:
-            out = top_value_max(block.reshape(m, group["count"], r, c), out, group["shift"])
+        out = top_value_max(block.reshape(m, group["count"], r, c), out, group["shift"])
         if group["bracket"] is not None:
             floor, cap = group["bracket"]
             bad = ~((floor <= out) & (out <= cap))

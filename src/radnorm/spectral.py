@@ -3,9 +3,15 @@ of a stack, and singular pairs.
 
 Every top singular value or pair the library needs comes from here.
 `top_values` takes a (..., r, c) stack and returns each matrix's largest
-singular value: a vector 2-norm when a side is 1, and otherwise the
-square root of the top eigenvalue of the Gram matrix on the smaller side
-(numpy's `eigvalsh`).  Every matrix, vectors included, is first scaled by
+singular value, and `top_value_max` the largest of each row of a stack.
+Both take their values from one per-slice routine, `_slice_values`, the
+one place that picks a method per block shape: |a| for a 1x1 matrix, a
+vector 2-norm when a side is 1, and otherwise the square root of the top
+eigenvalue of the Gram matrix on the smaller side (numpy's `eigvalsh`).
+It also holds the one overflow rule: under one errstate, a value past
+the float range, or a matrix holding inf, comes out inf, and a
+non-finite Gram matrix never reaches `eigvalsh`.  Every matrix, vectors
+included, is first scaled by
 a power of two so that its max |a_ij| lies in [1/2, 1): the squares
 neither overflow nor underflow, the scaling adds no rounding, and a
 matrix and its power-of-two multiples give `eigvalsh` the same Gram
@@ -45,19 +51,23 @@ as one at side 253 and 0.87-0.94x at side 400 with one matrix a call, and
 from its scaled Gram matrix G by sqrt(tr G^5 / tr G^4) <= sigma <= (tr
 G^8)^(1/16), and a block whose upper bound falls below max(floor, best
 lower bound in its row) by more than _PRUNE_MARGIN (1e-9 relative) is
-skipped; the kept ones go through the same eigensolve as `top_values`.
-Groups of one block per row (dense inputs) and vector shapes skip the
-bracket.  On `verify union_complete_regimes` (--n-cap 1024, 200 samples)
-the share of blocks eigensolved is 50% of the 3x3 blocks of d = 2 (half of
-their sign patterns have norm 2, every row's maximum, and ties are kept),
-3.4% at d = 3 and 0.8-1.9% at d = 4 to 8; the d = 1 blocks are 1x1 and
-never reach the kernel.  In the Rademacher modes a block's largest |w_ij
-eps_ij| is its largest |w_ij|, so its power-of-two shift is known before
-any sample is drawn: the sampler's plan scales the weights once and passes
-the shifts, and `top_value_max` skips the per-matrix max/min scan and the
-scaled copy.  Multiplying by +-1 is exact and ldexp rounds w and -w alike,
-so every Gram matrix keeps its bits, subnormal corners included.  Gaussian
-blocks are scaled here, per sample.
+skipped; the kept ones go through the same eigensolve as `top_values`,
+from the Gram matrices the bracket was computed on.  Groups of one block
+per row (dense inputs), 1x1 blocks and vectors skip the bracket.  On
+`verify union_complete_regimes` (--n-cap 1024, 200 samples) the share of
+blocks eigensolved is 50% of the 3x3 blocks of d = 2 (half of their sign
+patterns have norm 2, every row's maximum, and ties are kept), 3.4% at
+d = 3 and 0.8-1.9% at d = 4 to 8; the d = 1 blocks are 1x1 and give
+|a|.  In the Rademacher modes a block's largest |w_ij eps_ij| is its
+largest |w_ij|, so its power-of-two shift is known before any sample is
+drawn: the sampler's plan scales the weights of every block, whatever its
+shape, once and passes the shifts, and `top_value_max` skips the
+per-matrix max/min scan and the scaled copy.  Multiplying by +-1 is exact
+and ldexp rounds w and -w alike, so every Gram matrix and every vector
+keeps its bits, subnormal corners included, and a 1x1 block scaled back
+is |a| exactly.  Gaussian blocks are scaled here, per sample.  The
+sampler hands every group to `top_value_max` and decides nothing by
+shape.
 
 Every Gram product (`_gram`) multiplies by a contiguous copy of the
 transpose while both sides are at most CONTIGUOUS_T_MAX = 11, and by the
@@ -149,7 +159,9 @@ pair's only user: the exact 0/1 bracket is a value (`top_values`) and the
 k-sweep's cheap pairs take power steps.
 Power steps live in `power_pair` alone; `spectral_norm` is `top_values` at
 every side.  Choosing a different method per shape is a change to this
-module only.
+module only: `_slice_values` holds every such choice for top values,
+`top_pair` for pairs (`tests/test_structure.py` allows `eigvalsh` and
+`eigh` here and, for its full spectrum, in `families` alone).
 
 `pow2_scaled` is the library's one exponent chooser: every power-of-two
 scale, one exponent per array, comes from it.  `top_values` (both
@@ -166,6 +178,8 @@ the kernel is tested against.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -218,30 +232,68 @@ def _start_vector(n: int) -> np.ndarray:
 def top_values(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., r, c) stack.
 
-    Sides both >= 2: sqrt of the top eigenvalue of the Gram matrix on the
-    smaller side, within 16 eps relative of the SVD value.  Each matrix's
-    value depends on that matrix alone, never on the rest of the stack.
+    Within 16 eps relative of the SVD value, _GRAM_SLICE elements at a
+    time (`_slice_values`).  A value past the float range, or a matrix
+    holding inf, gives inf, and so does a matrix of both sides >= 2
+    holding NaN.  Each matrix's value depends on that matrix alone, never
+    on the rest of the stack.
     """
     r, c = stack.shape[-2:]
-    if r > 1 and c > 1:
-        return _gram_top(stack.reshape(-1, r, c)).reshape(stack.shape[:-2])
-    scaled, shift = pow2_scaled(stack.reshape(-1, r * c))
-    with np.errstate(under="ignore"):
-        out = np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), shift)
+    flat = stack.reshape(-1, r, c)
+    step = max(1, _GRAM_SLICE // (r * c))
+    if 0 < len(flat) <= step:  # one slice, its values need no copy
+        return _slice_values(flat).reshape(stack.shape[:-2])
+    out = np.empty(len(flat))
+    for lo in range(0, len(flat), step):
+        out[lo:lo + step] = _slice_values(flat[lo:lo + step])
     return out.reshape(stack.shape[:-2])
 
 
-def _gram_top(stack: np.ndarray) -> np.ndarray:
-    """sqrt(max(eigvalsh(G)[-1], 0)) of each matrix of an (S, r, c) stack,
-    G the Gram matrix on the smaller side, _GRAM_SLICE elements at a time.
+@np.errstate(under="ignore", over="ignore", invalid="ignore")
+def _slice_values(a: np.ndarray, shift=None, floor=None) -> np.ndarray:
+    """Largest singular value of each matrix of an (S, r, c) slice: the
+    one place that picks a method per block shape.
+
+    A 1x1 matrix gives |a|, a vector the L2 norm of its scaled cells, and
+    any other matrix 2^shift sqrt(top eigenvalue) of its scaled Gram matrix
+    (`_gram`, `_gram_eig_top`).  With `shift` (S,) given, matrix i arrives
+    scaled, times 2^-shift[i] with max |a_ij| in [1/2, 1); without it each
+    matrix is scaled here (`pow2_scaled`).  With `floor` (rows,) given, the
+    slice holds rows of S / rows matrices, and a matrix whose bracket
+    (`_bracket`, on the Gram matrix the eigensolve then takes) shows that
+    it cannot reach max(floor, best lower bound in its row) gets 0 and is
+    never eigensolved.  Under one errstate, a value past the float range,
+    or a matrix holding inf, comes out inf; so does a matrix of both sides
+    >= 2 holding NaN, whose Gram matrix never reaches `eigvalsh`.
     """
-    s, r, c = stack.shape
-    out = np.empty(s)
-    step = max(1, _GRAM_SLICE // (r * c))
-    with np.errstate(under="ignore"):
-        for lo in range(0, s, step):
-            out[lo:lo + step] = _gram_eig_top(*_scaled_gram(stack[lo:lo + step]))
-    return out
+    r, c = a.shape[1:]
+    if r * c == 1:
+        vals = np.abs(a.reshape(-1))
+        return vals if shift is None else np.ldexp(vals, shift)
+    prescaled = shift is not None
+    a, shift = (a, shift) if prescaled else pow2_scaled(a)
+    if r == 1 or c == 1:
+        return np.ldexp(np.sqrt((a * a).reshape(-1, r * c).sum(axis=1)), shift)
+    gram = _gram(a)
+    big = None
+    # a pre-scaled matrix is finite; one scaled here may hold inf or NaN,
+    # and then the sum of the slice's Gram entries is inf or NaN (finite
+    # scaled entries lie below 1, so finite Gram sums stay far from inf)
+    if not (prescaled or math.isfinite(gram.sum())):
+        big = ~np.isfinite(gram).all(axis=(1, 2))
+        gram[big] = 0.0
+    if floor is None:
+        vals = _gram_eig_top(gram, shift)
+    else:
+        lower, upper = (b.reshape(len(floor), -1) for b in _bracket(gram, shift))
+        cut = np.maximum(floor, lower.max(axis=1))
+        # NaN in a bound or threshold keeps the matrix
+        keep = ~(upper < (cut * (1.0 - _PRUNE_MARGIN))[:, None]).ravel()
+        vals = np.zeros(len(gram))
+        vals[keep] = _gram_eig_top(gram[keep], shift[keep])
+    if big is not None:
+        vals[big] = np.inf
+    return vals
 
 
 def pow2_scaled(stack: np.ndarray) -> tuple:
@@ -257,15 +309,6 @@ def pow2_scaled(stack: np.ndarray) -> tuple:
     flat = stack.reshape(len(stack), -1)
     shift = np.frexp(np.maximum(flat.max(axis=1), -flat.min(axis=1)))[1]
     return np.ldexp(stack, -shift.reshape((-1,) + (1,) * (stack.ndim - 1))), shift
-
-
-def _scaled_gram(a: np.ndarray) -> tuple:
-    """(gram, shift) of an (S, r, c) stack: the Gram matrix on the smaller
-    side (`_gram`) of each matrix scaled by `pow2_scaled`, so a matrix and
-    its power-of-two multiples give eigvalsh the same Gram matrix (eigvalsh
-    itself is not exactly power-of-two equivariant)."""
-    scaled, shift = pow2_scaled(a)
-    return _gram(scaled), shift
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -303,14 +346,15 @@ def top_value_max(stack: np.ndarray, floor: np.ndarray, shift=None) -> np.ndarra
     bit for bit, eigensolving only the matrices that can reach the maximum.
 
     `floor` (m,) is each row's running maximum.  With `shift` (g,) given,
-    the sides are both at least 2 and the stack is pre-scaled: block j of
-    every row is its matrix times 2^-shift[j], with max |a_ij| in
-    [1/2, 1), and the result is that of the unscaled stack (the Monte
-    Carlo sampler folds the shifts of its Rademacher blocks into their
-    weights, `sampler._norm_plan`).  Without it each matrix is scaled here
-    (`_scaled_gram`).  Per _GRAM_SLICE elements (two rows at least, and a
-    lone last row joins the slice before), each matrix's sigma =
-    sqrt(lambda_max(G)) is bracketed from its scaled Gram matrix G by
+    the stack is pre-scaled, whatever the block shape: block j of every
+    row is its matrix times 2^-shift[j], with max |a_ij| in [1/2, 1), and
+    the result is that of the unscaled stack (the Monte Carlo sampler
+    folds the shifts of its Rademacher blocks into their weights,
+    `sampler._norm_plan`).  Without it each matrix is scaled here.  Per
+    _GRAM_SLICE elements (two rows at least, and a lone last row joins the
+    slice before) the values come from `_slice_values`, as in
+    `top_values`.  There each matrix's sigma = sqrt(lambda_max(G)) is
+    bracketed from its scaled Gram matrix G by
 
         sqrt(<G^4, G> / <G^2, G^2>)  <=  sigma  <=  <G^4, G^4>^(1/16),
 
@@ -318,46 +362,22 @@ def top_value_max(stack: np.ndarray, floor: np.ndarray, shift=None) -> np.ndarra
     eigenvalues) and (tr G^8)^(1/16); a zero matrix gets 0 for both.  A
     row's threshold is max(floor, its best lower bound), and only matrices
     whose upper bound reaches threshold * (1 - _PRUNE_MARGIN) are
-    eigensolved, by the same `_gram_eig_top` as `top_values`, so every
-    value that can be the maximum has the bits it has there.  Groups of one
-    matrix per row solve every matrix without the bracket, and vector
-    shapes go straight to `top_values`.  Without `shift`, a matrix holding
-    inf or NaN gets the value inf and never reaches `eigvalsh`.
+    eigensolved, from the same Gram matrices and by the same
+    `_gram_eig_top` as in `top_values`, so every value that can be the
+    maximum has the bits it has there.  Groups of one matrix per row, 1x1
+    blocks and vectors skip the bracket.  A matrix holding inf or NaN, or a
+    value past the float range, gives inf.
     """
     m, g, r, c = stack.shape
-    if r == 1 or c == 1:
-        return np.maximum(floor, top_values(stack).max(axis=1))
     out = np.empty(m)
     # two rows a slice at least, and a lone last row joins the slice before:
     # a one-matrix eigvalsh call does not overlap with another thread's
     step = max(2, _GRAM_SLICE // (g * r * c))
     edges = [*range(0, max(m - 1, 1), step), m]
-    # a value past the float range comes out inf
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        for lo, hi in zip(edges, edges[1:]):
-            a = stack[lo:hi].reshape(-1, r, c)
-            rows = a.shape[0] // g
-            if shift is None:
-                gram, sh = _scaled_gram(a)
-                # an inf entry (a Gaussian product past the float range)
-                # leaves a non-finite Gram matrix: it is solved as zero,
-                # so eigvalsh never sees it, and its value set to inf
-                big = ~np.isfinite(gram).all(axis=(1, 2))
-                gram[big] = 0.0
-            else:
-                gram, sh, big = _gram(a), np.tile(shift, rows), None
-            if g == 1:
-                vals = _gram_eig_top(gram, sh)
-            else:
-                lower, upper = (b.reshape(rows, g) for b in _bracket(gram, sh))
-                cut = np.maximum(floor[lo:hi], lower.max(axis=1))
-                # NaN in a bound or threshold keeps the matrix
-                keep = ~(upper < (cut * (1.0 - _PRUNE_MARGIN))[:, None]).ravel()
-                vals = np.zeros(rows * g)
-                vals[keep] = _gram_eig_top(gram[keep], sh[keep])
-            if big is not None:
-                vals[big] = np.inf
-            out[lo:hi] = np.maximum(floor[lo:hi], vals.reshape(rows, g).max(axis=1))
+    for lo, hi in zip(edges, edges[1:]):
+        sh = None if shift is None else np.tile(shift, hi - lo)
+        vals = _slice_values(stack[lo:hi].reshape(-1, r, c), sh, floor[lo:hi] if g > 1 else None)
+        out[lo:hi] = np.maximum(floor[lo:hi], vals.reshape(hi - lo, g).max(axis=1))
     return out
 
 

@@ -48,7 +48,7 @@ from radnorm.bounds import (SHORTLIST_SIZE, EngineConfig, _ascent, _ascent_pair,
 from radnorm.core import WeightMatrix, log_clamped
 from radnorm.corpus import corpus_mixed
 from radnorm.moments import hitczenko_surrogate, surrogate_rows, surrogate_sorted, water_fill
-from radnorm.spectral import (POWER_PAIR_MIN, _certified_top, _scaled_gram, pow2_scaled,
+from radnorm.spectral import (POWER_PAIR_MIN, _certified_top, _gram, pow2_scaled,
                               power_pair, top_pair)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
@@ -131,7 +131,7 @@ _ABOVE_GATE = _above_gate_stack()
 
 
 def test_above_gate_stack_mixes_certified_and_fallback_matrices():
-    grams = _scaled_gram(_ABOVE_GATE)[0]
+    grams = _gram(pow2_scaled(_ABOVE_GATE)[0])
     assert [not _certified_top(g[None])[1][0] for g in grams] == [True, True, False, False]
     assert (~_certified_top(grams)[1]).tolist() == [True, True, False, False]
 
@@ -350,7 +350,7 @@ def test_certified_top_is_per_matrix_inside_a_mixed_stack(side, shape):
     rows, cols = {"square": (side, side), "wide": (side, side + 3),
                   "tall": (side + 2, side)}[shape]
     a = _certify_mix(rows, cols, np.random.default_rng(side))
-    grams = _scaled_gram(a)[0]
+    grams = _gram(pow2_scaled(a)[0])
     top, todo = _certified_top(grams)
     assert todo.any() and not todo.all()
     sigma, u, v = top_pair(a, gram=True)

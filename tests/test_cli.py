@@ -266,16 +266,24 @@ class TestMcCommand:
     @pytest.mark.parametrize("moments", [[], ["--p", "2,8"]])
     @pytest.mark.parametrize("mode", sampler.MODES)
     def test_norm_past_the_float_range_exit_4(self, tmp_path, capsys, mode, moments):
-        # the norms overflow: numpy's RuntimeWarnings used to come first,
-        # and Gaussian mode stopped in eigvalsh ("did not converge")
-        path = tmp_path / "huge.txt"
-        path.write_text("3 3\n" + "1.7e308 1.7e308 1.7e308\n" * 3)
-        assert main(["mc", "--input", str(path), "--mode", mode, "--samples", "100",
-                     *moments]) == 4
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: non-finite number in the output")
-        assert err.count("\n") == 1
+        # the norms overflow: numpy's RuntimeWarnings used to come first, from
+        # the Gram blocks of a full 3x3 and from the 1x3 vector block of a
+        # 3x3 whose only nonzero row is huge, or of a 1x3 (symmetric mode
+        # takes square inputs only), and Gaussian mode stopped in eigvalsh
+        # ("did not converge")
+        huge = "1.7e308 1.7e308 1.7e308\n"
+        texts = ["3 3\n" + huge * 3, "3 3\n" + huge + "0 0 0\n" * 2]
+        if mode != "rademacher_symmetric":
+            texts.append("1 3\n" + huge)
+        for i, text in enumerate(texts):
+            path = tmp_path / f"huge{i}.txt"
+            path.write_text(text)
+            assert main(["mc", "--input", str(path), "--mode", mode, "--samples", "100",
+                         *moments]) == 4, text
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: non-finite number in the output")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("scale", [1e10, 1e-12, 1e306])
     def test_moments_finite_at_extreme_scale(self, tmp_path, scale):

@@ -141,19 +141,16 @@ def test_plan_norms_equal_dense_realization(run):
 
 
 def _signed_route(u, plan):
-    """Per-sample norms and Gram-kernel stacks of the route the sampler
-    took before it folded the sign into its gather: `signs_from_uniform`
-    of the uniforms with a zero pad column, gathered, times the signed
-    plan weights."""
+    """Per-sample norms and kernel stacks of the route the sampler took
+    before it folded the sign into its gather: `signs_from_uniform` of the
+    uniforms with a zero pad column, gathered, times the signed plan
+    weights, every group handed to the kernel with its shifts."""
     ext = np.concatenate((streams.signs_from_uniform(u), np.zeros((len(u), 1))), axis=1)
     out, stacks = np.zeros(len(u)), []
     for group in plan:
         r, c = group["shape"]
         w = group["w"] if group["neg"] is None else np.where(group["neg"], -group["w"], group["w"])
         block = ext.take(group["src"], axis=1) * w
-        if r == 1 and c == 1:
-            out = np.maximum(out, np.abs(block).max(axis=1))
-            continue
         stacks.append(block.reshape(len(u), group["count"], r, c))
         out = top_value_max(stacks[-1], out, group["shift"])
     return out, stacks
@@ -421,11 +418,14 @@ def removal_sets(draw):
 def test_support_scores_of_removal_sets_equal_the_masked_searches(case, cap):
     # the enumerated rows score removal sets of any size with the greedy
     # chain's screen: each set's rows and columns leave the degrees and
-    # the pair count, and support[I, I] is counted back once
+    # the pair count, and support[I, I] is counted back once; screening
+    # one set at a time gives the same scores
     support, removals, p = case
     config = EngineConfig(budget_cap=cap)
-    assert _support_scores(support, removals, p, config) == masked_searches(
-        support, removals, p, config)
+    got = _support_scores(support, removals, p, config)
+    assert got == masked_searches(support, removals, p, config)
+    with mock.patch.object(bounds, "_ASCENT_BUDGET", 1):
+        assert _support_scores(support, removals, p, config) == got
 
 
 @pytest.mark.parametrize("rest, p, want, searches", [
@@ -621,9 +621,11 @@ def test_exact_expectation_symmetric_conjugation(case):
                 elements=st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0]),
                                    st.floats(-4.0, 4.0, allow_subnormal=False))),
        j=st.one_of(st.just(0), st.integers(-1060, 1020)))
+@example(a=np.full((1, 6, 6), 4.0), j=1020)
 def test_top_values_within_tolerance_of_oracle_svd(a, j):
     # sides >= 2 take the Gram eigensolve; 2^j reaches subnormal and
-    # near-overflow entries
+    # near-overflow entries, and a norm past the float range is inf in
+    # the kernel as in the oracle
     a = np.ldexp(a, j)
     want = np.array([top_singular_value(m) for m in a])
     with np.errstate(all="raise"):

@@ -344,7 +344,7 @@ class TestPrescaledPlan:
     @pytest.mark.parametrize("g", [1, 9])
     def test_prescaled_stack_equals_the_unscaled_stack(self, exponents, g):
         rng = np.random.default_rng(g)
-        for r, c in ((2, 2), (3, 5), (6, 4), (12, 12)):
+        for r, c in ((1, 1), (1, 12), (12, 1), (2, 2), (3, 5), (6, 4), (12, 12)):
             w = np.ldexp(rng.uniform(1.0, 2.0, size=(g, r, c)),
                          rng.integers(exponents[0], exponents[1] + 1, size=(g, r, c)))
             w *= rng.random((g, r, c)) < 0.7

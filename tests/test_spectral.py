@@ -18,7 +18,6 @@ from radnorm.spectral import (
     _bracket,
     _certified_top,
     _gram,
-    _scaled_gram,
     _start_vector,
     max_row_col_l2,
     power_pair,
@@ -131,8 +130,9 @@ class TestTopValues:
         want = [np.linalg.svd(m, compute_uv=False)[0] for m in flat]
         return np.array(want).reshape(stack.shape[:-2])
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (6, 1), (3, 4), (5, 5), (7, 2)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (6, 1), (3, 4), (5, 5), (7, 2), (3, 3)])
     def test_stacks_match_per_matrix_svd(self, shape):
+        assert top_values(np.zeros((0,) + shape)).shape == (0,)  # no slice at all
         rng = np.random.default_rng(sum(shape))
         for lead in ((9,), (3, 4)):
             stack = rng.standard_normal(lead + shape)
@@ -348,7 +348,8 @@ class TestTopValueMax:
                      300)[None],  # rank one: both bounds equal sigma
             np.zeros((1,) + shape),
         ])
-        lower, upper = _bracket(*_scaled_gram(stack))
+        scaled, shift = pow2_scaled(stack)
+        lower, upper = _bracket(_gram(scaled), shift)
         want = np.array([top_singular_value(m) for m in stack])
         assert np.all(lower <= want * (1 + _PRUNE_MARGIN))
         assert np.all(upper >= want * (1 - _PRUNE_MARGIN))
@@ -476,14 +477,14 @@ class TestTopPair:
             block = rng.standard_normal((n // 2, n // 2))
             tied = np.kron(np.eye(2), block)
             for a in (np.zeros((n, n)), np.eye(n), tied, tied.T):
-                assert _certified_top(_scaled_gram(a[None])[0])[1][0]
+                assert _certified_top(_gram(pow2_scaled(a[None])[0]))[1][0]
                 got = one_pair(a, gram=True)
                 with mock.patch.object(spectral, "POWER_PAIR_MIN", n + 1):
                     want = one_pair(a, gram=True)
                 assert got[0] == want[0]
                 assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
             for a in (np.outer(x, y), np.outer(x, y)[:, :n - 3], np.outer(x, y)[:n - 3]):
-                tops, todo = _certified_top(_scaled_gram(a[None])[0])
+                tops, todo = _certified_top(_gram(pow2_scaled(a[None])[0]))
                 assert not todo[0]
                 top = tops[0]
                 factor = y[:a.shape[1]] if a.shape[0] >= a.shape[1] else x[:a.shape[0]]

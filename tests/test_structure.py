@@ -1,7 +1,9 @@
 """Structural guard: each duplicated numeric decision lives in one module.
 
 Top singular values and pairs come from the spectral kernel, and the
-brute-force oracles keep their own independent SVD.  Every power-of-two
+brute-force oracles keep their own independent SVD; every eigensolve is
+the kernel's too, but for the families' expander check, which needs the
+whole spectrum.  Every power-of-two
 exponent is chosen by `spectral.pow2_scaled`, so `frexp` is named in the
 kernel alone.  Exhaustive sign patterns come from `core.sign_patterns`,
 and breadth-first search from `core.bfs_distances`.  A new copy of any of them elsewhere in the package
@@ -46,6 +48,8 @@ RULES = {
                               {"core.py", "families.py", "cli.py", "matio.py"}),
     "scipy import": (re.compile(r"\bscipy\b"), {"streams.py"}),
     "power-of-two exponent": (re.compile(r"\bfrexp\b"), {"spectral.py"}),
+    # the families' expander check needs the full spectrum, not a top value
+    "eigensolve": (re.compile(r"\beig(valsh|h)\b"), {"spectral.py", "families.py"}),
 }
 
 
@@ -57,7 +61,8 @@ DELETED = ("trace_power_norm", "neighborhood_sets", "LevelSets", "level_sets",
            "_proxy_after_removal", "off_diagonal_max_abs", "_surrogate_stack",
            "_SubsetSearch", "_BudgetExhausted", "_CapReached", "_surrogate_at",
            "PROFILE_EXPONENT_MAX", "_SQUARE_SAFE", "mc_norm_moments",
-           "_default_threads", "_pairs_value", "_MASK64", "_support_lower")
+           "_default_threads", "_pairs_value", "_MASK64", "_support_lower",
+           "_gram_top", "_scaled_gram")
 
 #: The exact 0/1 search's star seed sqrt(min(max(rmax, cmax), m)) and cap
 #: sqrt(min(rmax, m) * min(cmax, m)), with or without numpy: written once,
